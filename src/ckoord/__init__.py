@@ -52,7 +52,6 @@ from .predictor import (
     ModelCache,
     PredictorConfig,
     ThresholdParams,
-    build_feature_vector,
     classify,
     cpi_threshold,
     delta_cpi,
@@ -60,7 +59,7 @@ from .predictor import (
     worst_verdict,
 )
 from .simulator import RunResult, Simulator, run_scenario
-from .telemetry import MetricSample, TimeSeries, rolling_mean, rolling_std, rolling_var
+from .telemetry import MetricSample, TimeSeries, rolling_mean, rolling_std
 
 __version__ = "0.1.0"
 
@@ -97,7 +96,6 @@ __all__ = [
     "TimeSeries",
     "TrainConfig",
     "UtilizationWeights",
-    "build_feature_vector",
     "classify",
     "comprehensive_utilization",
     "cpi_threshold",
@@ -112,7 +110,6 @@ __all__ = [
     "regression_metrics",
     "rolling_mean",
     "rolling_std",
-    "rolling_var",
     "route",
     "run_scenario",
     "scan",

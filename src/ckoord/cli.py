@@ -13,9 +13,6 @@ import json
 import logging
 import os
 import sys
-import tempfile
-
-import numpy as np
 
 from . import __version__
 from .cluster import NodeMetrics, QosClass
@@ -27,8 +24,7 @@ from .gbdt import (
     regression_metrics,
     train_ensemble,
 )
-from .loop import ControlLoop, NodeObservation, PodObservation
-from .mitigator import Evict, Suppress
+from .loop import ControlLoop, DecisionLog, NodeObservation, PodObservation
 from .scenario import (
     ConfigError,
     apply_overrides,
@@ -40,9 +36,12 @@ from .simulator import Simulator, control_configs, report_to_json
 from .trace import (
     TRACE_COLUMNS,
     TraceFormatError,
+    atomic_open,
     feature_matrix,
     format_value,
     read_trace,
+    row_features,
+    row_to_record,
     rows_by_interval,
     write_trace,
 )
@@ -51,16 +50,8 @@ log = logging.getLogger("ckoord")
 
 
 def _write_text_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckoord-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path) as handle:
+        handle.write(text)
 
 
 def _load_scenario(args: argparse.Namespace) -> dict:
@@ -148,12 +139,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(list(TRACE_COLUMNS) + ["cpi_pred"])
         for row, pred in zip(rows, preds):
-            record = []
-            for column in TRACE_COLUMNS:
-                value = getattr(row, column)
-                record.append(format_value(value) if isinstance(value, float) else str(value))
-            record.append(format_value(float(pred)))
-            writer.writerow(record)
+            writer.writerow(row_to_record(row) + [format_value(float(pred))])
     finally:
         if out is not sys.stdout:
             out.close()
@@ -167,7 +153,7 @@ def _replay_observations(
 ) -> tuple[list[PodObservation], list[NodeObservation]]:
     topo = cfg["topology"]
     requests = {
-        app["app_id"]: (float(app["cpu_request"]), float(app["mem_request"]), app["qos"])
+        app["app_id"]: (float(app["cpu_request"]), float(app["mem_request"]))
         for app in cfg["apps"]
     }
     known_nodes = set(node_ids(cfg))
@@ -178,28 +164,14 @@ def _replay_observations(
             raise ConfigError(f"trace app {row.app_id!r} not present in scenario config")
         if row.node_id not in known_nodes:
             raise ConfigError(f"trace node {row.node_id!r} not present in scenario config")
-        cpu_request, mem_request, qos = requests[row.app_id]
-        features = np.array(
-            [
-                row.pod_cpu_util,
-                row.pod_mem_util,
-                row.node_cpu_total,
-                row.node_cpu_offline,
-                row.node_cpu_shared,
-                row.node_cpu_online,
-                row.l3_miss_rate,
-                row.sys_cpu_total,
-                row.sys_mem_total,
-            ],
-            dtype=np.float64,
-        )
+        cpu_request, mem_request = requests[row.app_id]
         pod_obs.append(
             PodObservation(
                 pod_id=row.pod_id,
                 app_id=row.app_id,
                 node_id=row.node_id,
                 qos=QosClass(row.qos),
-                features=features,
+                features=row_features(row),
                 cpi=row.cpi,
                 cpu_cores=row.pod_cpu_util * cpu_request,
                 cpu_request=cpu_request,
@@ -233,69 +205,31 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         raise TraceFormatError(f"{args.trace}: no data rows")
     detector_cfg, predictor_cfg, mitigator_cfg = control_configs(cfg)
     loop = ControlLoop(detector_cfg, predictor_cfg, mitigator_cfg, cfg["sampling_period_s"])
-    detections: list[dict] = []
-    flag_events: list[dict] = []
-    actions: list[dict] = []
-    verdicts_evaluated = 0
-    deferrals = 0
+    decisions = DecisionLog()
     intervals = 0
     for interval, group in rows_by_interval(rows):
         pod_obs, node_obs = _replay_observations(group, cfg)
-        outcome = loop.observe(interval, pod_obs, node_obs, True)
+        decisions.add(loop.observe(interval, pod_obs, node_obs, True))
         intervals += 1
-        verdicts_evaluated += len(outcome.verdicts)
-        deferrals += len(outcome.deferred_apps)
-        for app_id in outcome.newly_flagged:
-            flag_events.append({"interval": interval, "app_id": app_id, "event": "flag"})
-        for app_id in outcome.newly_unflagged:
-            flag_events.append({"interval": interval, "app_id": app_id, "event": "unflag"})
-        for verdict in outcome.verdicts:
-            if verdict.detected:
-                csi = "inf" if verdict.csi == float("inf") else verdict.csi
-                detections.append(
-                    {
-                        "interval": interval,
-                        "app_id": verdict.app_id,
-                        "delta_cpi": verdict.delta_cpi,
-                        "threshold": verdict.threshold,
-                        "csi": csi,
-                    }
-                )
-        for planned in outcome.actions:
-            detail = {
-                "interval": interval,
-                "app_id": planned.app_id,
-                "node_id": planned.node_id,
-                "severity": planned.severity.value,
-            }
-            if isinstance(planned.action, Suppress):
-                detail["type"] = "suppress"
-                detail["cpu_restriction"] = planned.action.cpu_restriction
-            elif isinstance(planned.action, Evict):
-                detail["type"] = "evict"
-                detail["pod_ids"] = list(planned.action.pod_ids)
-            else:
-                detail["type"] = "noop"
-            actions.append(detail)
     replay_report = {
         "schema_version": 1,
         "trace": os.path.basename(args.trace),
         "intervals": intervals,
-        "detections": detections,
-        "flag_events": flag_events,
-        "actions": actions,
-        "verdicts_evaluated": verdicts_evaluated,
-        "deferrals": deferrals,
+        "detections": decisions.detections,
+        "flag_events": decisions.flag_events,
+        "actions": decisions.actions,
+        "verdicts_evaluated": decisions.verdicts_evaluated,
+        "deferrals": decisions.deferrals,
         "models": loop.models_trained,
     }
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         out_path = os.path.join(args.out, "replay.json")
-        _write_text_atomic(out_path, json.dumps(replay_report, sort_keys=True, indent=2) + "\n")
+        _write_text_atomic(out_path, report_to_json(replay_report))
         print(f"replay report: {out_path}")
     print(
-        f"replayed {intervals} intervals flags={len(flag_events)}"
-        f" detections={len(detections)} actions={len(actions)}"
+        f"replayed {intervals} intervals flags={len(decisions.flag_events)}"
+        f" detections={len(decisions.detections)} actions={len(decisions.actions)}"
     )
     return 0
 

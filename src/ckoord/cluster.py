@@ -3,13 +3,11 @@
 Conventions that the rest of the pipeline relies on:
   * node-level CPU metrics are fractions of that node's capacity in [0, 1]
   * pod-level CPU is absolute cores; conversions are always explicit
-  * snapshots are deep copies, so controllers can never mutate live state
   * validate() reports violations as data instead of raising, callers decide
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -75,8 +73,6 @@ class NodeMetrics:
 class SystemMetrics:
     cpu_total_sys: float = 0.0   # cluster-wide CPU fraction
     mem_total_sys: float = 0.0   # cluster-wide memory fraction
-    l3_miss_rate_sys: float = 0.0
-    n_max: float = 1.0           # max observed per-pod miss rate, > 0
 
 
 @dataclass
@@ -113,11 +109,6 @@ class ClusterState:
         """Sorted node ids currently hosting the application's pods."""
         found = {e.spec.node_id for e in self.pods.values() if e.spec.app_id == app_id}
         return sorted(found)
-
-
-def snapshot(state: ClusterState) -> ClusterState:
-    """Deep, point-in-time copy; later mutation of live state never shows."""
-    return copy.deepcopy(state)
 
 
 def _check_fraction(violations: list[str], where: str, name: str, value: float) -> None:
@@ -173,9 +164,5 @@ def validate(state: ClusterState) -> list[str]:
     sysm = state.system
     _check_fraction(violations, "system", "cpu_total_sys", sysm.cpu_total_sys)
     _check_fraction(violations, "system", "mem_total_sys", sysm.mem_total_sys)
-    if sysm.l3_miss_rate_sys < 0:
-        violations.append("system: negative l3_miss_rate_sys")
-    if sysm.n_max <= 0:
-        violations.append("system: n_max must be positive")
 
     return violations

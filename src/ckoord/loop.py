@@ -14,6 +14,7 @@ runs of the same data make identical decisions.
 from __future__ import annotations
 
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -30,10 +31,12 @@ from .cluster import (
 )
 from .detector import DetectorConfig, FlaggedApps, scan
 from .mitigator import (
+    Evict,
     MitigationAction,
     MitigationConfig,
     NoOp,
     Severity,
+    Suppress,
     plan,
     route,
 )
@@ -45,6 +48,7 @@ from .predictor import (
     classify,
     cpi_threshold,
     delta_cpi,
+    load_factor,
     verdict_rank,
     worst_verdict,
 )
@@ -94,6 +98,76 @@ class IntervalOutcome:
     deferred_apps: list[str] = field(default_factory=list)
     newly_flagged: list[str] = field(default_factory=list)
     newly_unflagged: list[str] = field(default_factory=list)
+
+
+def _action_record(planned: PlannedAction) -> dict:
+    record: dict = {
+        "interval": planned.interval,
+        "app_id": planned.app_id,
+        "node_id": planned.node_id,
+        "severity": planned.severity.value,
+    }
+    action = planned.action
+    if isinstance(action, Suppress):
+        record["type"] = "suppress"
+        record["cpu_restriction"] = action.cpu_restriction
+    elif isinstance(action, Evict):
+        record["type"] = "evict"
+        record["pod_ids"] = list(action.pod_ids)
+    else:
+        record["type"] = "noop"
+    return record
+
+
+@dataclass
+class DecisionLog:
+    """JSON-ready records of the loop's decisions, each stamped with its interval.
+
+    Live runs and trace replays both fill one from the same outcomes, so their
+    reports carry the same records for the same decisions.
+    """
+
+    flag_events: list[dict] = field(default_factory=list)
+    detections: list[dict] = field(default_factory=list)
+    actions: list[dict] = field(default_factory=list)
+    verdicts_evaluated: int = 0
+    deferrals: int = 0
+
+    def add(self, outcome: IntervalOutcome) -> None:
+        interval = outcome.interval
+        self.verdicts_evaluated += len(outcome.verdicts)
+        self.deferrals += len(outcome.deferred_apps)
+        events = (("flag", outcome.newly_flagged), ("unflag", outcome.newly_unflagged))
+        for event, app_ids in events:
+            for app_id in app_ids:
+                self.flag_events.append({"interval": interval, "app_id": app_id, "event": event})
+        for verdict in outcome.verdicts:
+            if verdict.detected:
+                self.detections.append(
+                    {
+                        "interval": interval,
+                        "app_id": verdict.app_id,
+                        "delta_cpi": verdict.delta_cpi,
+                        "threshold": verdict.threshold,
+                        "csi": "inf" if verdict.csi == math.inf else verdict.csi,
+                    }
+                )
+        self.actions.extend(_action_record(planned) for planned in outcome.actions)
+
+    def action_lines(self) -> list[str]:
+        """One actions.log line per action record."""
+        lines = []
+        for record in self.actions:
+            line = (
+                f"interval={record['interval']} node={record['node_id']} app={record['app_id']}"
+                f" severity={record['severity']} action={record['type']}"
+            )
+            if record["type"] == "evict":
+                line += f" pods={','.join(record['pod_ids'])}"
+            elif record["type"] == "suppress":
+                line += f" cap={record['cpu_restriction']:.6g}"
+            lines.append(line)
+        return lines
 
 
 class ControlLoop:
@@ -188,13 +262,6 @@ class ControlLoop:
             state.nodes[ob.node_id].pod_ids.append(ob.pod_id)
         return state
 
-    def _load_factor(self, ob: PodObservation) -> float:
-        w = self.predictor_cfg.load_weights
-        cpu_ratio = min(1.0, float(ob.features[0]))
-        mem_ratio = min(1.0, float(ob.features[1]))
-        miss_ratio = min(1.0, float(ob.features[6]) / self.n_max) if self.n_max > 0 else 0.0
-        return w.cpu * cpu_ratio + w.mem * mem_ratio + w.miss * miss_ratio
-
     # -- the pass itself -------------------------------------------------
 
     def observe(
@@ -269,7 +336,7 @@ class ControlLoop:
                     series,
                     self.predictor_cfg.window,
                     self.predictor_cfg.params,
-                    self._load_factor(ob),
+                    load_factor(ob.features, self.n_max, self.predictor_cfg.load_weights),
                 )
                 pod_verdicts.append((classify(delta, threshold, app_id), ob))
             verdict = worst_verdict([v for v, _ in pod_verdicts])

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .cluster import ClusterState, QosClass
+from .cluster import ClusterState
 from .predictor import DetectionVerdict
 
 

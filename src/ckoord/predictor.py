@@ -20,11 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import NodeMetrics, PodMetrics, PodSpec, SystemMetrics
 from .gbdt import FEATURE_COUNT, Ensemble, TrainConfig, train_ensemble
-from .telemetry import TimeSeries, rolling_mean, rolling_std
-
-POD_RATIO_CLAMP = 2.0  # request-normalized pod ratios saturate here
+from .telemetry import TimeSeries, rolling_std
 
 
 @dataclass(frozen=True)
@@ -85,43 +82,19 @@ class DetectionVerdict:
     csi: float | None  # None unless detected; math.inf when threshold is 0 and delta > 0
 
 
-def build_feature_vector(
-    spec: PodSpec, pod: PodMetrics, node: NodeMetrics, system: SystemMetrics
-) -> np.ndarray:
-    """Assemble the frozen 9-slot model input for one pod."""
-    cpu_ratio = min(POD_RATIO_CLAMP, pod.cpu_util / spec.cpu_request)
-    mem_ratio = min(POD_RATIO_CLAMP, pod.mem_util / spec.mem_request)
-    return np.array(
-        [
-            cpu_ratio,
-            mem_ratio,
-            node.cpu_total,
-            node.cpu_offline,
-            node.cpu_shared,
-            node.cpu_online,
-            pod.l3_miss_rate,
-            system.cpu_total_sys,
-            system.mem_total_sys,
-        ],
-        dtype=np.float64,
-    )
-
-
 def load_factor(
-    spec: PodSpec,
-    pod: PodMetrics,
-    n_max: float,
-    weights: LoadFactorWeights | None = None,
+    features: np.ndarray, n_max: float, weights: LoadFactorWeights | None = None
 ) -> float:
-    """Weighted saturation of a pod against its requests; always in [0, 1]."""
+    """Weighted saturation of a pod from its model input; always in [0, 1].
+
+    The request ratios (slots 0 and 1) count up to 1.  The miss term is the
+    pod's L3 miss rate (slot 6) over n_max, the largest rate seen so far, and
+    is 0 until a miss has been seen (n_max == 0).
+    """
     w = weights or LoadFactorWeights()
-    if spec.cpu_request <= 0 or spec.mem_request <= 0:
-        raise ValueError("pod requests must be positive")
-    if n_max <= 0:
-        raise ValueError("n_max must be positive")
-    cpu_ratio = min(1.0, pod.cpu_util / spec.cpu_request)
-    mem_ratio = min(1.0, pod.mem_util / spec.mem_request)
-    miss_ratio = min(1.0, pod.l3_miss_rate / n_max)
+    cpu_ratio = min(1.0, float(features[0]))
+    mem_ratio = min(1.0, float(features[1]))
+    miss_ratio = min(1.0, float(features[6]) / n_max) if n_max > 0 else 0.0
     return w.cpu * cpu_ratio + w.mem * mem_ratio + w.miss * miss_ratio
 
 

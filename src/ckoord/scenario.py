@@ -13,7 +13,9 @@ import importlib.resources
 import json
 from typing import Any
 
-VALID_QOS = ("BE", "LS", "LSR", "SYSTEM")
+from .cluster import QosClass
+
+VALID_QOS = tuple(q.value for q in QosClass)
 VALID_KINDS = ("cpu_hog", "mem_pressure", "cache_thrash")
 
 

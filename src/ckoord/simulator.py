@@ -24,25 +24,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import (
-    ClusterState,
-    NodeMetrics,
-    NodeState,
-    PodEntry,
-    PodMetrics,
-    PodSpec,
-    QosClass,
-    SystemMetrics,
-)
+from .cluster import ClusterState, NodeState, PodEntry, PodSpec, QosClass
 from .detector import DetectorConfig, UtilizationWeights
 from .gbdt import TrainConfig
-from .loop import ControlLoop, NodeObservation, PlannedAction, PodObservation
-from .mitigator import Evict, MitigationConfig, NoOp, Suppress
+from .loop import ControlLoop, DecisionLog, NodeObservation, PlannedAction, PodObservation
+from .mitigator import Evict, MitigationConfig, Suppress
 from .mitigator import apply as apply_action
 from .predictor import LoadFactorWeights, PredictorConfig, ThresholdParams
 from .scenario import node_ids as scenario_node_ids
 from .scenario import validate_config
-from .trace import TraceRow
+from .trace import RATIO_MAX, TraceRow, row_features
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -405,7 +396,6 @@ class Simulator:
         self.reschedule_delay = int(cfg["controllers"]["reschedule_delay_intervals"])
         detector_cfg, predictor_cfg, mitigator_cfg = control_configs(cfg)
         self.loop = ControlLoop(detector_cfg, predictor_cfg, mitigator_cfg, self.period_s)
-        self.mitigator_cfg = mitigator_cfg
 
         self.state = self._initial_state()
         self._streams: dict[tuple[str, str], np.random.Generator] = {}
@@ -491,7 +481,11 @@ class Simulator:
         return count
 
     def step(self, interval: int) -> tuple[list[PodObservation], list[NodeObservation], dict]:
-        """Advance one interval; returns observations plus interval stats."""
+        """Advance one interval; returns observations plus interval stats.
+
+        stats["trace_rows"] holds one TraceRow per pod observation, in the
+        same order; each observation's features are read from its row.
+        """
         state = self.state
         state.interval = interval
         rescheduled = self._reschedule_due(interval)
@@ -535,7 +529,6 @@ class Simulator:
         total_mem_capacity = sum(n.mem_capacity for n in state.nodes.values())
         used_cores_sys = 0.0
         used_mem_sys = 0.0
-        miss_values: list[float] = []
         for node_id in sorted(state.nodes):
             node = state.nodes[node_id]
             effect = effects.get(node_id)
@@ -576,17 +569,12 @@ class Simulator:
                     rng = self._rng("miss", pid)
                     miss *= 1.0 + self.truth.miss_noise_std * rng.standard_normal()
                 entry.metrics.l3_miss_rate = max(0.0, miss)
-                miss_values.append(entry.metrics.l3_miss_rate)
 
         state.system.cpu_total_sys = min(1.0, used_cores_sys / total_capacity)
         state.system.mem_total_sys = min(1.0, used_mem_sys / total_mem_capacity)
-        state.system.l3_miss_rate_sys = (
-            sum(miss_values) / len(miss_values) if miss_values else 0.0
-        )
-        if miss_values:
-            state.system.n_max = max(state.system.n_max, max(miss_values))
 
         pod_obs: list[PodObservation] = []
+        rows: list[TraceRow] = []
         for node_id in sorted(state.nodes):
             node = state.nodes[node_id]
             effect = effects.get(node_id)
@@ -604,29 +592,32 @@ class Simulator:
                     rng,
                 )
                 entry.metrics.cpi_actual = cpi
-                ratio_cpu = min(2.0, entry.metrics.cpu_util / entry.spec.cpu_request)
-                ratio_mem = min(2.0, entry.metrics.mem_util / entry.spec.mem_request)
-                features = np.array(
-                    [
-                        ratio_cpu,
-                        ratio_mem,
-                        node.metrics.cpu_total,
-                        node.metrics.cpu_offline,
-                        node.metrics.cpu_shared,
-                        node.metrics.cpu_online,
-                        entry.metrics.l3_miss_rate,
-                        state.system.cpu_total_sys,
-                        state.system.mem_total_sys,
-                    ],
-                    dtype=np.float64,
+                row = TraceRow(
+                    interval=interval,
+                    node_id=node_id,
+                    pod_id=pid,
+                    app_id=entry.spec.app_id,
+                    qos=entry.spec.qos.value,
+                    pod_cpu_util=min(RATIO_MAX, entry.metrics.cpu_util / entry.spec.cpu_request),
+                    pod_mem_util=min(RATIO_MAX, entry.metrics.mem_util / entry.spec.mem_request),
+                    node_cpu_total=node.metrics.cpu_total,
+                    node_cpu_offline=node.metrics.cpu_offline,
+                    node_cpu_online=node.metrics.cpu_online,
+                    node_cpu_shared=node.metrics.cpu_shared,
+                    node_mem_util=node.metrics.mem_util,
+                    sys_cpu_total=state.system.cpu_total_sys,
+                    sys_mem_total=state.system.mem_total_sys,
+                    l3_miss_rate=entry.metrics.l3_miss_rate,
+                    cpi=cpi,
                 )
+                rows.append(row)
                 pod_obs.append(
                     PodObservation(
                         pod_id=pid,
                         app_id=entry.spec.app_id,
                         node_id=node_id,
                         qos=entry.spec.qos,
-                        features=features,
+                        features=row_features(row),
                         cpi=cpi,
                         cpu_cores=entry.metrics.cpu_util,
                         cpu_request=entry.spec.cpu_request,
@@ -646,6 +637,7 @@ class Simulator:
             "rescheduled": rescheduled,
             "interference_active": bool(effects),
             "potential": potential_all,
+            "trace_rows": rows,
         }
         return pod_obs, node_obs, stats
 
@@ -687,14 +679,9 @@ class Simulator:
             app: {"normal": [], "interference": []} for app in self.profiles
         }
         trace_rows: list[TraceRow] = []
-        action_log: list[str] = []
-        detections: list[dict] = []
-        flag_events: list[dict] = []
-        actions_report: list[dict] = []
+        decisions = DecisionLog()
         interval_records: list[dict] = []
         injection_starts = sorted(inj.start_interval for inj in self.injections)
-        verdicts_evaluated = 0
-        deferrals = 0
         evictions = 0
         reschedules = 0
         suppressions = 0
@@ -728,80 +715,15 @@ class Simulator:
                     )
                     latency[ob.app_id][phase].extend(float(s) for s in samples)
                 cpi_sum[ob.app_id][phase].append(ob.cpi)
-                node = self.state.nodes[ob.node_id]
-                trace_rows.append(
-                    TraceRow(
-                        interval=interval,
-                        node_id=ob.node_id,
-                        pod_id=ob.pod_id,
-                        app_id=ob.app_id,
-                        qos=ob.qos.value,
-                        pod_cpu_util=float(ob.features[0]),
-                        pod_mem_util=float(ob.features[1]),
-                        node_cpu_total=node.metrics.cpu_total,
-                        node_cpu_offline=node.metrics.cpu_offline,
-                        node_cpu_online=node.metrics.cpu_online,
-                        node_cpu_shared=node.metrics.cpu_shared,
-                        node_mem_util=node.metrics.mem_util,
-                        sys_cpu_total=self.state.system.cpu_total_sys,
-                        sys_mem_total=self.state.system.mem_total_sys,
-                        l3_miss_rate=float(ob.features[6]),
-                        cpi=ob.cpi,
-                    )
-                )
+            trace_rows.extend(stats["trace_rows"])
 
             outcome = self.loop.observe(interval, pod_obs, node_obs, self.controllers_enabled)
-            verdicts_evaluated += len(outcome.verdicts)
-            deferrals += len(outcome.deferred_apps)
-            for app_id in outcome.newly_flagged:
-                flag_events.append({"interval": interval, "app_id": app_id, "event": "flag"})
-            for app_id in outcome.newly_unflagged:
-                flag_events.append({"interval": interval, "app_id": app_id, "event": "unflag"})
-            for verdict in outcome.verdicts:
-                if verdict.detected:
-                    csi = "inf" if verdict.csi == math.inf else verdict.csi
-                    started = [s for s in injection_starts if s <= interval]
-                    detections.append(
-                        {
-                            "interval": interval,
-                            "app_id": verdict.app_id,
-                            "delta_cpi": verdict.delta_cpi,
-                            "threshold": verdict.threshold,
-                            "csi": csi,
-                            "lag_intervals": interval - started[-1] if started else None,
-                        }
-                    )
+            decisions.add(outcome)
             if self.controllers_enabled:
                 step_evicted, step_suppressed = self._enforce(interval, outcome.actions)
                 evictions += step_evicted
                 suppressions += step_suppressed
                 self._clear_stale_caps()
-                for planned in outcome.actions:
-                    detail: dict = {"interval": interval, "app_id": planned.app_id,
-                                    "node_id": planned.node_id, "severity": planned.severity.value}
-                    if isinstance(planned.action, Suppress):
-                        detail["type"] = "suppress"
-                        detail["cpu_restriction"] = planned.action.cpu_restriction
-                    elif isinstance(planned.action, Evict):
-                        detail["type"] = "evict"
-                        detail["pod_ids"] = list(planned.action.pod_ids)
-                    else:
-                        detail["type"] = "noop"
-                    actions_report.append(detail)
-                    action_log.append(
-                        f"interval={interval} node={planned.node_id} app={planned.app_id} "
-                        f"severity={planned.severity.value} action={detail['type']}"
-                        + (
-                            f" pods={','.join(planned.action.pod_ids)}"
-                            if isinstance(planned.action, Evict)
-                            else ""
-                        )
-                        + (
-                            f" cap={planned.action.cpu_restriction:.6g}"
-                            if isinstance(planned.action, Suppress)
-                            else ""
-                        )
-                    )
             interval_records.append(
                 {
                     "interval": interval,
@@ -811,11 +733,15 @@ class Simulator:
                     "flagged_apps": outcome.flagged_apps,
                     "verdicts": len(outcome.verdicts),
                     "detections": sum(1 for v in outcome.verdicts if v.detected),
-                    "actions": len(outcome.actions) if self.controllers_enabled else 0,
+                    "actions": len(outcome.actions),
                 }
             )
             for node_id in self.state.nodes:
                 node_cpu_running[node_id] += self.state.nodes[node_id].metrics.cpu_total
+
+        for detection in decisions.detections:
+            started = [s for s in injection_starts if s <= detection["interval"]]
+            detection["lag_intervals"] = detection["interval"] - started[-1] if started else None
 
         report = {
             "schema_version": REPORT_SCHEMA_VERSION,
@@ -840,11 +766,11 @@ class Simulator:
                 }
                 for app, by_phase in cpi_sum.items()
             },
-            "detections": detections,
-            "flag_events": flag_events,
-            "actions": actions_report,
-            "verdicts_evaluated": verdicts_evaluated,
-            "deferrals": deferrals,
+            "detections": decisions.detections,
+            "flag_events": decisions.flag_events,
+            "actions": decisions.actions,
+            "verdicts_evaluated": decisions.verdicts_evaluated,
+            "deferrals": decisions.deferrals,
             "evictions": evictions,
             "reschedules": reschedules,
             "suppressions": suppressions,
@@ -863,7 +789,9 @@ class Simulator:
                 for inj in self.injections
             ],
         }
-        return RunResult(report=report, trace_rows=trace_rows, action_log=action_log)
+        return RunResult(
+            report=report, trace_rows=trace_rows, action_log=decisions.action_lines()
+        )
 
 
 def _percentile_block(samples: list[float]) -> dict | None:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 DEFAULT_WINDOW = 60          # samples; 5 min at the 5 s cadence
-DEFAULT_PERIOD_S = 5         # sampling period in seconds
 DEFAULT_RETENTION_FACTOR = 4  # ring keeps retention_factor * window samples
 
 
@@ -94,10 +93,3 @@ def rolling_std(series: TimeSeries, n: int) -> float:
     var = sum((v - mean) ** 2 for v in values) / len(values)
     # var can round to a tiny negative for near-constant windows
     return math.sqrt(max(0.0, var))
-
-
-def rolling_var(series: TimeSeries, n: int) -> float:
-    """Population variance over the trailing window."""
-    values = series.window_values(n)
-    mean = sum(values) / len(values)
-    return sum((v - mean) ** 2 for v in values) / len(values)

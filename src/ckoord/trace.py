@@ -1,6 +1,7 @@
 """Per-interval, per-pod metric traces as CSV.
 
-The column order is frozen; downstream tooling indexes it positionally.
+The column order is TraceRow's field order and is frozen; downstream
+tooling indexes it positionally.
 pod_cpu_util and pod_mem_util hold request-normalized ratios clamped to
 [0, 2] (the trace carries no request sizes, so the normalized form is the
 only self-contained one); node_* and sys_* columns are fractions in [0, 1].
@@ -13,36 +14,21 @@ from __future__ import annotations
 import csv
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-TRACE_COLUMNS = (
-    "interval",
-    "node_id",
-    "pod_id",
-    "app_id",
-    "qos",
-    "pod_cpu_util",
-    "pod_mem_util",
-    "node_cpu_total",
-    "node_cpu_offline",
-    "node_cpu_online",
-    "node_cpu_shared",
-    "node_mem_util",
-    "sys_cpu_total",
-    "sys_mem_total",
-    "l3_miss_rate",
-    "cpi",
-)
+from .cluster import QosClass
+from .gbdt import FEATURE_NAMES
 
-TRACE_HEADER = ",".join(TRACE_COLUMNS)
+QOS_VALUES = tuple(q.value for q in QosClass)
 
-QOS_VALUES = ("BE", "LS", "LSR", "SYSTEM")
-
-_RATIO_COLUMNS = ("pod_cpu_util", "pod_mem_util")  # clamped [0, 2]
+RATIO_MAX = 2.0  # request-normalized pod ratios saturate here
+_RATIO_COLUMNS = ("pod_cpu_util", "pod_mem_util")  # clamped [0, RATIO_MAX]
 _FRACTION_COLUMNS = (
     "node_cpu_total",
     "node_cpu_offline",
@@ -78,7 +64,11 @@ class TraceRow:
     cpi: float
 
 
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
+TRACE_HEADER = ",".join(TRACE_COLUMNS)
 _FLOAT_FIELDS = tuple(f.name for f in fields(TraceRow) if f.type == "float")
+# Model inputs are read by name, so the slot order lives in FEATURE_NAMES only.
+_features_of = attrgetter(*FEATURE_NAMES)
 
 
 def format_value(value: float) -> str:
@@ -96,8 +86,8 @@ def _validate_row(row: TraceRow, line: int) -> None:
         raise TraceFormatError(f"line {line}: negative l3_miss_rate")
     for name in _RATIO_COLUMNS:
         v = getattr(row, name)
-        if not 0.0 <= v <= 2.0:
-            raise TraceFormatError(f"line {line}: {name}={v} outside [0, 2]")
+        if not 0.0 <= v <= RATIO_MAX:
+            raise TraceFormatError(f"line {line}: {name}={v} outside [0, {RATIO_MAX:g}]")
     for name in _FRACTION_COLUMNS:
         v = getattr(row, name)
         if not 0.0 <= v <= 1.0:
@@ -112,21 +102,32 @@ def row_to_record(row: TraceRow) -> list[str]:
     return record
 
 
-def write_trace(path: str | Path, rows: Iterable[TraceRow]) -> None:
-    """Write rows atomically: temp file in the same directory, then rename."""
+@contextmanager
+def atomic_open(path: str | Path) -> Iterator[TextIO]:
+    """Text handle on a temp file beside ``path``, renamed over it on success.
+
+    Readers never see a half-written file, and a failed write leaves no temp
+    file behind.
+    """
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(TRACE_COLUMNS)
-            for row in rows:
-                writer.writerow(row_to_record(row))
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            yield handle
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)
         raise
+
+
+def write_trace(path: str | Path, rows: Iterable[TraceRow]) -> None:
+    """Write rows atomically, streaming them through one csv writer."""
+    with atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(TRACE_COLUMNS)
+        for row in rows:
+            writer.writerow(row_to_record(row))
 
 
 def read_trace(path: str | Path) -> list[TraceRow]:
@@ -180,24 +181,13 @@ def rows_by_interval(rows: list[TraceRow]) -> list[tuple[int, list[TraceRow]]]:
     return grouped
 
 
+def row_features(row: TraceRow) -> np.ndarray:
+    """The model input of one row, in the FEATURE_NAMES slot order."""
+    return np.array(_features_of(row), dtype=np.float64)
+
+
 def feature_matrix(rows: list[TraceRow]):
-    """Feature rows (frozen 9-slot layout) and CPI targets from trace rows."""
-    X = np.array(
-        [
-            [
-                r.pod_cpu_util,
-                r.pod_mem_util,
-                r.node_cpu_total,
-                r.node_cpu_offline,
-                r.node_cpu_shared,
-                r.node_cpu_online,
-                r.l3_miss_rate,
-                r.sys_cpu_total,
-                r.sys_mem_total,
-            ]
-            for r in rows
-        ],
-        dtype=np.float64,
-    )
+    """Feature rows (FEATURE_NAMES slot order) and CPI targets from trace rows."""
+    X = np.array([_features_of(r) for r in rows], dtype=np.float64)
     y = np.array([r.cpi for r in rows], dtype=np.float64)
     return X, y

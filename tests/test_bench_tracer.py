@@ -1,0 +1,35 @@
+"""The benchmark's layer tracer must find every function it patches.
+
+perfbench/tracer.py wraps layer functions by name from outside the program;
+a name it cannot find is reported as ``not traced: ...`` and that layer's
+figures read zero.  This test resolves every ``LAYER_PATCHES`` entry the way
+``Patches.replace`` does, so a rename in ``src/`` fails here instead.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_tracer():
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_layer_patch_resolves_under_src():
+    tracer = load_tracer()
+    missing, outside = [], []
+    for owner_path, name, *_ in tracer.LAYER_PATCHES:
+        if vars(tracer._owner(owner_path)).get(name) is None:
+            missing.append(f"{owner_path}.{name}")
+        module = importlib.import_module(owner_path.partition(":")[0])
+        if not Path(module.__file__).resolve().is_relative_to(ROOT / "src"):
+            outside.append(module.__file__)
+    assert tracer.LAYER_PATCHES
+    assert missing == []
+    assert outside == []

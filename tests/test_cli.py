@@ -176,6 +176,9 @@ def test_replay_matches_live_detections(tmp_path, capsys):
     replayed = json.loads((replay_dir / "replay.json").read_text())
     replay_pairs = sorted((d["interval"], d["app_id"]) for d in replayed["detections"])
     assert replay_pairs == live_pairs
+    assert replayed["flag_events"] == live["flag_events"]
+    assert replayed["actions"] == live["actions"]
+    assert live["actions"], "expected the default scenario to plan actions"
     assert replayed["trace"] == "trace.csv"
     assert replayed["intervals"] == live["horizon"]
 

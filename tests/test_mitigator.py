@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 
@@ -219,10 +220,8 @@ def test_apply_suppress_sets_node_cap():
 
 
 def test_apply_noop_changes_nothing():
-    from ckoord.cluster import snapshot
-
     state = build_state(pods=[("batch-0", "batch", QosClass.BE, 4.0)])
-    before = snapshot(state)
+    before = copy.deepcopy(state)
     apply(NoOp("node-00"), state)
     assert state.pods.keys() == before.pods.keys()
     assert state.nodes["node-00"].be_cpu_cap == before.nodes["node-00"].be_cpu_cap

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from ckoord.cluster import NodeMetrics, PodMetrics, PodSpec, QosClass, SystemMetrics
 from ckoord.gbdt import TrainConfig
 from ckoord.predictor import (
     DetectionVerdict,
@@ -11,7 +10,6 @@ from ckoord.predictor import (
     ModelCache,
     PredictorConfig,
     ThresholdParams,
-    build_feature_vector,
     classify,
     cpi_threshold,
     delta_cpi,
@@ -21,43 +19,40 @@ from ckoord.predictor import (
 from ckoord.telemetry import TimeSeries
 
 
-def spec_of(cpu=1.0, mem=1.0):
-    return PodSpec("web-0", "web", "node-00", QosClass.LS, cpu, mem)
+def features_of(cpu_ratio=0.0, mem_ratio=0.0, miss=0.0):
+    """A model input with the load-factor slots set and the node/system slots zero."""
+    vec = np.zeros(9)
+    vec[0], vec[1], vec[6] = cpu_ratio, mem_ratio, miss
+    return vec
 
 
 def test_load_factor_saturated():
-    pod = PodMetrics(cpu_util=1.0, mem_util=1.0, l3_miss_rate=5e6)
-    assert load_factor(spec_of(), pod, n_max=5e6) == pytest.approx(1.0)
+    assert load_factor(features_of(1.0, 1.0, 5e6), n_max=5e6) == pytest.approx(1.0)
 
 
 def test_load_factor_half_everywhere():
-    pod = PodMetrics(cpu_util=0.5, mem_util=0.5, l3_miss_rate=2.5e6)
-    assert load_factor(spec_of(), pod, n_max=5e6) == pytest.approx(0.5)
+    assert load_factor(features_of(0.5, 0.5, 2.5e6), n_max=5e6) == pytest.approx(0.5)
 
 
 def test_load_factor_idle_pod():
-    assert load_factor(spec_of(), PodMetrics(), n_max=1.0) == 0.0
+    assert load_factor(features_of(), n_max=1.0) == 0.0
 
 
 def test_load_factor_clamps_overcommit():
-    pod = PodMetrics(cpu_util=3.0, mem_util=4.0, l3_miss_rate=9e9)
-    assert load_factor(spec_of(), pod, n_max=1e6) == pytest.approx(1.0)
+    # request ratios arrive clamped at 2; the load factor counts them up to 1
+    assert load_factor(features_of(2.0, 2.0, 9e9), n_max=1e6) == pytest.approx(1.0)
 
 
 def test_load_factor_custom_weights():
-    pod = PodMetrics(cpu_util=1.0, mem_util=0.0, l3_miss_rate=0.0)
     w = LoadFactorWeights(cpu=1.0, mem=0.0, miss=0.0)
-    assert load_factor(spec_of(), pod, n_max=1.0, weights=w) == pytest.approx(1.0)
+    assert load_factor(features_of(1.0), n_max=1.0, weights=w) == pytest.approx(1.0)
 
 
-def test_load_factor_rejects_bad_denominators():
-    with pytest.raises(ValueError):
-        load_factor(spec_of(), PodMetrics(), n_max=0.0)
-    bad = PodSpec.__new__(PodSpec)
-    object.__setattr__(bad, "cpu_request", 0.0)
-    object.__setattr__(bad, "mem_request", 1.0)
-    with pytest.raises(ValueError):
-        load_factor(bad, PodMetrics(), n_max=1.0)
+def test_load_factor_miss_term_is_zero_without_n_max():
+    # before any miss has been seen the loop's n_max is 0: the miss term drops out
+    vec = features_of(1.0, 1.0, 3e6)
+    assert load_factor(vec, n_max=0.0) == pytest.approx(0.5 + 0.3)
+    assert load_factor(vec, n_max=3e6) == pytest.approx(1.0)
 
 
 def test_load_weights_must_normalize():
@@ -65,31 +60,6 @@ def test_load_weights_must_normalize():
         LoadFactorWeights(0.5, 0.5, 0.5)
     with pytest.raises(ValueError):
         LoadFactorWeights(-0.2, 0.6, 0.6)
-
-
-def test_feature_vector_layout():
-    pod = PodMetrics(cpu_util=1.0, mem_util=2.0, l3_miss_rate=1e6)
-    node = NodeMetrics(
-        cpu_total=0.5, cpu_offline=0.1, cpu_online=0.2, cpu_shared=0.3, mem_util=0.4
-    )
-    system = SystemMetrics(cpu_total_sys=0.4, mem_total_sys=0.5)
-    vec = build_feature_vector(spec_of(cpu=1.0, mem=2.0), pod, node, system)
-    assert vec.shape == (9,)
-    assert vec.dtype == np.float64
-    expected = [1.0, 1.0, 0.5, 0.1, 0.3, 0.2, 1e6, 0.4, 0.5]
-    assert vec == pytest.approx(expected)
-
-
-def test_feature_vector_clamps_usage_ratios():
-    pod = PodMetrics(cpu_util=3.0, mem_util=5.0)
-    vec = build_feature_vector(spec_of(), pod, NodeMetrics(), SystemMetrics())
-    assert vec[0] == pytest.approx(2.0)
-    assert vec[1] == pytest.approx(2.0)
-
-
-def test_feature_vector_idle_is_zero():
-    vec = build_feature_vector(spec_of(), PodMetrics(), NodeMetrics(), SystemMetrics())
-    assert np.array_equal(vec, np.zeros(9))
 
 
 def series_of(values):

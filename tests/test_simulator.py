@@ -278,6 +278,20 @@ def test_be_cap_is_enforced_on_allocation():
         assert total <= 0.3 + 1e-6, f"{node_id} BE usage {total}"
 
 
+def test_step_clamps_request_ratios_in_row_and_features():
+    # batch wants ~0.9 cores against a 0.2-core request, a ratio of about 4.5
+    sim = Simulator(small_cfg("apps.2.cpu_request=0.2"), seed=1)
+    pods, _, stats = sim.step(0)
+    rows = stats["trace_rows"]
+    assert [row.pod_id for row in rows] == [ob.pod_id for ob in pods]
+    batch = [(ob, row) for ob, row in zip(pods, rows) if ob.app_id == "batch"]
+    assert batch, "expected batch pods"
+    for ob, row in batch:
+        assert ob.cpu_cores > 2.0 * ob.cpu_request
+        assert ob.features[0] == row.pod_cpu_util == 2.0
+        assert ob.features[1] == row.pod_mem_util < 2.0
+
+
 def test_invalid_config_rejected_at_construction():
     cfg = cfg_with()
     cfg["horizon"] = 0

@@ -9,7 +9,6 @@ from ckoord.telemetry import (
     TimeSeries,
     rolling_mean,
     rolling_std,
-    rolling_var,
 )
 
 
@@ -83,8 +82,7 @@ def test_rolling_std_singleton_is_zero():
 
 def test_rolling_var_is_population_form():
     s = series_of([1.0, 2.0, 3.0, 4.0])
-    # mean 2.5, squared deviations 2.25+0.25+0.25+2.25, divided by n=4
-    assert rolling_var(s, 4) == pytest.approx(1.25, abs=1e-15)
+    # mean 2.5, squared deviations 2.25+0.25+0.25+2.25, divided by n=4 (not n-1)
     assert rolling_std(s, 4) == pytest.approx(math.sqrt(1.25), abs=1e-15)
 
 
