@@ -17,6 +17,7 @@ from ckoord.predictor import (
     worst_verdict,
 )
 from ckoord.telemetry import TimeSeries
+from ckoord.trace import TraceRow, row_features
 
 
 def features_of(cpu_ratio=0.0, mem_ratio=0.0, miss=0.0):
@@ -60,6 +61,33 @@ def test_load_weights_must_normalize():
         LoadFactorWeights(0.5, 0.5, 0.5)
     with pytest.raises(ValueError):
         LoadFactorWeights(-0.2, 0.6, 0.6)
+
+
+def test_feature_vector_layout():
+    # the model input of one pod: request ratios, node CPU split, misses, system
+    row = TraceRow(
+        interval=0,
+        node_id="node-00",
+        pod_id="web-0",
+        app_id="web",
+        qos="LS",
+        pod_cpu_util=1.0,
+        pod_mem_util=1.0,
+        node_cpu_total=0.5,
+        node_cpu_offline=0.1,
+        node_cpu_online=0.2,
+        node_cpu_shared=0.3,
+        node_mem_util=0.4,
+        sys_cpu_total=0.4,
+        sys_mem_total=0.5,
+        l3_miss_rate=1e6,
+        cpi=1.0,
+    )
+    vec = row_features(row)
+    assert vec.shape == (9,)
+    assert vec.dtype == np.float64
+    expected = [1.0, 1.0, 0.5, 0.1, 0.3, 0.2, 1e6, 0.4, 0.5]
+    assert vec == pytest.approx(expected)
 
 
 def series_of(values):
