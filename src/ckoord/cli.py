@@ -104,6 +104,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
             f" (2 x window {args.window}) required"
         )
     X, y = feature_matrix(rows)
+    n = len(rows)
+    del rows  # the parsed rows would otherwise stay resident through the fit
     cfg = TrainConfig(
         learning_rate=args.learning_rate,
         lam=args.lam,
@@ -113,14 +115,14 @@ def _cmd_train(args: argparse.Namespace) -> int:
         min_samples_leaf=args.min_samples_leaf,
         base_score=args.base_score,
     )
-    split = int(len(rows) * args.split_fraction)
-    if split < 1 or split >= len(rows):
-        split = len(rows)
+    split = int(n * args.split_fraction)
+    if split < 1 or split >= n:
+        split = n
     model = train_ensemble(X[:split], y[:split], cfg)
     print(_metrics_line("train", split, regression_metrics(y[:split], model.predict(X[:split]))))
-    if split < len(rows):
+    if split < n:
         holdout = regression_metrics(y[split:], model.predict(X[split:]))
-        print(_metrics_line("holdout", len(rows) - split, holdout))
+        print(_metrics_line("holdout", n - split, holdout))
     _write_text_atomic(args.model_out, ensemble_to_json(model) + "\n")
     print(f"model: {args.model_out}")
     return 0

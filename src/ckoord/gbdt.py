@@ -17,6 +17,16 @@ the winning candidate per feature is re-scored from row-order sums before
 the cross-feature comparison.  Growth stops when the best gain is <= 0, the
 depth limit is reached, or a child would fall under min_samples_leaf.
 
+Trees are grown from pre-sorted column blocks, as in XGBoost's exact greedy
+method (Chen & Guestrin, KDD 2016): each feature is stable-sorted once per
+fit, a (d, n) array of row indices, since only g changes across rounds.  A
+node's block is split between its children by a stable partition, so each
+child's rows stay sorted by value and, among equal values, by row index:
+exactly the order a stable sort of the child's own rows gives.  The prefix
+sums, and so the chosen splits, are therefore the same bits as re-sorting
+every feature at every node.  The features of a node are scored together on
+feature-major arrays; per element the arithmetic is the same in any layout.
+
 The ensemble prediction is base_score + learning_rate * sum of tree outputs;
 the shrinkage factor is uniform across rounds.
 """
@@ -120,94 +130,170 @@ def split_gain(
     ) - tau
 
 
-def _scored_split(
-    values: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: TrainConfig
-) -> tuple[float, float] | None:
-    """Best (gain, threshold) for one feature within a node, or None.
+# Scoring arrays hold at most this many (feature, row) cells, 64 KiB of
+# float64.  Nodes of up to 910 rows score all nine features in one pass; a
+# larger node takes a few features at a time, so its arrays stay in cache and
+# under malloc's mmap threshold instead of faulting in fresh pages at every
+# node, and the fit's memory stays bounded.
+_BLOCK_CELLS = 8192
 
-    Candidates are scored with prefix sums; the winner is re-scored from
-    row-order sums so gains are comparable across features bit-for-bit.
+
+def _prefix_gains(
+    g: np.ndarray, h: np.ndarray, order: np.ndarray, lo: int, hi: int, cfg: TrainConfig
+) -> np.ndarray:
+    """Gain of each candidate split of each feature, from prefix sums.
+
+    Entry (f, j) splits ``order[f]`` after its first lo + j + 1 rows; entries
+    may be non-finite.  Each step applies one operation of the split-gain
+    formula to the same operands as the formula does, so the gains are the
+    formula's bits; working in place keeps at most four arrays the size of
+    ``order`` alive.
     """
-    n = values.size
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    if v[0] == v[-1]:
-        return None  # constant feature
-    g_pre = np.cumsum(g[order])[:-1]
-    h_pre = np.cumsum(h[order])[:-1]
-    g_tot = g_pre[-1] + g[order[-1]]
-    h_tot = h_pre[-1] + h[order[-1]]
-
-    thresholds = (v[:-1] + v[1:]) / 2.0
-    left_count = np.arange(1, n)
-    ok = (
-        (v[:-1] < v[1:])
-        & (thresholds > v[:-1])  # midpoint rounding down to v[i] cannot separate
-        & (left_count >= cfg.min_samples_leaf)
-        & (n - left_count >= cfg.min_samples_leaf)
-    )
-    if not ok.any():
-        return None
-
+    g_cum = g[order]
+    np.cumsum(g_cum, axis=1, out=g_cum)
+    h_cum = h[order]
+    np.cumsum(h_cum, axis=1, out=h_cum)
+    g_tot, h_tot = g_cum[:, -1:], h_cum[:, -1:]
+    g_pre, h_pre = g_cum[:, lo:hi], h_cum[:, lo:hi]
     with np.errstate(divide="ignore", invalid="ignore"):
-        gains = (
-            0.5
-            * (
-                g_pre**2 / (h_pre + cfg.lam)
-                + (g_tot - g_pre) ** 2 / (h_tot - h_pre + cfg.lam)
-                - g_tot**2 / (h_tot + cfg.lam)
-            )
-            - cfg.tau
-        )
-    gains = np.where(ok & np.isfinite(gains), gains, -np.inf)
-    k = int(np.argmax(gains))  # first max: lowest threshold wins within a feature
-    if gains[k] == -np.inf:
-        return None
+        # G^2 stays a scalar pow(): the array square can round it one ulp
+        # differently, which can reorder near-tied candidates and so the trees
+        parent = np.array([gt**2 / (ht + cfg.lam) for gt, ht in zip(g_tot[:, 0], h_tot[:, 0])])
+        right_term = g_tot - g_pre
+        np.square(right_term, out=right_term)
+        den = h_tot - h_pre
+        den += cfg.lam
+        right_term /= den
+        h_pre += cfg.lam
+        gains = np.square(g_pre, out=g_pre)
+        gains /= h_pre
+        gains += right_term
+        gains -= parent[:, None]
+        gains *= 0.5
+        gains -= cfg.tau
+    return gains
 
-    threshold = float(thresholds[k])
-    mask = values < threshold
-    gain = split_gain(
-        float(np.sum(g[mask])),
-        float(np.sum(h[mask])),
-        float(np.sum(g[~mask])),
-        float(np.sum(h[~mask])),
-        cfg.lam,
-        cfg.tau,
-    )
-    return gain, threshold
+
+def _feature_winners(
+    X: np.ndarray, g: np.ndarray, h: np.ndarray, order: np.ndarray, cfg: TrainConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per feature: whether it has a valid candidate, and its best threshold.
+
+    Features are scored together, in blocks of at most _BLOCK_CELLS
+    (feature, row) cells: every feature of a small node in one pass, fewer
+    at a time in a large one.  Within a feature the first maximum wins,
+    which is the lowest threshold.
+    """
+    d, m = order.shape
+    # candidate j leaves lo + j + 1 rows on the left; only j < hi - lo keeps
+    # min_samples_leaf rows on both sides
+    lo, hi = cfg.min_samples_leaf - 1, m - cfg.min_samples_leaf
+    found = np.empty(d, dtype=bool)
+    cut = np.empty(d)
+    step = max(1, _BLOCK_CELLS // m)
+    for first in range(0, d, step):
+        block = slice(first, first + step)
+        gains = _prefix_gains(g, h, order[block], lo, hi, cfg)
+        v = np.take_along_axis(X.T[block], order[block], axis=1)
+        below, above = v[:, lo:hi], v[:, lo + 1 : hi + 1]
+        thresholds = below + above
+        thresholds /= 2.0
+        ok = below < above
+        ok &= thresholds > below  # a midpoint rounding down to the lower value cannot separate
+        ok &= np.isfinite(gains)
+        gains[~ok] = -np.inf
+        pick = np.arange(gains.shape[0]), gains.argmax(axis=1)
+        found[block] = gains[pick] > -np.inf
+        cut[block] = thresholds[pick]
+    return found, cut
+
+
+def _best_split(
+    X: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+    rows: np.ndarray,
+    order: np.ndarray,
+    cfg: TrainConfig,
+) -> tuple[float, int, float] | None:
+    """Best (gain, feature, threshold) over every feature of one node, or None.
+
+    ``rows`` are the node's rows in ascending order and ``order[f]`` the same
+    rows sorted by feature f.  Each feature's winner is re-scored from
+    row-order sums so gains are comparable across features bit for bit.
+    """
+    found, cut = _feature_winners(X, g, h, order, cfg)
+    left = X.take(rows, axis=0).T < cut[:, None]
+    right = ~left
+    g_node = g[rows]
+    h_node = h[rows]
+    add = np.add.reduce  # ndarray.sum's pairwise sum, without its Python wrapper
+    best: tuple[float, int, float] | None = None
+    for f in np.flatnonzero(found):
+        gain = split_gain(
+            float(add(g_node.compress(left[f]))),
+            float(add(h_node.compress(left[f]))),
+            float(add(g_node.compress(right[f]))),
+            float(add(h_node.compress(right[f]))),
+            cfg.lam,
+            cfg.tau,
+        )
+        if best is None or gain > best[0]:  # ties keep the lower feature index
+            best = (gain, int(f), float(cut[f]))
+    return best
 
 
 def _grow(
-    X: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray, depth: int, cfg: TrainConfig
+    X: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+    rows: np.ndarray,
+    order: np.ndarray,
+    depth: int,
+    cfg: TrainConfig,
 ) -> TreeNode:
-    g_node = g[rows]
-    h_node = h[rows]
-
-    best: tuple[float, int, float] | None = None  # (gain, feature, threshold)
+    best = None
     if depth < cfg.max_depth and rows.size >= 2 * cfg.min_samples_leaf:
-        for f in range(X.shape[1]):
-            scored = _scored_split(X[rows, f], g_node, h_node, cfg)
-            if scored is None:
-                continue
-            gain, threshold = scored
-            if best is None or gain > best[0]:
-                best = (gain, f, threshold)
+        best = _best_split(X, g, h, rows, order, cfg)
 
     if best is None or best[0] <= 0.0:
-        return TreeNode(weight=leaf_weight(float(np.sum(g_node)), float(np.sum(h_node)), cfg.lam))
+        return TreeNode(
+            weight=leaf_weight(float(np.sum(g[rows])), float(np.sum(h[rows])), cfg.lam)
+        )
 
     _, feature, threshold = best
-    mask = X[rows, feature] < threshold
-    return TreeNode(
-        feature=feature,
-        threshold=threshold,
-        left=_grow(X, g, h, rows[mask], depth + 1, cfg),
-        right=_grow(X, g, h, rows[~mask], depth + 1, cfg),
+    go_left = X[:, feature] < threshold
+    d = order.shape[0]
+    # selection keeps each feature's sorted order: a stable partition
+    left, right = (
+        _grow(
+            X,
+            g,
+            h,
+            rows.compress(side[rows]),
+            order.compress(side[order].ravel()).reshape(d, -1),
+            depth + 1,
+            cfg,
+        )
+        for side in (go_left, ~go_left)
     )
+    return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
 
 
-def fit_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: TrainConfig) -> TreeNode:
-    """Fit one regression tree to gradient/hessian pairs."""
+def fit_tree(
+    X: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+    cfg: TrainConfig,
+    *,
+    order: np.ndarray | None = None,
+) -> TreeNode:
+    """Fit one regression tree to gradient/hessian pairs.
+
+    ``order`` is ``np.argsort(X.T, axis=1, kind="stable")``.  It depends on X
+    alone, so a caller fitting many trees on one X sorts once and passes it;
+    without it, fit_tree sorts.
+    """
     X = np.asarray(X, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
@@ -217,7 +303,9 @@ def fit_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: TrainConfig) -> T
         raise ValueError("g and h must be 1-D and match the number of rows")
     if not (np.isfinite(X).all() and np.isfinite(g).all() and np.isfinite(h).all()):
         raise ValueError("non-finite training input")
-    return _grow(X, g, h, np.arange(X.shape[0]), 0, cfg)
+    if order is None:
+        order = np.argsort(X.T, axis=1, kind="stable")
+    return _grow(X, g, h, np.arange(X.shape[0]), order, 0, cfg)
 
 
 def tree_predict_row(node: TreeNode, x: np.ndarray) -> float:
@@ -287,9 +375,10 @@ def train_ensemble(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> Ensemble:
     )
     preds = np.full(X.shape[0], cfg.base_score, dtype=np.float64)
     h = np.ones(X.shape[0], dtype=np.float64)
+    order = np.argsort(X.T, axis=1, kind="stable")  # X is fixed, so sort once per fit
     for _ in range(cfg.num_rounds):
         g = preds - y
-        tree = fit_tree(X, g, h, cfg)
+        tree = fit_tree(X, g, h, cfg, order=order)
         ensemble.trees.append(tree)
         preds += cfg.learning_rate * tree_predict(tree, X)
     return ensemble

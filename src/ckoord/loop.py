@@ -40,7 +40,7 @@ from .mitigator import (
     plan,
     route,
 )
-from .gbdt import regression_metrics
+from .gbdt import FEATURE_COUNT, regression_metrics
 from .predictor import (
     DetectionVerdict,
     ModelCache,
@@ -231,7 +231,7 @@ class ControlLoop:
                 rows.append(feats[i])
                 targets.append(cpis[i])
         if not rows:
-            return np.empty((0, 9)), np.empty(0)
+            return np.empty((0, FEATURE_COUNT)), np.empty(0)
         return np.stack(rows), np.array(targets)
 
     def _detector_state(self, interval: int, pods, nodes) -> ClusterState:
@@ -300,13 +300,15 @@ class ControlLoop:
             app_pods = sorted(by_app.get(app_id, []), key=lambda o: o.pod_id)
             if not app_pods:
                 continue
-            fresh = app_id not in self.cache.models
-            X, y = self._app_history(app_id, app_pods)
-            model = self.cache.get_or_train(app_id, X, y)
+            model = self.cache.models.get(app_id)
             if model is None:
-                outcome.deferred_apps.append(app_id)
-                continue
-            if fresh:
+                # history is assembled only when the cache may train; the
+                # episode's later intervals reuse its model
+                X, y = self._app_history(app_id, app_pods)
+                model = self.cache.get_or_train(app_id, X, y)
+                if model is None:
+                    outcome.deferred_apps.append(app_id)
+                    continue
                 fit = regression_metrics(y, model.predict(X))
                 self.models_trained.setdefault(app_id, []).append(
                     {

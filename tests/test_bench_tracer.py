@@ -10,6 +10,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from ckoord import gbdt
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -33,3 +37,28 @@ def test_every_layer_patch_resolves_under_src():
     assert tracer.LAYER_PATCHES
     assert missing == []
     assert outside == []
+
+
+def test_train_ensemble_calls_fit_tree_through_the_patched_name():
+    """The gbdt.fit_tree figures need one patched call per round, X first."""
+    tracer = load_tracer()
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(args[0].shape)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(40, gbdt.FEATURE_COUNT))
+    y = 1.0 + X[:, 0] + 0.1 * rng.normal(size=40)
+    patches = tracer.Patches()
+    patches.replace("ckoord.gbdt", "fit_tree", counting)
+    try:
+        gbdt.train_ensemble(X, y, gbdt.TrainConfig(num_rounds=3))
+    finally:
+        assert patches.restore() == []
+    assert patches.absent == []
+    assert calls == [(40, gbdt.FEATURE_COUNT)] * 3

@@ -1,7 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ckoord.gbdt import (
+    FEATURE_COUNT,
     DegenerateLeafError,
     Ensemble,
     ModelSchemaError,
@@ -222,6 +227,118 @@ def test_fit_tree_matches_reference_oracle_sample():
         got = tree_predict(tree, probe)
         want = [ref_predict_row(ref, row.tolist()) for row in probe]
         assert np.allclose(got, want, atol=1e-9)
+
+
+# Few distinct values per column, so most columns are full of ties.
+LEVELS = (-1.5, -0.25, 0.0, 0.5, 2.0, 3.75)
+
+
+@st.composite
+def tie_heavy_nodes(draw):
+    """A fit_tree input whose gradient and hessian sums are exact in float64.
+
+    g and h are multiples of 1/16, so prefix sums and row-order sums agree
+    bit for bit and ties on gain are real ties for both the trainer and the
+    oracle.  Hessians are positive and mostly not 1.
+    """
+    m = draw(st.integers(2, 24))
+    d = draw(st.integers(1, FEATURE_COUNT))
+    columns = []
+    for _ in range(d):
+        if draw(st.integers(0, 3)) == 0:
+            columns.append([draw(st.sampled_from(LEVELS))] * m)  # constant column
+        else:
+            columns.append(draw(st.lists(st.sampled_from(LEVELS), min_size=m, max_size=m)))
+    # coarse gradients make tied gains common, within a feature and across
+    g = draw(st.lists(st.integers(-8, 8).map(lambda k: k / 4.0), min_size=m, max_size=m))
+    h_equal = draw(st.sampled_from([None, 0.5, 1.0, 2.5]))
+    if h_equal is None:
+        h = draw(st.lists(st.integers(1, 64).map(lambda k: k / 16.0), min_size=m, max_size=m))
+    else:
+        h = [h_equal] * m
+    cfg = TrainConfig(
+        lam=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        tau=draw(st.sampled_from([0.0, 0.25])),
+        max_depth=draw(st.integers(1, 4)),
+        min_samples_leaf=draw(
+            st.one_of(st.integers(1, 2), st.integers(max(1, m // 2 - 2), m // 2 + 1))
+        ),
+    )
+    return np.array(columns).T, np.array(g), np.array(h), cfg
+
+
+# mirror-image gradients: thresholds 0.5 and 2.5 tie exactly, the lower wins
+SYMMETRIC_TIE = (
+    np.array([[0.0], [1.0], [2.0], [3.0]]),
+    np.array([1.0, -1.0, -1.0, 1.0]),
+    np.full(4, 0.5),
+    TrainConfig(lam=1.0, max_depth=1, min_samples_leaf=1),
+)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(tie_heavy_nodes())
+@example(SYMMETRIC_TIE)
+def test_fit_tree_matches_reference_oracle_property(case):
+    X, g, h, cfg = case
+    tree = fit_tree(X, g, h, cfg)
+    ref = ref_fit_tree(
+        X.tolist(), g.tolist(), h.tolist(),
+        cfg.max_depth, cfg.lam, cfg.tau, cfg.min_samples_leaf,
+    )
+    assert same_structure(ref, tree)
+    # every level and every midpoint between levels, in each column
+    probe_values = np.sort(np.concatenate([LEVELS, np.convolve(LEVELS, [0.5, 0.5], "valid")]))
+    probe = np.tile(probe_values[:, None], (1, X.shape[1]))
+    probe = np.vstack([X, probe, probe[::-1]])
+    got = tree_predict(tree, probe)
+    want = [ref_predict_row(ref, row.tolist()) for row in probe]
+    assert np.allclose(got, want, rtol=0.0, atol=1e-9)
+
+
+def tied_dataset():
+    """2,000 rows: rounded columns full of ties, one constant column, noise.
+
+    Large enough that the upper nodes score their features in several blocks.
+    """
+    rng = np.random.default_rng(20261018)
+    X = rng.normal(size=(2000, FEATURE_COUNT))
+    X[:, :3] = np.round(X[:, :3], 1)
+    X[:, 4] = 0.5
+    X[:, 6] = np.round(2.0 * X[:, 6])
+    y = 1.0 + X[:, 0] * X[:, 1] + np.abs(X[:, 2]) + 0.5 * X[:, 6] + 0.1 * rng.normal(size=2000)
+    return X, y
+
+
+# sha256 of ensemble_to_json.  They were recorded with a trainer that
+# stable-sorts every feature at every node, the direct form of exact greedy,
+# so they hold the pre-sorted trainer to the same model bytes.
+@pytest.mark.parametrize(
+    "overrides, digest",
+    [
+        ({}, "b5cde297bfdd7d86b30c67805ad40b5378864f7d1b078a822aff2e38d7a03169"),
+        (
+            {"min_samples_leaf": 3, "lam": 0.0},
+            "cb99d0bc687d263ae98ffa4aa61d349d5d788570650f058467ca9ebb0ad460cd",
+        ),
+    ],
+)
+def test_trained_model_bytes_are_pinned(overrides, digest):
+    X, y = tied_dataset()
+    model = train_ensemble(X, y, TrainConfig(num_rounds=20, **overrides))
+    assert hashlib.sha256(ensemble_to_json(model).encode()).hexdigest() == digest
+
+
+def test_fit_tree_presorted_order_gives_the_same_tree():
+    X, y = tied_dataset()
+    rng = np.random.default_rng(7)
+    h = rng.uniform(0.5, 2.0, size=y.size)
+    order = np.argsort(X.T, axis=1, kind="stable")
+    for cfg in (TrainConfig(), TrainConfig(min_samples_leaf=3, lam=0.0, max_depth=5)):
+        sorted_inside = Ensemble(trees=[fit_tree(X, -y, h, cfg)])
+        presorted = Ensemble(trees=[fit_tree(X, -y, h, cfg, order=order)])
+        assert not sorted_inside.trees[0].is_leaf
+        assert ensemble_to_json(presorted) == ensemble_to_json(sorted_inside)
 
 
 def test_metrics_hand_values():
