@@ -206,7 +206,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if not rows:
         raise TraceFormatError(f"{args.trace}: no data rows")
     detector_cfg, predictor_cfg, mitigator_cfg = control_configs(cfg)
-    loop = ControlLoop(detector_cfg, predictor_cfg, mitigator_cfg, cfg["sampling_period_s"])
+    loop = ControlLoop(detector_cfg, predictor_cfg, mitigator_cfg)
     decisions = DecisionLog()
     intervals = 0
     for interval, group in rows_by_interval(rows):

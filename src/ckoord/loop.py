@@ -6,9 +6,10 @@ the live simulator or from a recorded trace, and emits verdicts and planned
 actions.  Whether actions are applied is the caller's business; replay
 records them, the simulator enforces them.
 
-Per-pod CPI series, per-app training history, flagging state, model cache,
-prediction windows, and node cooldowns all live here so that live and replay
-runs of the same data make identical decisions.
+Per-pod records (CPI series, feature history, prediction window), flagging
+state, model cache and node cooldowns all live here, and the loop drops the
+records of the pods it evicts, so that live and replay runs of the same data
+make identical decisions.
 """
 
 from __future__ import annotations
@@ -52,12 +53,37 @@ from .predictor import (
     verdict_rank,
     worst_verdict,
 )
-from .telemetry import TimeSeries
+from .telemetry import TimeSeries, rolling_mean
 
 log = logging.getLogger("ckoord.loop")
 
-HISTORY_RETENTION_WINDOWS = 4   # per-pod training history rings
+HISTORY_RETENTION_WINDOWS = 4   # per-pod CPI and feature rings
 MAX_TRAIN_ROWS = 1200           # thin older history beyond this many rows
+
+
+class PodRecord:
+    """What the loop remembers about one pod.
+
+    ``cpi`` is the only copy of the measured CPI, stamped with interval
+    numbers; ``features`` holds the model input of each of its samples, so
+    the two rings stay aligned.  ``predictions`` holds the current flagging
+    episode's newest ``window`` pairs of (prediction, rolling mean of the CPI
+    when the prediction was made).
+    """
+
+    def __init__(self, pod_id: str, window: int) -> None:
+        retention = HISTORY_RETENTION_WINDOWS * window
+        self.window = window
+        self.cpi = TimeSeries(f"cpi:{pod_id}", capacity=retention)
+        self.features: deque[np.ndarray] = deque(maxlen=retention)
+        self.predictions: deque[tuple[float, float]] = deque(maxlen=window)
+
+    def record(self, interval: int, features: np.ndarray, cpi: float) -> None:
+        self.cpi.record(interval, cpi)
+        self.features.append(features)
+
+    def predict(self, prediction: float) -> None:
+        self.predictions.append((prediction, rolling_mean(self.cpi, self.window)))
 
 
 @dataclass(frozen=True)
@@ -176,17 +202,13 @@ class ControlLoop:
         detector_cfg: DetectorConfig,
         predictor_cfg: PredictorConfig,
         mitigator_cfg: MitigationConfig,
-        sampling_period_s: int = 5,
     ) -> None:
         self.detector_cfg = detector_cfg
         self.predictor_cfg = predictor_cfg
         self.mitigator_cfg = mitigator_cfg
-        self.period = sampling_period_s
         self.flagged = FlaggedApps()
         self.cache = ModelCache(predictor_cfg)
-        self.cpi_series: dict[str, TimeSeries] = {}
-        self.history: dict[str, deque] = {}          # pod_id -> deque[(features, cpi)]
-        self.pred_windows: dict[str, deque] = {}     # pod_id -> deque[float]
+        self.pods: dict[str, PodRecord] = {}
         self.last_action: dict[str, int] = {}        # node_id -> interval
         self.n_max = 0.0
         self.models_trained: dict[str, list[dict]] = {}
@@ -194,18 +216,11 @@ class ControlLoop:
     # -- state builders -------------------------------------------------
 
     def _record(self, interval: int, pods: list[PodObservation]) -> None:
-        retention = HISTORY_RETENTION_WINDOWS * self.predictor_cfg.window
         for ob in pods:
-            series = self.cpi_series.get(ob.pod_id)
-            if series is None:
-                series = TimeSeries(f"cpi:{ob.pod_id}", capacity=retention)
-                self.cpi_series[ob.pod_id] = series
-            series.record(interval * self.period, ob.cpi)
-            hist = self.history.get(ob.pod_id)
-            if hist is None:
-                hist = deque(maxlen=retention)
-                self.history[ob.pod_id] = hist
-            hist.append((ob.features, ob.cpi))
+            record = self.pods.get(ob.pod_id)
+            if record is None:
+                record = self.pods[ob.pod_id] = PodRecord(ob.pod_id, self.predictor_cfg.window)
+            record.record(interval, ob.features, ob.cpi)
             miss = float(ob.features[6])
             if miss > self.n_max:
                 self.n_max = miss
@@ -218,18 +233,11 @@ class ControlLoop:
         # or a model trained at flag time never sees the onset
         budget = max(2, MAX_TRAIN_ROWS // max(1, len(app_pods)))
         for ob in app_pods:
-            hist = self.history.get(ob.pod_id)
-            if not hist:
-                continue
-            feats = [f for f, _ in hist]
-            cpis = [c for _, c in hist]
-            if len(feats) > budget:
-                idx = np.linspace(0, len(feats) - 1, budget).round().astype(int)
-            else:
-                idx = np.arange(len(feats))
-            for i in idx:
-                rows.append(feats[i])
-                targets.append(cpis[i])
+            record = self.pods[ob.pod_id]
+            n = len(record.features)
+            idx = np.linspace(0, n - 1, budget).round().astype(int) if n > budget else range(n)
+            rows.extend(record.features[i] for i in idx)
+            targets.extend(record.cpi.samples[i].value for i in idx)
         if not rows:
             return np.empty((0, FEATURE_COUNT)), np.empty(0)
         return np.stack(rows), np.array(targets)
@@ -288,7 +296,7 @@ class ControlLoop:
             self.cache.invalidate(app_id)
             for ob in pods:
                 if ob.app_id == app_id:
-                    self.pred_windows.pop(ob.pod_id, None)
+                    self.pods[ob.pod_id].predictions.clear()
         for app_id in outcome.newly_flagged:
             log.debug("interval %d: flagged %s", interval, app_id)
 
@@ -322,20 +330,11 @@ class ControlLoop:
                 )
             pod_verdicts: list[tuple[DetectionVerdict, PodObservation]] = []
             for ob in app_pods:
-                window = self.pred_windows.get(ob.pod_id)
-                if window is None:
-                    window = deque(maxlen=self.predictor_cfg.window)
-                    self.pred_windows[ob.pod_id] = window
-                window.append(model.predict_row(ob.features))
-                series = self.cpi_series[ob.pod_id]
-                preds = list(window)
-                if len(preds) > len(series):
-                    preds = preds[-len(series):]
-                delta = delta_cpi(
-                    preds, series, self.predictor_cfg.window, self.predictor_cfg.delta_mode
-                )
+                record = self.pods[ob.pod_id]
+                record.predict(model.predict_row(ob.features))
+                delta = delta_cpi(record.predictions, self.predictor_cfg.delta_mode)
                 threshold = cpi_threshold(
-                    series,
+                    record.cpi,
                     self.predictor_cfg.window,
                     self.predictor_cfg.params,
                     load_factor(ob.features, self.n_max, self.predictor_cfg.load_weights),
@@ -362,10 +361,10 @@ class ControlLoop:
                     verdict.csi if verdict.csi is not None else float("inf"),
                 )
             outcome.actions.append(PlannedAction(interval, app_id, node_id, severity, action))
+        # an evicted pod returns as a new pod; dropped only now, because a
+        # later app in this pass may still read its record
+        for planned in outcome.actions:
+            if isinstance(planned.action, Evict):
+                for pod_id in planned.action.pod_ids:
+                    del self.pods[pod_id]
         return outcome
-
-    def forget_pod(self, pod_id: str) -> None:
-        """Drop per-pod loop state after an eviction."""
-        self.cpi_series.pop(pod_id, None)
-        self.history.pop(pod_id, None)
-        self.pred_windows.pop(pod_id, None)

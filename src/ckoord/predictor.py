@@ -16,6 +16,7 @@ rather than guessed.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,31 +112,17 @@ def cpi_threshold(
     return params.k1 * rolling_std(actual, window) + params.k2 * load
 
 
-def delta_cpi(
-    predictions: list[float], actual: TimeSeries, window: int, mode: str = "signed"
-) -> float:
+def delta_cpi(pairs: Sequence[tuple[float, float]], mode: str = "signed") -> float:
     """Deviation between recent predictions and the smoothed measured CPI.
 
-    Each prediction i is compared against the rolling mean of the measured
-    series ending at the same interval; predictions are aligned to the most
-    recent len(predictions) samples of ``actual``.  'signed' (default)
-    averages the differences first and takes the absolute value, so
-    alternating over/under-shoot cancels; 'absolute' averages magnitudes.
+    Each pair is a prediction and the rolling mean of the measured CPI at the
+    interval the prediction was made.  'signed' (default) averages the
+    differences first and takes the absolute value, so alternating
+    over/under-shoot cancels; 'absolute' averages magnitudes.
     """
-    if not predictions:
+    if not pairs:
         raise ValueError("no predictions")
-    if len(actual) < len(predictions):
-        raise ValueError(
-            f"actual series has {len(actual)} samples, fewer than "
-            f"{len(predictions)} predictions"
-        )
-    values = [s.value for s in actual.samples]
-    diffs = []
-    for j, pred in enumerate(predictions):
-        end = len(values) - len(predictions) + j + 1  # series position of prediction j
-        tail = values[max(0, end - window):end]
-        rm = sum(tail) / len(tail)
-        diffs.append(pred - rm)
+    diffs = [pred - mean for pred, mean in pairs]
     if mode == "signed":
         return abs(sum(diffs) / len(diffs))
     if mode == "absolute":

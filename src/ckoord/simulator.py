@@ -395,7 +395,7 @@ class Simulator:
         self.controllers_enabled = bool(cfg["controllers"]["enabled"])
         self.reschedule_delay = int(cfg["controllers"]["reschedule_delay_intervals"])
         detector_cfg, predictor_cfg, mitigator_cfg = control_configs(cfg)
-        self.loop = ControlLoop(detector_cfg, predictor_cfg, mitigator_cfg, self.period_s)
+        self.loop = ControlLoop(detector_cfg, predictor_cfg, mitigator_cfg)
 
         self.state = self._initial_state()
         self._streams: dict[tuple[str, str], np.random.Generator] = {}
@@ -649,14 +649,10 @@ class Simulator:
                 apply_action(action, self.state)
                 suppressed += 1
             elif isinstance(action, Evict):
-                for pod_id in action.pod_ids:
-                    if pod_id not in self.state.pods:
-                        continue
-                    spec = self.state.pods[pod_id].spec
-                    apply_action(Evict(planned.node_id, (pod_id,)), self.state)
-                    self.loop.forget_pod(pod_id)
-                    self._pending.append((interval + self.reschedule_delay, spec))
-                    evicted += 1
+                due = interval + self.reschedule_delay
+                self._pending.extend((due, self.state.pods[p].spec) for p in action.pod_ids)
+                apply_action(action, self.state)
+                evicted += len(action.pod_ids)
         return evicted, suppressed
 
     def _clear_stale_caps(self) -> None:

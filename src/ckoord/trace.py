@@ -12,6 +12,7 @@ write byte-stable.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import tempfile
 from contextlib import contextmanager
@@ -76,6 +77,10 @@ def format_value(value: float) -> str:
 
 
 def _validate_row(row: TraceRow, line: int) -> None:
+    for name in _FLOAT_FIELDS:
+        v = getattr(row, name)
+        if not math.isfinite(v):
+            raise TraceFormatError(f"line {line}: {name}={v} is not finite")
     if row.interval < 0:
         raise TraceFormatError(f"line {line}: negative interval {row.interval}")
     if row.qos not in QOS_VALUES:
@@ -143,6 +148,7 @@ def read_trace(path: str | Path) -> list[TraceRow]:
                 f"line 1: bad header; expected {TRACE_HEADER!r}, got {','.join(header)!r}"
             )
         previous_interval = None
+        interval_pods: set[str] = set()  # pod ids seen in previous_interval
         for line, record in enumerate(reader, start=2):
             if len(record) != len(TRACE_COLUMNS):
                 raise TraceFormatError(
@@ -165,7 +171,14 @@ def read_trace(path: str | Path) -> list[TraceRow]:
                 raise TraceFormatError(
                     f"line {line}: interval {row.interval} goes backwards"
                 )
-            previous_interval = row.interval
+            if row.interval != previous_interval:
+                previous_interval = row.interval
+                interval_pods.clear()
+            if row.pod_id in interval_pods:
+                raise TraceFormatError(
+                    f"line {line}: pod {row.pod_id} repeats in interval {row.interval}"
+                )
+            interval_pods.add(row.pod_id)
             rows.append(row)
     return rows
 

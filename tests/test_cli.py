@@ -161,30 +161,66 @@ def test_predict_appends_prediction_column(tmp_path, capsys):
     assert stdout_lines[: len(lines)] == lines
 
 
-def test_replay_matches_live_detections(tmp_path, capsys):
+# A cpu_hog on node-02 long enough for several evictions; with a short
+# reschedule delay the evicted pods return while the app is still flagged.
+EVICTION_HEAVY = (
+    "horizon=200",
+    "predictor.window=20",
+    'interference=[{"target_node": "node-02", "kind": "cpu_hog",'
+    ' "start_interval": 100, "duration": 40, "intensity": 1.0}]',
+)
+
+
+def without_cap(action):
+    return {k: v for k, v in action.items() if k != "cpu_restriction"}
+
+
+# The live detection counts pin the live run, so that live and replay
+# cannot agree by both keeping an evicted pod's history.
+@pytest.mark.parametrize(
+    "seed, overrides, live_detections",
+    [
+        (1, (), 15),
+        (1, EVICTION_HEAVY + ("controllers.reschedule_delay_intervals=0",), 37),
+        (2, EVICTION_HEAVY + ("controllers.reschedule_delay_intervals=0",), 39),
+        (1, EVICTION_HEAVY + ("controllers.reschedule_delay_intervals=3",), 65),
+    ],
+    ids=["default-seed1", "evictions-seed1-delay0", "evictions-seed2-delay0", "evictions-seed1-delay3"],
+)
+def test_replay_matches_live_detections(tmp_path, capsys, seed, overrides, live_detections):
+    sets = [arg for override in overrides for arg in ("--set", override)]
     out = tmp_path / "live"
-    assert run_cli("simulate", "--seed", "1", "--out", str(out)) == 0
+    assert run_cli("simulate", "--seed", str(seed), *sets, "--out", str(out)) == 0
     live = json.loads((out / "report.json").read_text())
     live_pairs = sorted((d["interval"], d["app_id"]) for d in live["detections"])
-    assert live_pairs, "expected the default scenario to detect its injection"
+    assert len(live_pairs) == live_detections
 
     replay_dir = tmp_path / "replay"
-    code = run_cli(
-        "replay", "--trace", str(out / "trace.csv"), "--out", str(replay_dir)
-    )
-    assert code == 0
+    replay_argv = ("replay", "--trace", str(out / "trace.csv"), *sets, "--out", str(replay_dir))
+    assert run_cli(*replay_argv) == 0
     replayed = json.loads((replay_dir / "replay.json").read_text())
     replay_pairs = sorted((d["interval"], d["app_id"]) for d in replayed["detections"])
     assert replay_pairs == live_pairs
     assert replayed["flag_events"] == live["flag_events"]
-    assert replayed["actions"] == live["actions"]
-    assert live["actions"], "expected the default scenario to plan actions"
+    assert live["actions"], "expected the scenario to plan actions"
+    if overrides:
+        assert any(a["type"] == "evict" for a in live["actions"])
+        # the trace rounds features to 9 significant digits, so suppression
+        # caps sized from them may differ in their last digits
+        assert [without_cap(a) for a in replayed["actions"]] == [
+            without_cap(a) for a in live["actions"]
+        ]
+        caps = [a["cpu_restriction"] for a in live["actions"] if a["type"] == "suppress"]
+        replay_caps = [a["cpu_restriction"] for a in replayed["actions"] if a["type"] == "suppress"]
+        assert replay_caps == pytest.approx(caps, rel=1e-6)
+    else:
+        assert replayed["actions"] == live["actions"]
     assert replayed["trace"] == "trace.csv"
     assert replayed["intervals"] == live["horizon"]
 
     # replay is deterministic: a second pass produces identical bytes
     first = (replay_dir / "replay.json").read_bytes()
-    assert run_cli("replay", "--trace", str(out / "trace.csv"), "--out", str(replay_dir)) == 0
+    assert run_cli(*replay_argv) == 0
     assert (replay_dir / "replay.json").read_bytes() == first
 
 
@@ -251,6 +287,32 @@ def test_bad_model_json_is_exit_2(tmp_path, capsys):
     code = run_cli("predict", "--trace", str(trace), "--model", str(bad_model))
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", ["repeated_pod_row", "inf_cpi"])
+def test_malformed_trace_is_exit_2_with_its_line(tmp_path, capsys, fault):
+    trace = simulate_small(tmp_path)
+    model = tmp_path / "model.json"
+    assert run_cli("train", "--trace", str(trace), "--model-out", str(model), "--window", "5") == 0
+    lines = trace.read_text().splitlines()
+    if fault == "repeated_pod_row":
+        lines.insert(3, lines[2])  # line 4 repeats line 3's (interval, pod_id)
+        expected = "line 4: pod "
+    else:
+        record = lines[2].split(",")
+        record[-1] = "inf"
+        lines[2] = ",".join(record)
+        expected = "line 3: cpi=inf is not finite"
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    for argv in (
+        ("replay", "--trace", str(trace)),
+        ("train", "--trace", str(trace), "--model-out", str(tmp_path / "m2.json"), "--window", "5"),
+        ("predict", "--trace", str(trace), "--model", str(model)),
+    ):
+        assert run_cli(*argv) == 2, argv[0]
+        assert expected in capsys.readouterr().err, argv[0]
+    assert not (tmp_path / "m2.json").exists()
 
 
 def test_usage_errors_raise_systemexit_2():

@@ -5,15 +5,21 @@ history c, a one-round full-step unregularized model, so the trained model
 predicts exactly c and a later CPI spike of +1 produces a delta of exactly 1.
 """
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ckoord.cluster import NodeMetrics, QosClass
 from ckoord.detector import DetectorConfig
 from ckoord.gbdt import TrainConfig
-from ckoord.loop import ControlLoop, NodeObservation, PodObservation
+from ckoord.loop import HISTORY_RETENTION_WINDOWS, ControlLoop, NodeObservation, PodObservation, PodRecord
 from ckoord.mitigator import Evict, MitigationConfig, Severity
-from ckoord.predictor import PredictorConfig, ThresholdParams
+from ckoord.predictor import PredictorConfig, ThresholdParams, delta_cpi
+from ckoord.telemetry import TimeSeries
+from delta_reference import reference_delta_cpi
 
 WEB_FEATURES = np.array([0.5, 0.5, 0.9, 0.2, 0.9, 0.7, 1e6, 0.5, 0.5])
 BATCH_FEATURES = np.array([0.5, 0.5, 0.9, 0.7, 0.9, 0.2, 2e6, 0.5, 0.5])
@@ -165,19 +171,29 @@ def test_disabled_controllers_only_record():
     loop = exact_loop()
     out = loop.observe(0, [web_pod(1.0)], nodes(), controllers_enabled=False)
     assert out.verdicts == [] and out.actions == [] and out.flagged_apps == []
-    assert "web-0" in loop.cpi_series
-    assert len(loop.cpi_series["web-0"]) == 1
+    assert list(loop.pods) == ["web-0"]
+    assert len(loop.pods["web-0"].cpi) == 1
+    assert len(loop.pods["web-0"].features) == 1
+    assert not loop.pods["web-0"].predictions
 
 
-def test_forget_pod_drops_all_per_pod_state():
+def test_evicted_pod_returns_with_fresh_record():
     loop = exact_loop()
     loop.observe(0, [web_pod(1.0), batch_pod()], nodes())
     loop.observe(1, [web_pod(1.0), batch_pod()], nodes())
-    assert "web-0" in loop.cpi_series and "web-0" in loop.history
-    loop.forget_pod("web-0")
-    assert "web-0" not in loop.cpi_series
-    assert "web-0" not in loop.history
-    assert "web-0" not in loop.pred_windows
+    assert len(loop.pods["batch-0"].predictions) == 1
+    out2 = loop.observe(2, [web_pod(2.0), batch_pod()], nodes())
+    assert out2.actions[0].action.pod_ids == ("batch-0",)
+    # the pass that planned the eviction drops the pod's record; the others stay
+    assert "batch-0" not in loop.pods
+    assert len(loop.pods["web-0"].cpi) == 3
+    assert len(loop.pods["web-0"].predictions) == 1  # window 1
+
+    loop.observe(3, [web_pod(2.0), batch_pod()], nodes(), controllers_enabled=False)
+    record = loop.pods["batch-0"]
+    assert [s.value for s in record.cpi.samples] == [1.0]
+    assert len(record.features) == 1
+    assert not record.predictions
 
 
 def test_history_thinning_caps_training_rows():
@@ -197,3 +213,43 @@ def test_history_thinning_caps_training_rows():
     # retention ring is 4 windows deep, so at most 8 rows survive
     assert X.shape == (8, 9)
     assert np.all(y == 1.0)
+
+
+# Each step records one CPI sample and then, while the app is flagged,
+# predicts, as each pod of a flagged app with a model does.  The window
+# holds predictions only within an episode, so an unflag clears it.
+loop_steps = st.lists(
+    st.tuples(st.booleans(), st.floats(0.05, 20.0), st.floats(0.05, 20.0)),
+    min_size=1,
+    max_size=60,
+)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(window=st.integers(1, 6), steps=loop_steps)
+@example(window=3, steps=[(True, 1.0 + i / 7, 1.1 + i / 9) for i in range(30)])
+@example(window=6, steps=[(True, 1.3, 0.7), (True, 2.9, 1.1), (True, 0.4, 3.3)])
+def test_stored_means_match_recomputed_delta(window, steps):
+    """The record's stored pairs give the recompute reference's delta bits.
+
+    The reference gets its own prediction window and its own CPI ring, each
+    kept the way the loop kept them before it stored the means.  The
+    examples cover a series shorter than the window and a ring that wraps.
+    """
+    record = PodRecord("web-0", window)
+    series = TimeSeries("cpi", capacity=HISTORY_RETENTION_WINDOWS * window)
+    predictions: deque[float] = deque(maxlen=window)
+    was_flagged = False
+    for interval, (flagged, cpi, prediction) in enumerate(steps):
+        record.record(interval, WEB_FEATURES, cpi)
+        series.record(interval * 5, cpi)
+        if was_flagged and not flagged:
+            record.predictions.clear()
+            predictions.clear()
+        if flagged:
+            record.predict(prediction)
+            predictions.append(prediction)
+            for mode in ("signed", "absolute"):
+                expected = reference_delta_cpi(list(predictions), series, window, mode)
+                assert delta_cpi(record.predictions, mode) == expected
+        was_flagged = flagged

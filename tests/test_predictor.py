@@ -131,31 +131,26 @@ def test_threshold_params_must_not_both_vanish():
 
 
 def test_delta_zero_when_predictions_match_rolling_means():
-    ts = series_of([1.0] * 10)
-    assert delta_cpi([1.0, 1.0, 1.0], ts, window=4) == pytest.approx(0.0)
+    # a constant series of 1.0 has rolling mean 1.0 at every interval
+    assert delta_cpi([(1.0, 1.0)] * 3) == pytest.approx(0.0)
 
 
 def test_delta_uniform_offset():
-    ts = series_of([1.0] * 10)
-    assert delta_cpi([1.2, 1.2], ts, window=5) == pytest.approx(0.2, abs=1e-12)
+    assert delta_cpi([(1.2, 1.0)] * 2) == pytest.approx(0.2, abs=1e-12)
 
 
 def test_delta_signed_cancels_absolute_does_not():
     # window 1 rolling means equal the samples themselves: diffs +0.1, -0.1
-    ts = series_of([1.0, 1.0])
-    preds = [1.1, 0.9]
-    assert delta_cpi(preds, ts, window=1, mode="signed") == pytest.approx(0.0, abs=1e-12)
-    assert delta_cpi(preds, ts, window=1, mode="absolute") == pytest.approx(0.1, abs=1e-12)
+    pairs = [(1.1, 1.0), (0.9, 1.0)]
+    assert delta_cpi(pairs, mode="signed") == pytest.approx(0.0, abs=1e-12)
+    assert delta_cpi(pairs, mode="absolute") == pytest.approx(0.1, abs=1e-12)
 
 
 def test_delta_rejects_bad_inputs():
-    ts = series_of([1.0, 1.0])
     with pytest.raises(ValueError):
-        delta_cpi([], ts, window=1)
+        delta_cpi([])
     with pytest.raises(ValueError):
-        delta_cpi([1.0, 1.0, 1.0], ts, window=1)
-    with pytest.raises(ValueError):
-        delta_cpi([1.0], ts, window=1, mode="rms")
+        delta_cpi([(1.0, 1.0)], mode="rms")
 
 
 def test_classify_boundary_is_not_detected():

@@ -138,6 +138,32 @@ def test_read_rejects_backwards_intervals(tmp_path):
         read_trace(path)
 
 
+FLOAT_COLUMNS = TRACE_COLUMNS[5:]
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("column", FLOAT_COLUMNS)
+def test_read_rejects_non_finite_values(tmp_path, column, value):
+    # nan passes every range check (nan < 0 is false), so finiteness is a
+    # check of its own, made for every float column
+    record = body_line().split(",")
+    record[TRACE_COLUMNS.index(column)] = value
+    path = write_body(tmp_path, body_line(pod_id="web-1"), ",".join(record))
+    with pytest.raises(TraceFormatError, match=f"^line 3: {column}=.* is not finite"):
+        read_trace(path)
+
+
+def test_read_rejects_repeated_pod_row(tmp_path):
+    path = write_body(
+        tmp_path,
+        body_line(interval=0, pod_id="web-0"),
+        body_line(interval=0, pod_id="web-1"),
+        body_line(interval=0, pod_id="web-0", cpi=1.5),
+    )
+    with pytest.raises(TraceFormatError, match="^line 4: pod web-0 repeats in interval 0"):
+        read_trace(path)
+
+
 def test_error_names_the_failing_line(tmp_path):
     path = write_body(tmp_path, body_line(interval=0), body_line(interval=0, cpi=-1.0))
     with pytest.raises(TraceFormatError, match="^line 3"):
