@@ -8,7 +8,6 @@ CKOORD_LOG=DEBUG (or any logging level name) for diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -34,15 +33,14 @@ from .scenario import (
 )
 from .simulator import Simulator, control_configs, report_to_json
 from .trace import (
-    TRACE_COLUMNS,
     TraceFormatError,
     atomic_open,
     feature_matrix,
     format_value,
     read_trace,
     row_features,
-    row_to_record,
     rows_by_interval,
+    write_rows,
     write_trace,
 )
 
@@ -138,10 +136,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     preds = model.predict(X)
     out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
     try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(list(TRACE_COLUMNS) + ["cpi_pred"])
-        for row, pred in zip(rows, preds):
-            writer.writerow(row_to_record(row) + [format_value(float(pred))])
+        write_rows(out, rows, preds.tolist())
     finally:
         if out is not sys.stdout:
             out.close()

@@ -156,9 +156,9 @@ def _prefix_gains(
     g_tot, h_tot = g_cum[:, -1:], h_cum[:, -1:]
     g_pre, h_pre = g_cum[:, lo:hi], h_cum[:, lo:hi]
     with np.errstate(divide="ignore", invalid="ignore"):
-        # G^2 stays a scalar pow(): the array square can round it one ulp
-        # differently, which can reorder near-tied candidates and so the trees
-        parent = np.array([gt**2 / (ht + cfg.lam) for gt, ht in zip(g_tot[:, 0], h_tot[:, 0])])
+        # G^2 is a product, as every other square here: pow() would tie the
+        # trees to the host's libm, whose rounding of x**2 may differ from x*x
+        parent = np.square(g_tot[:, 0]) / (h_tot[:, 0] + cfg.lam)
         right_term = g_tot - g_pre
         np.square(right_term, out=right_term)
         den = h_tot - h_pre

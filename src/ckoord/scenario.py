@@ -14,6 +14,7 @@ import json
 from typing import Any
 
 from .cluster import QosClass
+from .trace import id_fault
 
 VALID_QOS = tuple(q.value for q in QosClass)
 VALID_KINDS = ("cpu_hog", "mem_pressure", "cache_thrash")
@@ -144,6 +145,9 @@ def validate_config(cfg: dict, raw: str | None = None) -> None:
         if not isinstance(app, dict):
             _fail(raw, f"apps[{i}]", "must be an object")
         app_id = _require(app, raw, where, "app_id", (str,))
+        fault = id_fault("app_id", app_id)
+        if fault is not None:
+            _fail(raw, f"{where}app_id", fault)
         if app_id in seen_apps:
             _fail(raw, f"{where}app_id", f"duplicate app_id {app_id!r}")
         seen_apps.add(app_id)

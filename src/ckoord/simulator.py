@@ -179,6 +179,7 @@ def allocate_cpu(
     in cores; sum(usage) <= avail, BE usage in aggregate <= be_cap when set.
     potential >= usage is the headroom used for queueing delay.
     """
+    best_effort = QosClass.BE  # one lookup, not a property call per test
     usage: dict[str, float] = {}
     potential: dict[str, float] = {}
     if not pods:
@@ -188,7 +189,7 @@ def allocate_cpu(
     total_w = sum(weights.values())
     share = {pid: avail * weights[pid] / total_w for pid in weights}
 
-    be_ids = [pid for pid, qos, _, _ in pods if qos.best_effort]
+    be_ids = [pid for pid, qos, _, _ in pods if qos is best_effort]
     if be_cap is not None and be_ids:
         be_share = sum(share[pid] for pid in be_ids)
         if be_share > be_cap:
@@ -197,7 +198,7 @@ def allocate_cpu(
             for pid in be_ids:
                 freed += share[pid] * (1.0 - scale)
                 share[pid] *= scale
-            other = [pid for pid, qos, _, _ in pods if not qos.best_effort]
+            other = [pid for pid, qos, _, _ in pods if qos is not best_effort]
             other_w = sum(weights[pid] for pid in other)
             if other_w > 0:
                 for pid in other:
@@ -220,7 +221,8 @@ def allocate_cpu(
         hungry = [
             (pid, qos)
             for pid, qos, _, _ in pods
-            if wants[pid] - usage[pid] > 1e-12 and (not qos.best_effort or be_headroom() > 1e-12)
+            if wants[pid] - usage[pid] > 1e-12
+            and (qos is not best_effort or be_headroom() > 1e-12)
         ]
         if not hungry:
             break
@@ -228,33 +230,32 @@ def allocate_cpu(
         headroom = be_headroom()
         for pid, qos in hungry:
             grant = leftover * weights[pid] / hungry_w
-            if qos.best_effort:
+            if qos is best_effort:
                 grant = min(grant, max(0.0, headroom))
             before = usage[pid]
             usage[pid] = min(wants[pid], usage[pid] + grant)
             granted = usage[pid] - before
             extra[pid] += granted
-            if qos.best_effort:
+            if qos is best_effort:
                 headroom -= granted
 
     idle = max(0.0, avail - sum(usage.values()))
     for pid, qos, _, _ in pods:
         base = max(usage[pid], share[pid] + extra[pid])
         bonus = idle * weights[pid] / total_w
-        if qos.best_effort and be_cap is not None:
+        if qos is best_effort and be_cap is not None:
             base = min(max(usage[pid], base), max(usage[pid], be_cap))
             bonus = 0.0
         potential[pid] = base + bonus
     return usage, potential
 
 
-def nearest_rank_percentile(samples: list[float], k: float) -> float:
-    """Nearest-rank percentile: the ceil(k/100 * N)-th smallest sample."""
-    if not samples:
+def nearest_rank(ordered: list[float], k: float) -> float:
+    """Nearest-rank percentile of ascending samples: the ceil(k/100 * N)-th smallest."""
+    if not ordered:
         raise ValueError("no samples")
     if not 0 < k <= 100:
         raise ValueError(f"percentile {k} outside (0, 100]")
-    ordered = sorted(samples)
     rank = math.ceil(k / 100.0 * len(ordered))
     return ordered[max(0, rank - 1)]
 
@@ -490,36 +491,42 @@ class Simulator:
         state.interval = interval
         rescheduled = self._reschedule_due(interval)
         effects = self._interference_effects(interval)
+        pods_by_id = state.pods
+        profiles = self.profiles
+        truth = self.truth
 
         demand: dict[str, float] = {}
-        for pod_id in sorted(state.pods):
-            entry = state.pods[pod_id]
-            profile = self.profiles[entry.spec.app_id]
+        period = self.workload.period_intervals
+        for pod_id in sorted(pods_by_id):
+            profile = profiles[pods_by_id[pod_id].spec.app_id]
             rng = self._rng("demand", pod_id) if profile.demand_noise_std > 0 else None
-            rps = diurnal_demand(profile, interval, self.workload.period_intervals, rng)
-            demand[pod_id] = rps
+            demand[pod_id] = diurnal_demand(profile, interval, period, rng)
         self._last_rps = demand
 
+        # One node order, and one pod order per node, serve every pass below.
+        nodes = [state.nodes[node_id] for node_id in sorted(state.nodes)]
+        members: list[list[tuple[str, PodEntry, AppProfile]]] = []
         usage_all: dict[str, float] = {}
         potential_all: dict[str, float] = {}
-        hog_cores: dict[str, float] = {}
-        for node_id in sorted(state.nodes):
-            node = state.nodes[node_id]
-            effect = effects.get(node_id)
-            hog = effect["cpu"] if effect else 0.0
-            hog = min(hog, node.cpu_capacity)
-            hog_cores[node_id] = hog
-            pods = [
-                (
-                    pid,
-                    state.pods[pid].spec.qos,
-                    demand[pid] * self.profiles[state.pods[pid].spec.app_id].cpu_per_request,
-                    state.pods[pid].spec.cpu_request,
-                )
-                for pid in sorted(node.pod_ids)
-            ]
+        hog_cores: list[float] = []
+        for node in nodes:
+            effect = effects.get(node.node_id)
+            hog = min(effect["cpu"] if effect else 0.0, node.cpu_capacity)
+            hog_cores.append(hog)
+            placed = []
+            for pid in sorted(node.pod_ids):
+                entry = pods_by_id[pid]
+                placed.append((pid, entry, profiles[entry.spec.app_id]))
+            members.append(placed)
             usage, potential = allocate_cpu(
-                pods, node.cpu_capacity - hog, node.be_cpu_cap, self.qos_weights
+                [
+                    (pid, entry.spec.qos, demand[pid] * profile.cpu_per_request,
+                     entry.spec.cpu_request)
+                    for pid, entry, profile in placed
+                ],
+                node.cpu_capacity - hog,
+                node.be_cpu_cap,
+                self.qos_weights,
             )
             usage_all.update(usage)
             potential_all.update(potential)
@@ -527,25 +534,27 @@ class Simulator:
         # metrics pass: pods, nodes, system
         total_capacity = sum(n.cpu_capacity for n in state.nodes.values())
         total_mem_capacity = sum(n.mem_capacity for n in state.nodes.values())
+        mem_coupling = self.workload.mem_demand_coupling
         used_cores_sys = 0.0
         used_mem_sys = 0.0
-        for node_id in sorted(state.nodes):
-            node = state.nodes[node_id]
-            effect = effects.get(node_id)
-            hog = hog_cores[node_id]
+        for node, placed, hog in zip(nodes, members, hog_cores):
+            effect = effects.get(node.node_id)
             be_used = ls_used = sys_used = mem_used = 0.0
+            # placement order, not sorted order: it fixes the order of the sums
             for pid in node.pod_ids:
-                entry = state.pods[pid]
-                profile = self.profiles[entry.spec.app_id]
+                entry = pods_by_id[pid]
+                profile = profiles[entry.spec.app_id]
+                metrics = entry.metrics
                 cores = usage_all[pid]
-                entry.metrics.cpu_util = cores
+                metrics.cpu_util = cores
                 rel = demand[pid] / profile.base_rps - 1.0 if profile.base_rps > 0 else 0.0
-                mem = profile.mem_footprint * (1.0 + self.workload.mem_demand_coupling * rel)
-                entry.metrics.mem_util = max(0.2 * profile.mem_footprint, mem)
-                mem_used += entry.metrics.mem_util
-                if entry.spec.qos.best_effort:
+                mem = profile.mem_footprint * (1.0 + mem_coupling * rel)
+                metrics.mem_util = max(0.2 * profile.mem_footprint, mem)
+                mem_used += metrics.mem_util
+                qos = entry.spec.qos
+                if qos is QosClass.BE:
                     be_used += cores
-                elif entry.spec.qos is QosClass.SYSTEM:
+                elif qos is QosClass.SYSTEM:
                     sys_used += cores
                 else:
                     ls_used += cores
@@ -560,78 +569,71 @@ class Simulator:
             used_mem_sys += mem_used + hog_mem
 
             miss_boost = effect["miss_gain"] if effect else 0.0
-            for pid in sorted(node.pod_ids):
-                entry = state.pods[pid]
-                profile = self.profiles[entry.spec.app_id]
-                factor = 1.0 + self.truth.miss_load_gain * m.cpu_total + miss_boost
+            factor = 1.0 + truth.miss_load_gain * m.cpu_total + miss_boost
+            for pid, entry, profile in placed:
                 miss = profile.base_miss_rate * factor
-                if self.truth.miss_noise_std > 0:
+                if truth.miss_noise_std > 0:
                     rng = self._rng("miss", pid)
-                    miss *= 1.0 + self.truth.miss_noise_std * rng.standard_normal()
+                    miss *= 1.0 + truth.miss_noise_std * rng.standard_normal()
                 entry.metrics.l3_miss_rate = max(0.0, miss)
 
-        state.system.cpu_total_sys = min(1.0, used_cores_sys / total_capacity)
-        state.system.mem_total_sys = min(1.0, used_mem_sys / total_mem_capacity)
+        system = state.system
+        system.cpu_total_sys = min(1.0, used_cores_sys / total_capacity)
+        system.mem_total_sys = min(1.0, used_mem_sys / total_mem_capacity)
 
         pod_obs: list[PodObservation] = []
         rows: list[TraceRow] = []
-        for node_id in sorted(state.nodes):
-            node = state.nodes[node_id]
+        for node, placed in zip(nodes, members):
+            node_id = node.node_id
+            m = node.metrics
             effect = effects.get(node_id)
             boost = effect["cpi_boost"] if effect else 0.0
-            for pid in sorted(node.pod_ids):
-                entry = state.pods[pid]
-                profile = self.profiles[entry.spec.app_id]
-                rng = self._rng("cpi", pid) if self.truth.cpi_noise_std > 0 else None
+            for pid, entry, profile in placed:
+                spec = entry.spec
+                metrics = entry.metrics
+                rng = self._rng("cpi", pid) if truth.cpi_noise_std > 0 else None
                 cpi = ground_truth_cpi(
-                    profile.cpi_base,
-                    node.metrics.cpu_total,
-                    entry.metrics.l3_miss_rate,
-                    boost,
-                    self.truth,
-                    rng,
+                    profile.cpi_base, m.cpu_total, metrics.l3_miss_rate, boost, truth, rng
                 )
-                entry.metrics.cpi_actual = cpi
+                metrics.cpi_actual = cpi
                 row = TraceRow(
                     interval=interval,
                     node_id=node_id,
                     pod_id=pid,
-                    app_id=entry.spec.app_id,
-                    qos=entry.spec.qos.value,
-                    pod_cpu_util=min(RATIO_MAX, entry.metrics.cpu_util / entry.spec.cpu_request),
-                    pod_mem_util=min(RATIO_MAX, entry.metrics.mem_util / entry.spec.mem_request),
-                    node_cpu_total=node.metrics.cpu_total,
-                    node_cpu_offline=node.metrics.cpu_offline,
-                    node_cpu_online=node.metrics.cpu_online,
-                    node_cpu_shared=node.metrics.cpu_shared,
-                    node_mem_util=node.metrics.mem_util,
-                    sys_cpu_total=state.system.cpu_total_sys,
-                    sys_mem_total=state.system.mem_total_sys,
-                    l3_miss_rate=entry.metrics.l3_miss_rate,
+                    app_id=spec.app_id,
+                    qos=spec.qos.value,
+                    pod_cpu_util=min(RATIO_MAX, metrics.cpu_util / spec.cpu_request),
+                    pod_mem_util=min(RATIO_MAX, metrics.mem_util / spec.mem_request),
+                    node_cpu_total=m.cpu_total,
+                    node_cpu_offline=m.cpu_offline,
+                    node_cpu_online=m.cpu_online,
+                    node_cpu_shared=m.cpu_shared,
+                    node_mem_util=m.mem_util,
+                    sys_cpu_total=system.cpu_total_sys,
+                    sys_mem_total=system.mem_total_sys,
+                    l3_miss_rate=metrics.l3_miss_rate,
                     cpi=cpi,
                 )
                 rows.append(row)
                 pod_obs.append(
                     PodObservation(
                         pod_id=pid,
-                        app_id=entry.spec.app_id,
+                        app_id=spec.app_id,
                         node_id=node_id,
-                        qos=entry.spec.qos,
+                        qos=spec.qos,
                         features=row_features(row),
                         cpi=cpi,
-                        cpu_cores=entry.metrics.cpu_util,
-                        cpu_request=entry.spec.cpu_request,
-                        mem_request=entry.spec.mem_request,
+                        cpu_cores=metrics.cpu_util,
+                        cpu_request=spec.cpu_request,
+                        mem_request=spec.mem_request,
                     )
                 )
 
         node_obs = [
             NodeObservation(
-                node_id=node_id,
-                cpu_capacity=state.nodes[node_id].cpu_capacity,
-                metrics=state.nodes[node_id].metrics,
+                node_id=node.node_id, cpu_capacity=node.cpu_capacity, metrics=node.metrics
             )
-            for node_id in sorted(state.nodes)
+            for node in nodes
         ]
         stats = {
             "rescheduled": rescheduled,
@@ -689,15 +691,14 @@ class Simulator:
             reschedules += stats["rescheduled"]
             phase = "interference" if stats["interference_active"] else "normal"
             phase_counts[phase] += 1
+            potential = stats["potential"]
+            rps = self._last_rps
 
             for ob in pod_obs:
                 profile = self.profiles[ob.app_id]
                 if profile.latency_base_ms > 0:
                     rho = utilization_rho(
-                        self._last_rps[ob.pod_id],
-                        profile.cpu_per_request,
-                        stats["potential"][ob.pod_id],
-                        wl.rho_max,
+                        rps[ob.pod_id], profile.cpu_per_request, potential[ob.pod_id], wl.rho_max
                     )
                     samples = latency_model(
                         profile.latency_base_ms,
@@ -709,7 +710,7 @@ class Simulator:
                         wl.batches_per_interval,
                         self._rng("latency", ob.pod_id),
                     )
-                    latency[ob.app_id][phase].extend(float(s) for s in samples)
+                    latency[ob.app_id][phase].extend(samples.tolist())
                 cpi_sum[ob.app_id][phase].append(ob.cpi)
             trace_rows.extend(stats["trace_rows"])
 
@@ -793,11 +794,12 @@ class Simulator:
 def _percentile_block(samples: list[float]) -> dict | None:
     if not samples:
         return None
+    ordered = sorted(samples)
     return {
-        "count": len(samples),
-        "p50": nearest_rank_percentile(samples, 50),
-        "p90": nearest_rank_percentile(samples, 90),
-        "p99": nearest_rank_percentile(samples, 99),
+        "count": len(ordered),
+        "p50": nearest_rank(ordered, 50),
+        "p90": nearest_rank(ordered, 90),
+        "p99": nearest_rank(ordered, 99),
     }
 
 

@@ -7,6 +7,9 @@ pod_cpu_util and pod_mem_util hold request-normalized ratios clamped to
 only self-contained one); node_* and sys_* columns are fractions in [0, 1].
 Floats are written with 9 significant digits, which makes write -> read ->
 write byte-stable.
+Ids (node_id, pod_id, app_id) are written unquoted, so none may contain a
+character that CSV would quote: a comma, a double quote, CR or LF.  The
+scenario validator, the reader and the writer each reject such an id.
 """
 
 from __future__ import annotations
@@ -16,10 +19,9 @@ import math
 import os
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -45,8 +47,9 @@ class TraceFormatError(ValueError):
     """Trace file violates the documented schema; message carries the line."""
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
+    """One pod in one interval; a tuple in column order, so it formats as one."""
+
     interval: int
     node_id: str
     pod_id: str
@@ -65,15 +68,42 @@ class TraceRow:
     cpi: float
 
 
-TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
+TRACE_COLUMNS = TraceRow._fields
 TRACE_HEADER = ",".join(TRACE_COLUMNS)
-_FLOAT_FIELDS = tuple(f.name for f in fields(TraceRow) if f.type == "float")
+_FLOAT_FIELDS = TRACE_COLUMNS[5:]  # every column after qos
+_TEXT_COLUMNS = TRACE_COLUMNS[1:5]  # node_id, pod_id, app_id, qos: written raw
+_ID_FORBIDDEN = (",", '"', "\r", "\n")  # what csv would quote
 # Model inputs are read by name, so the slot order lives in FEATURE_NAMES only.
 _features_of = attrgetter(*FEATURE_NAMES)
+# One line per row: what csv.writer writes for a row whose strings need no
+# quoting, with each float at 9 significant digits.
+_ROW_TEMPLATE = "%d,%s,%s,%s,%s," + ",".join(["%.9g"] * len(_FLOAT_FIELDS)) + "\n"
 
 
 def format_value(value: float) -> str:
     return f"{value:.9g}"
+
+
+def id_fault(name: str, value: str) -> str | None:
+    """Why ``value`` cannot be the id ``name`` in a trace, or None if it can."""
+    for char in _ID_FORBIDDEN:
+        if char in value:
+            return f"{name} {value!r} contains {char!r}, which a trace cannot hold unquoted"
+    return None
+
+
+def _check_text(values: tuple[str, ...], checked: set[tuple[str, ...]]) -> None:
+    """ValueError unless each of node_id, pod_id, app_id, qos needs no quoting.
+
+    ``checked`` remembers the tuples already found clean, so each distinct
+    one is checked once.
+    """
+    if values not in checked:
+        for name, value in zip(_TEXT_COLUMNS, values):
+            fault = id_fault(name, value)
+            if fault is not None:
+                raise ValueError(fault)
+        checked.add(values)
 
 
 def _validate_row(row: TraceRow, line: int) -> None:
@@ -99,14 +129,6 @@ def _validate_row(row: TraceRow, line: int) -> None:
             raise TraceFormatError(f"line {line}: {name}={v} outside [0, 1]")
 
 
-def row_to_record(row: TraceRow) -> list[str]:
-    record = []
-    for f in fields(TraceRow):
-        value = getattr(row, f.name)
-        record.append(format_value(value) if f.name in _FLOAT_FIELDS else str(value))
-    return record
-
-
 @contextmanager
 def atomic_open(path: str | Path) -> Iterator[TextIO]:
     """Text handle on a temp file beside ``path``, renamed over it on success.
@@ -126,13 +148,32 @@ def atomic_open(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
+def write_rows(
+    handle: TextIO, rows: Iterable[TraceRow], cpi_pred: Iterable[float] | None = None
+) -> None:
+    """Write the header and one line per row; ``cpi_pred`` adds a last column.
+
+    Raises ValueError for an id or qos that csv would quote.
+    """
+    write = handle.write
+    template = _ROW_TEMPLATE
+    records: Iterable[tuple] = rows
+    if cpi_pred is None:
+        write(TRACE_HEADER + "\n")
+    else:
+        write(TRACE_HEADER + ",cpi_pred\n")
+        template = template[:-1] + ",%.9g\n"
+        records = (row + (pred,) for row, pred in zip(rows, cpi_pred))
+    checked: set[tuple] = set()
+    for values in records:
+        _check_text(values[1:5], checked)
+        write(template % values)
+
+
 def write_trace(path: str | Path, rows: Iterable[TraceRow]) -> None:
-    """Write rows atomically, streaming them through one csv writer."""
+    """Write rows atomically, one formatted line at a time."""
     with atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
-        for row in rows:
-            writer.writerow(row_to_record(row))
+        write_rows(fh, rows)
 
 
 def read_trace(path: str | Path) -> list[TraceRow]:
@@ -149,21 +190,16 @@ def read_trace(path: str | Path) -> list[TraceRow]:
             )
         previous_interval = None
         interval_pods: set[str] = set()  # pod ids seen in previous_interval
+        clean_text: set[tuple[str, ...]] = set()
         for line, record in enumerate(reader, start=2):
             if len(record) != len(TRACE_COLUMNS):
                 raise TraceFormatError(
                     f"line {line}: expected {len(TRACE_COLUMNS)} fields, got {len(record)}"
                 )
-            named = dict(zip(TRACE_COLUMNS, record))
+            text = tuple(record[1:5])
             try:
-                row = TraceRow(
-                    interval=int(named["interval"]),
-                    node_id=named["node_id"],
-                    pod_id=named["pod_id"],
-                    app_id=named["app_id"],
-                    qos=named["qos"],
-                    **{name: float(named[name]) for name in _FLOAT_FIELDS},
-                )
+                _check_text(text, clean_text)
+                row = TraceRow(int(record[0]), *text, *map(float, record[5:]))
             except ValueError as exc:
                 raise TraceFormatError(f"line {line}: {exc}") from exc
             _validate_row(row, line)

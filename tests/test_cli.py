@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -78,6 +79,45 @@ def test_simulate_echoes_overrides_into_report(tmp_path):
     assert report["overrides"] == sorted(report["overrides"])
     assert "horizon=5" in report["overrides"]
     assert report["horizon"] == 5
+
+
+# sha256 of each artifact, recorded before the trace writer and the
+# simulator's interval passes were rewritten for speed; any change to the
+# bytes of a run, wanted or not, shows here first.
+PINNED_RUNS = {
+    "seed1": (
+        ("--seed", "1"),
+        {
+            "report.json": "ed0d65ebdb8757afdabd4e4c1e93171a4c8e66f215b5a64c4b318dcdf2efd5c7",
+            "trace.csv": "61277a26aea7e00483527afa294d5ac40924b08d44502fb7b71551ce543662ba",
+            "actions.log": "fcef53eac6f7aeb65007a48ddfec537aadb29994d3d758f6139400f37d9027c4",
+        },
+    ),
+    "seed7-controllers-off": (
+        ("--seed", "7", "--set", "controllers.enabled=false"),
+        {
+            "report.json": "7c243f9a1b4ee8194f28ebe5d90ebc59a2d2f4ec630c6c873928a654d6cfeca2",
+            "trace.csv": "2cf87cc367bdd24979db36878b6e52e97f8a3247ef568211e53bc3176566c500",
+            "actions.log": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("run", list(PINNED_RUNS))
+def test_simulate_artifact_digests_are_pinned(tmp_path, run):
+    argv, digests = PINNED_RUNS[run]
+    assert run_cli("simulate", *argv, "--out", str(tmp_path)) == 0
+    assert {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests
+    } == digests
+
+
+def test_simulate_rejects_an_app_id_csv_would_quote(tmp_path, capsys):
+    code = run_cli("simulate", "--out", str(tmp_path), "--set", 'apps.1.app_id="web,2"')
+    assert code == 2
+    assert "apps[1].app_id: app_id 'web,2' contains ','" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def simulate_small(tmp_path, seed=3):
@@ -289,7 +329,7 @@ def test_bad_model_json_is_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fault", ["repeated_pod_row", "inf_cpi"])
+@pytest.mark.parametrize("fault", ["repeated_pod_row", "inf_cpi", "quoted_pod_id"])
 def test_malformed_trace_is_exit_2_with_its_line(tmp_path, capsys, fault):
     trace = simulate_small(tmp_path)
     model = tmp_path / "model.json"
@@ -298,6 +338,11 @@ def test_malformed_trace_is_exit_2_with_its_line(tmp_path, capsys, fault):
     if fault == "repeated_pod_row":
         lines.insert(3, lines[2])  # line 4 repeats line 3's (interval, pod_id)
         expected = "line 4: pod "
+    elif fault == "quoted_pod_id":
+        record = lines[2].split(",")
+        record[2] = f'"{record[2]},x"'
+        lines[2] = ",".join(record)
+        expected = "line 3: pod_id "
     else:
         record = lines[2].split(",")
         record[-1] = "inf"

@@ -191,3 +191,17 @@ def test_apply_overrides_rejects_bad_list_index():
 def test_apply_overrides_revalidates():
     with pytest.raises(ConfigError):
         apply_overrides(default_config(), ["horizon=0"])
+
+
+@pytest.mark.parametrize("char", [",", '"', "\r", "\n"])
+def test_app_id_that_csv_would_quote_is_rejected_with_its_line(tmp_path, char):
+    cfg = default_config()
+    cfg["apps"][0]["app_id"] = f"web{char}0"
+    path = write_cfg(tmp_path, cfg)
+    line = next(
+        n for n, text in enumerate(open(path).read().splitlines(), start=1) if '"app_id"' in text
+    )
+    with pytest.raises(ConfigError, match=rf"^apps\[0\]\.app_id \(line {line}\): app_id "):
+        load_config(path)
+    with pytest.raises(ConfigError, match=r"^apps\[0\]\.app_id: app_id .* contains"):
+        validate_config(cfg)

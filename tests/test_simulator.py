@@ -4,17 +4,20 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ckoord.cluster import QosClass
 from ckoord.simulator import (
     AppProfile,
     Simulator,
     TruthParams,
+    _percentile_block,
     allocate_cpu,
     diurnal_demand,
     ground_truth_cpi,
     latency_model,
-    nearest_rank_percentile,
+    nearest_rank,
     report_to_json,
     run_scenario,
     utilization_rho,
@@ -131,22 +134,42 @@ def test_latency_batches_and_jitter():
 
 
 def test_percentiles_nearest_rank():
-    samples = [float(v) for v in range(1, 101)]
-    random.Random(5).shuffle(samples)
-    assert nearest_rank_percentile(samples, 50) == 50.0
-    assert nearest_rank_percentile(samples, 90) == 90.0
-    assert nearest_rank_percentile(samples, 99) == 99.0
-    assert nearest_rank_percentile(samples, 100) == 100.0
-    assert nearest_rank_percentile([7.0], 50) == 7.0
+    ordered = [float(v) for v in range(1, 101)]
+    assert nearest_rank(ordered, 50) == 50.0
+    assert nearest_rank(ordered, 90) == 90.0
+    assert nearest_rank(ordered, 99) == 99.0
+    assert nearest_rank(ordered, 100) == 100.0
+    assert nearest_rank([7.0], 50) == 7.0
 
 
 def test_percentiles_reject_bad_inputs():
     with pytest.raises(ValueError):
-        nearest_rank_percentile([], 50)
+        nearest_rank([], 50)
     with pytest.raises(ValueError):
-        nearest_rank_percentile([1.0], 0)
+        nearest_rank([1.0], 0)
     with pytest.raises(ValueError):
-        nearest_rank_percentile([1.0], 101)
+        nearest_rank([1.0], 101)
+
+
+def _ranked_read(samples, k):
+    # the definition, read off a fresh sort of the unsorted samples
+    ordered = sorted(samples)
+    return ordered[max(0, math.ceil(k / 100.0 * len(ordered)) - 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=300))
+def test_percentile_block_reads_three_ranks_of_unsorted_samples(samples):
+    random.Random(len(samples)).shuffle(samples)
+    before = list(samples)
+    assert _percentile_block(samples) == {
+        "count": len(samples),
+        "p50": _ranked_read(samples, 50),
+        "p90": _ranked_read(samples, 90),
+        "p99": _ranked_read(samples, 99),
+    }
+    assert samples == before  # the caller's list is not reordered
+    assert _percentile_block([]) is None
 
 
 QOS_W = {"BE": 1.0, "LS": 3.0, "LSR": 4.0, "SYSTEM": 5.0}

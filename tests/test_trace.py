@@ -1,5 +1,13 @@
+import io
+import math
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ckoord.trace import (
     TRACE_COLUMNS,
@@ -10,8 +18,10 @@ from ckoord.trace import (
     format_value,
     read_trace,
     rows_by_interval,
+    write_rows,
     write_trace,
 )
+from trace_reference import reference_write
 
 
 def make_row(interval=0, pod_id="web-0", cpi=1.25, **over):
@@ -81,10 +91,9 @@ def test_read_rejects_wrong_header(tmp_path):
 
 
 def body_line(**over):
-    row = make_row(**over)
-    from ckoord.trace import row_to_record
-
-    return ",".join(row_to_record(row))
+    return ",".join(
+        format_value(v) if isinstance(v, float) else str(v) for v in make_row(**over)
+    )
 
 
 def write_body(tmp_path, *lines):
@@ -202,3 +211,102 @@ def test_write_is_atomic_no_temp_left_behind(tmp_path):
     target = tmp_path / "out.csv"
     write_trace(target, [make_row()])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
+QUOTED_CHARS = [",", '"', "\r", "\n"]
+ID_COLUMNS = ["node_id", "pod_id", "app_id"]
+
+
+@pytest.mark.parametrize("char", QUOTED_CHARS)
+@pytest.mark.parametrize("column", ID_COLUMNS)
+def test_read_rejects_ids_csv_would_quote(tmp_path, column, char):
+    # csv.reader unquotes the field, so the id arrives holding the character
+    record = body_line().split(",")
+    bad = f"web{char}0"
+    record[TRACE_COLUMNS.index(column)] = '"' + bad.replace('"', '""') + '"'
+    path = write_body(tmp_path, body_line(pod_id="web-1"), ",".join(record))
+    with pytest.raises(TraceFormatError, match=re.escape(f"line 3: {column} {bad!r} contains")):
+        read_trace(path)
+
+
+@pytest.mark.parametrize("char", QUOTED_CHARS)
+@pytest.mark.parametrize("column", ID_COLUMNS + ["qos"])
+def test_write_rejects_text_csv_would_quote(tmp_path, column, char):
+    target = tmp_path / "out.csv"
+    bad = f"x{char}y"
+    rows = [make_row(0), make_row(1, **{column: bad})]
+    with pytest.raises(ValueError, match=re.escape(f"{column} {bad!r} contains")):
+        write_trace(target, rows)
+    assert list(tmp_path.iterdir()) == []  # neither the file nor a temp file
+
+
+# Floats where "%.9g" is easiest to get wrong: signed zero, subnormals, the
+# ends of the range, integers stored as floats, and 9-digit rounding ties.
+EDGE_FLOATS = [
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    2.225073858507201e-308,
+    2.2250738585072014e-308,
+    1e-300,
+    -1e300,
+    1.7976931348623157e308,
+    1.0,
+    -3.0,
+    2.0**53,
+    123456789.0,
+    1234567890.0,
+    999999999.5,
+    0.1234567885,
+    9.999999995,
+    99999.99995,
+    1e-5,
+    math.inf,
+    -math.inf,
+    math.nan,
+]
+
+
+def _near_nine_digit_tie(mantissa: int, exponent: int, step: int) -> float:
+    """A 10-digit value ending in 5, or one of its two neighbouring doubles."""
+    tie = float(f"{mantissa}5e{exponent}")
+    return tie if step == 0 else math.nextafter(tie, step * math.inf)
+
+
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from(EDGE_FLOATS),
+    st.integers(-(2**60), 2**60).map(float),
+    st.builds(
+        _near_nine_digit_tie,
+        st.integers(10**8, 10**9 - 1),
+        st.integers(-330, 298),
+        st.sampled_from([-1, 0, 1]),
+    ),
+)
+IDS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=QUOTED_CHARS))
+ROWS = st.builds(
+    TraceRow,
+    st.integers(0, 2**70),
+    IDS,
+    IDS,
+    IDS,
+    st.one_of(st.sampled_from(["BE", "LS", "LSR", "SYSTEM"]), IDS),
+    *[FLOATS] * (len(TRACE_COLUMNS) - 5),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(ROWS, max_size=8), preds=st.lists(FLOATS, min_size=8, max_size=8))
+def test_template_writer_matches_csv_writer_reference(rows, preds):
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, theirs = Path(tmp, "ours.csv"), Path(tmp, "theirs.csv")
+        write_trace(ours, rows)
+        with open(theirs, "w", encoding="utf-8", newline="") as handle:
+            reference_write(handle, rows)
+        assert ours.read_bytes() == theirs.read_bytes()
+    ours_text, theirs_text = io.StringIO(), io.StringIO()
+    write_rows(ours_text, rows, preds)
+    reference_write(theirs_text, rows, preds)
+    assert ours_text.getvalue() == theirs_text.getvalue()
