@@ -26,12 +26,13 @@ from .gbdt import (
 from .loop import ControlLoop, DecisionLog, NodeObservation, PodObservation
 from .scenario import (
     ConfigError,
+    Scenario,
     apply_overrides,
     default_config,
     load_config,
-    node_ids,
+    validate_config,
 )
-from .simulator import Simulator, control_configs, report_to_json
+from .simulator import Simulator, report_to_json
 from .trace import (
     TraceFormatError,
     atomic_open,
@@ -146,22 +147,16 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _replay_observations(
-    rows: list, cfg: dict
+    rows: list, scenario: Scenario, known_nodes: set[str]
 ) -> tuple[list[PodObservation], list[NodeObservation]]:
-    topo = cfg["topology"]
-    requests = {
-        app["app_id"]: (float(app["cpu_request"]), float(app["mem_request"]))
-        for app in cfg["apps"]
-    }
-    known_nodes = set(node_ids(cfg))
     pod_obs: list[PodObservation] = []
     node_rows: dict[str, object] = {}
     for row in rows:
-        if row.app_id not in requests:
+        profile = scenario.apps.get(row.app_id)
+        if profile is None:
             raise ConfigError(f"trace app {row.app_id!r} not present in scenario config")
         if row.node_id not in known_nodes:
             raise ConfigError(f"trace node {row.node_id!r} not present in scenario config")
-        cpu_request, mem_request = requests[row.app_id]
         pod_obs.append(
             PodObservation(
                 pod_id=row.pod_id,
@@ -170,42 +165,40 @@ def _replay_observations(
                 qos=QosClass(row.qos),
                 features=row_features(row),
                 cpi=row.cpi,
-                cpu_cores=row.pod_cpu_util * cpu_request,
-                cpu_request=cpu_request,
-                mem_request=mem_request,
+                cpu_cores=row.pod_cpu_util * profile.cpu_request,
+                cpu_request=profile.cpu_request,
+                mem_request=profile.mem_request,
             )
         )
         node_rows[row.node_id] = row
-    node_obs = []
-    for node_id in sorted(node_rows):
-        row = node_rows[node_id]
-        node_obs.append(
-            NodeObservation(
-                node_id=node_id,
-                cpu_capacity=float(topo["cpu_capacity"]),
-                metrics=NodeMetrics(
-                    cpu_total=row.node_cpu_total,
-                    cpu_offline=row.node_cpu_offline,
-                    cpu_online=row.node_cpu_online,
-                    cpu_shared=row.node_cpu_shared,
-                    mem_util=row.node_mem_util,
-                ),
-            )
+    node_obs = [
+        NodeObservation(
+            node_id=node_id,
+            cpu_capacity=scenario.cpu_capacity,
+            metrics=NodeMetrics(
+                cpu_total=row.node_cpu_total,
+                cpu_offline=row.node_cpu_offline,
+                cpu_online=row.node_cpu_online,
+                cpu_shared=row.node_cpu_shared,
+                mem_util=row.node_mem_util,
+            ),
         )
+        for node_id, row in sorted(node_rows.items())
+    ]
     return pod_obs, node_obs
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    cfg = _load_scenario(args)
+    scenario = validate_config(_load_scenario(args))
     rows = read_trace(args.trace)
     if not rows:
         raise TraceFormatError(f"{args.trace}: no data rows")
-    detector_cfg, predictor_cfg, mitigator_cfg = control_configs(cfg)
-    loop = ControlLoop(detector_cfg, predictor_cfg, mitigator_cfg)
+    loop = ControlLoop(scenario.detector, scenario.predictor, scenario.mitigator)
+    known_nodes = set(scenario.node_ids)
     decisions = DecisionLog()
     intervals = 0
     for interval, group in rows_by_interval(rows):
-        pod_obs, node_obs = _replay_observations(group, cfg)
+        pod_obs, node_obs = _replay_observations(group, scenario, known_nodes)
         decisions.add(loop.observe(interval, pod_obs, node_obs, True))
         intervals += 1
     replay_report = {

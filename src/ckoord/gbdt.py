@@ -384,19 +384,6 @@ def train_ensemble(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> Ensemble:
     return ensemble
 
 
-def _tree_penalty(node: TreeNode, lam: float, tau: float) -> float:
-    if node.is_leaf:
-        return tau + 0.5 * lam * node.weight**2
-    return _tree_penalty(node.left, lam, tau) + _tree_penalty(node.right, lam, tau)
-
-
-def squared_error_objective(ensemble: Ensemble, X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> float:
-    """Training objective: 0.5 * sum of squared errors plus tree penalties."""
-    residual = ensemble.predict(X) - np.asarray(y, dtype=np.float64)
-    penalty = sum(_tree_penalty(t, cfg.lam, cfg.tau) for t in ensemble.trees)
-    return float(0.5 * np.sum(residual**2) + penalty)
-
-
 def regression_metrics(
     y_true: np.ndarray, y_pred: np.ndarray, include_acc: bool = True
 ) -> dict[str, float]:

@@ -4,6 +4,8 @@ A scenario is a JSON document; every calibration constant of the synthetic
 cluster (gains, boosts, noise levels) lives here rather than in code, so
 recalibration never needs a code change.  ``--set a.b.c=value`` overrides
 descend the same key paths and are echoed into run reports.
+``validate_config`` is the one reading of the document: it checks every key,
+rejects any other, and returns the typed ``Scenario`` simulate and replay run on.
 """
 
 from __future__ import annotations
@@ -11,51 +13,242 @@ from __future__ import annotations
 import copy
 import importlib.resources
 import json
-from typing import Any
+import math
+import re
+from dataclasses import dataclass
+from json.decoder import WHITESPACE, scanstring
+from typing import Any, NoReturn
 
 from .cluster import QosClass
+from .detector import WEIGHT_SLACK, DetectorConfig, UtilizationWeights
+from .gbdt import TrainConfig
+from .mitigator import MitigationConfig
+from .predictor import LoadFactorWeights, PredictorConfig, ThresholdParams
 from .trace import id_fault
 
 VALID_QOS = tuple(q.value for q in QosClass)
 VALID_KINDS = ("cpu_hog", "mem_pressure", "cache_thrash")
+_SECTIONS = ("topology", "workload", "ground_truth", "controllers", "detector", "predictor",
+             "mitigator", "qos_weights")  # the objects of the top level
+
+
+@dataclass(frozen=True)
+class AppProfile:
+    app_id: str
+    qos: QosClass
+    replicas: int
+    cpu_request: float
+    mem_request: float
+    base_rps: float
+    diurnal_amplitude: float
+    demand_noise_std: float
+    cpu_per_request: float
+    mem_footprint: float
+    latency_base_ms: float
+    cpi_base: float
+    base_miss_rate: float
+    phase_offset: float
+
+
+@dataclass(frozen=True)
+class WorkloadParams:
+    period_intervals: int
+    batches_per_interval: int
+    latency_jitter_sigma: float
+    rho_max: float
+    latency_cpi_exponent: float
+    mem_demand_coupling: float
+
+
+@dataclass(frozen=True)
+class KindParams:
+    cpi_boost: float
+    cpu_fraction: float
+    miss_gain: float
+    mem_fraction: float
+
+
+@dataclass(frozen=True)
+class TruthParams:
+    contention_gain: float
+    cache_gain: float
+    cpi_noise_std: float
+    cpi_floor_fraction: float
+    miss_load_gain: float
+    miss_noise_std: float
+    miss_scale: float
+    kinds: dict[str, KindParams]
+
+
+@dataclass(frozen=True)
+class InjectionSpec:
+    target_node: str
+    kind: str
+    start_interval: int
+    duration: int
+    intensity: float
+
+    def active(self, interval: int) -> bool:
+        return self.start_interval <= interval < self.start_interval + self.duration
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """The typed view of a validated config; simulate and replay run on it."""
+
+    horizon: int
+    sampling_period_s: int
+    node_count: int
+    cpu_capacity: float
+    mem_capacity: float
+    apps: dict[str, AppProfile]  # config order
+    workload: WorkloadParams
+    truth: TruthParams
+    injections: tuple[InjectionSpec, ...]
+    controllers_enabled: bool
+    reschedule_delay: int
+    qos_weights: dict[str, float]
+    detector: DetectorConfig
+    predictor: PredictorConfig
+    mitigator: MitigationConfig
+
+    @property
+    def node_ids(self) -> list[str]:
+        return [_node_name(i) for i in range(self.node_count)]
 
 
 class ConfigError(ValueError):
     """Scenario config rejected; message carries a line number when known."""
 
 
-def _find_line(raw: str | None, key: str) -> str:
-    """Best-effort line locator for semantic errors (parse errors carry their own)."""
+_DECODER = json.JSONDecoder()
+_PATH_PARTS = re.compile(r"\[(\d+)\]|([^.\[]+)")
+
+
+def _member(raw: str, pos: int, want: int | str) -> int | None:
+    """Where the value of key or list index ``want`` of the container at ``pos`` starts."""
+    opener = "[" if isinstance(want, int) else "{"
+    if raw[pos] != opener:
+        return None
+    found, index = None, 0
+    pos = WHITESPACE.match(raw, pos + 1).end()
+    while raw[pos] not in "]}":
+        if opener == "{":
+            key, pos = scanstring(raw, pos + 1)
+            pos = WHITESPACE.match(raw, WHITESPACE.match(raw, pos).end() + 1).end()
+        else:
+            key, index = index, index + 1
+        if key == want:
+            found = pos  # json.loads keeps the last of repeated keys, so this does too
+        pos = WHITESPACE.match(raw, _DECODER.raw_decode(raw, pos)[1]).end()
+        pos = WHITESPACE.match(raw, pos + (raw[pos] == ",")).end()
+    return found
+
+
+def _find_line(raw: str | None, path: str) -> str:
+    """' (line N)' of the deepest part of ``path`` in the JSON text ``raw``.
+
+    Walks down the document one key or list index at a time, so a list
+    element, or a name that repeats elsewhere, is found where it is.
+    """
     if raw is None:
         return ""
-    needle = f'"{key.rsplit(".", 1)[-1].split("[", 1)[0]}"'
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        if needle in line:
-            return f" (line {lineno})"
-    return ""
+    pos = WHITESPACE.match(raw, 0).end()
+    for index, key in _PATH_PARTS.findall(path):
+        found = _member(raw, pos, int(index) if index else key)
+        if found is None:
+            break
+        pos = found
+    return f" (line {raw.count(chr(10), 0, pos) + 1})"
 
 
-def _fail(raw: str | None, path: str, message: str) -> None:
+def _fail(raw: str | None, path: str, message: str) -> NoReturn:
     raise ConfigError(f"{path}{_find_line(raw, path)}: {message}")
 
 
-def _require(cfg: dict, raw: str | None, path: str, key: str, types: tuple) -> Any:
-    if key not in cfg:
-        _fail(raw, f"{path}{key}", "missing required key")
-    value = cfg[key]
+def _typed(value: Any, raw: str | None, path: str, types: tuple) -> Any:
     if not isinstance(value, types) or isinstance(value, bool) and bool not in types:
         expected = "/".join(t.__name__ for t in types)
-        _fail(raw, f"{path}{key}", f"expected {expected}, got {type(value).__name__}")
+        _fail(raw, path, f"expected {expected}, got {type(value).__name__}")
     return value
 
 
-def _number(cfg: dict, raw: str | None, path: str, key: str, minimum=None, maximum=None) -> float:
-    value = _require(cfg, raw, path, key, (int, float))
-    if minimum is not None and value < minimum:
-        _fail(raw, f"{path}{key}", f"must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        _fail(raw, f"{path}{key}", f"must be <= {maximum}, got {value}")
-    return float(value)
+def _number(value: Any, raw: str | None, path: str, minimum=None, maximum=None) -> float:
+    number = float(_typed(value, raw, path, (int, float)))
+    if not math.isfinite(number):
+        _fail(raw, path, f"must be finite, got {value}")
+    if minimum is not None and number < minimum:
+        _fail(raw, path, f"must be >= {minimum}, got {value}")
+    if maximum is not None and number > maximum:
+        _fail(raw, path, f"must be <= {maximum}, got {value}")
+    return number
+
+
+class _Object:
+    """One JSON object of the config: typed reads by key, then ``close``
+    rejects every key that it, or an object read from it, did not read."""
+
+    def __init__(self, value: Any, raw: str | None, path: str) -> None:
+        self.value = _typed(value, raw, path, (dict,))
+        self.raw, self.path = raw, path
+        self.read: set[str] = set()
+        self.children: list[_Object] = []
+
+    def where(self, key: str) -> str:
+        return f"{self.path}.{key}" if self.path else key
+
+    def fail(self, key: str, message: str) -> NoReturn:
+        _fail(self.raw, self.where(key), message)
+
+    def get(self, key: str, types: tuple) -> Any:
+        self.read.add(key)
+        if key not in self.value:
+            self.fail(key, "missing required key")
+        return _typed(self.value[key], self.raw, self.where(key), types)
+
+    def number(self, key: str, minimum=None, maximum=None) -> float:
+        return _number(self.get(key, (int, float)), self.raw, self.where(key), minimum, maximum)
+
+    def count(self, key: str, minimum: int) -> int:
+        """An integer; an integral float such as 60.0 counts as one."""
+        number = self.number(key, minimum)
+        if not number.is_integer():
+            self.fail(key, f"must be an integer, got {self.value[key]}")
+        return int(number)
+
+    def choice(self, key: str, options: tuple[str, ...]) -> str:
+        value = self.get(key, (str,))
+        if value not in options:
+            self.fail(key, f"must be one of {options}, got {value!r}")
+        return value
+
+    def triple(self, key: str) -> tuple[float, float, float]:
+        """Three non-negative weights that sum to 1."""
+        value = self.get(key, (list,))
+        if len(value) != 3:
+            self.fail(key, f"expected three numbers, got {len(value)}")
+        at = self.where(key)
+        weights = tuple(_number(w, self.raw, f"{at}[{i}]", 0) for i, w in enumerate(value))
+        if abs(sum(weights) - 1.0) > WEIGHT_SLACK:
+            self.fail(key, f"must sum to 1, got {sum(weights)}")
+        return weights
+
+    def object(self, key: str) -> _Object:
+        self.children.append(_Object(self.get(key, (dict,)), self.raw, self.where(key)))
+        return self.children[-1]
+
+    def objects(self, key: str) -> list[_Object]:
+        items = enumerate(self.get(key, (list,)))
+        objects = [_Object(item, self.raw, f"{self.where(key)}[{i}]") for i, item in items]
+        self.children.extend(objects)
+        return objects
+
+    def close(self) -> None:
+        for key in self.value:
+            if key not in self.read:
+                self.fail(key, "unknown key")
+        for child in self.children:
+            child.close()
 
 
 def default_config() -> dict:
@@ -127,155 +320,146 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
     return out
 
 
-def validate_config(cfg: dict, raw: str | None = None) -> None:
-    _number(cfg, raw, "", "horizon", minimum=1)
-    _number(cfg, raw, "", "sampling_period_s", minimum=1)
+def validate_config(cfg: dict, raw: str | None = None) -> Scenario:
+    """Check every key of ``cfg`` and return the Scenario it describes.
 
-    topology = _require(cfg, raw, "", "topology", (dict,))
-    node_count = int(_number(topology, raw, "topology.", "node_count", minimum=1))
-    _number(topology, raw, "topology.", "cpu_capacity", minimum=1e-9)
-    _number(topology, raw, "topology.", "mem_capacity", minimum=1.0)
+    Raises ConfigError naming the first bad key's path, with its line in
+    ``raw`` when the JSON text is given.
+    """
+    top = _Object(cfg, raw, "")
+    topology, workload, truth, controllers, detector, predictor, mitigator, qos_weights = (
+        top.object(key) for key in _SECTIONS
+    )
+    node_count = topology.count("node_count", 1)
 
-    apps = _require(cfg, raw, "", "apps", (list,))
-    if not apps:
-        _fail(raw, "apps", "at least one app is required")
-    seen_apps = set()
-    for i, app in enumerate(apps):
-        where = f"apps[{i}]."
-        if not isinstance(app, dict):
-            _fail(raw, f"apps[{i}]", "must be an object")
-        app_id = _require(app, raw, where, "app_id", (str,))
+    apps: dict[str, AppProfile] = {}
+    for app in top.objects("apps"):
+        app_id = app.get("app_id", (str,))
         fault = id_fault("app_id", app_id)
-        if fault is not None:
-            _fail(raw, f"{where}app_id", fault)
-        if app_id in seen_apps:
-            _fail(raw, f"{where}app_id", f"duplicate app_id {app_id!r}")
-        seen_apps.add(app_id)
-        qos = _require(app, raw, where, "qos", (str,))
-        if qos not in VALID_QOS:
-            _fail(raw, f"{where}qos", f"must be one of {VALID_QOS}, got {qos!r}")
-        _number(app, raw, where, "replicas", minimum=1)
-        _number(app, raw, where, "cpu_request", minimum=1e-9)
-        _number(app, raw, where, "mem_request", minimum=1.0)
-        _number(app, raw, where, "base_rps", minimum=0)
-        _number(app, raw, where, "diurnal_amplitude", minimum=0, maximum=1)
-        _number(app, raw, where, "demand_noise_std", minimum=0)
-        _number(app, raw, where, "cpu_per_request", minimum=0)
-        _number(app, raw, where, "mem_footprint", minimum=0)
-        _number(app, raw, where, "latency_base_ms", minimum=1e-9)
-        _number(app, raw, where, "cpi_base", minimum=1e-9)
-        _number(app, raw, where, "base_miss_rate", minimum=0)
-        _number(app, raw, where, "phase_offset", minimum=0, maximum=1)
+        if fault is not None or app_id in apps:
+            app.fail("app_id", fault or f"duplicate app_id {app_id!r}")
+        apps[app_id] = AppProfile(
+            app_id=app_id,
+            qos=QosClass(app.choice("qos", VALID_QOS)),
+            replicas=app.count("replicas", 1),
+            cpu_request=app.number("cpu_request", 1e-9),
+            mem_request=app.number("mem_request", 1.0),
+            base_rps=app.number("base_rps", 0),
+            diurnal_amplitude=app.number("diurnal_amplitude", 0, 1),
+            demand_noise_std=app.number("demand_noise_std", 0),
+            cpu_per_request=app.number("cpu_per_request", 0),
+            mem_footprint=app.number("mem_footprint", 0),
+            latency_base_ms=app.number("latency_base_ms", 1e-9),
+            cpi_base=app.number("cpi_base", 1e-9),
+            base_miss_rate=app.number("base_miss_rate", 0),
+            phase_offset=app.number("phase_offset", 0, 1),
+        )
+    if not apps:
+        top.fail("apps", "at least one app is required")
 
-    workload = _require(cfg, raw, "", "workload", (dict,))
-    _number(workload, raw, "workload.", "period_intervals", minimum=1)
-    _number(workload, raw, "workload.", "batches_per_interval", minimum=1)
-    _number(workload, raw, "workload.", "latency_jitter_sigma", minimum=0)
-    _number(workload, raw, "workload.", "rho_max", minimum=0, maximum=0.99)
-    _number(workload, raw, "workload.", "latency_cpi_exponent", minimum=1)
-    _number(workload, raw, "workload.", "mem_demand_coupling", minimum=0)
+    injections = []
+    for inj in top.objects("interference"):
+        target = inj.get("target_node", (str,))
+        if not _is_node(target, node_count):
+            inj.fail("target_node", f"{target!r} is not a node of this topology")
+        injections.append(
+            InjectionSpec(
+                target_node=target,
+                kind=inj.choice("kind", VALID_KINDS),
+                start_interval=inj.count("start_interval", 0),
+                duration=inj.count("duration", 1),
+                intensity=inj.number("intensity", 0, 1),
+            )
+        )
 
-    truth = _require(cfg, raw, "", "ground_truth", (dict,))
-    _number(truth, raw, "ground_truth.", "contention_gain", minimum=0)
-    _number(truth, raw, "ground_truth.", "cache_gain", minimum=0)
-    _number(truth, raw, "ground_truth.", "cpi_noise_std", minimum=0)
-    _number(truth, raw, "ground_truth.", "cpi_floor_fraction", minimum=0, maximum=1)
-    _number(truth, raw, "ground_truth.", "miss_load_gain", minimum=0)
-    _number(truth, raw, "ground_truth.", "miss_noise_std", minimum=0)
-    _number(truth, raw, "ground_truth.", "miss_scale", minimum=1e-9)
-    kinds = _require(truth, raw, "ground_truth.", "interference", (dict,))
-    for kind in VALID_KINDS:
-        spec = _require(kinds, raw, "ground_truth.interference.", kind, (dict,))
-        where = f"ground_truth.interference.{kind}."
-        _number(spec, raw, where, "cpi_boost", minimum=0)
-        _number(spec, raw, where, "cpu_fraction", minimum=0, maximum=1)
-        _number(spec, raw, where, "miss_gain", minimum=0)
-        _number(spec, raw, where, "mem_fraction", minimum=0, maximum=1)
+    weights = detector.object("weights")
+    weights.triple("default")  # required: node_weights.pop("default") below relies on it
+    node_weights = {}
+    for name in weights.value:
+        if name != "default" and not _is_node(name, node_count):
+            weights.fail(name, "key must be 'default' or a known node id")
+        node_weights[name] = UtilizationWeights(*weights.triple(name))
 
-    injections = _require(cfg, raw, "", "interference", (list,))
-    for i, inj in enumerate(injections):
-        where = f"interference[{i}]."
-        if not isinstance(inj, dict):
-            _fail(raw, f"interference[{i}]", "must be an object")
-        target = _require(inj, raw, where, "target_node", (str,))
-        index = _node_index(target)
-        if index is None or index >= node_count:
-            _fail(raw, f"{where}target_node", f"{target!r} is not a node of this topology")
-        kind = _require(inj, raw, where, "kind", (str,))
-        if kind not in VALID_KINDS:
-            _fail(raw, f"{where}kind", f"must be one of {VALID_KINDS}, got {kind!r}")
-        _number(inj, raw, where, "start_interval", minimum=0)
-        _number(inj, raw, where, "duration", minimum=1)
-        _number(inj, raw, where, "intensity", minimum=0, maximum=1)
-
-    controllers = _require(cfg, raw, "", "controllers", (dict,))
-    _require(controllers, raw, "controllers.", "enabled", (bool,))
-    _number(controllers, raw, "controllers.", "reschedule_delay_intervals", minimum=0)
-
-    detector = _require(cfg, raw, "", "detector", (dict,))
-    _number(detector, raw, "detector.", "k", minimum=0)
-    deviation = _require(detector, raw, "detector.", "deviation", (str,))
-    if deviation not in ("variance", "std"):
-        _fail(raw, "detector.deviation", f"must be 'variance' or 'std', got {deviation!r}")
-    _number(detector, raw, "detector.", "hysteresis_intervals", minimum=1)
-    weights = _require(detector, raw, "detector.", "weights", (dict,))
-    if "default" not in weights:
-        _fail(raw, "detector.weights", "must contain a 'default' entry [alpha, beta, gamma]")
-    node_total = int(cfg["topology"]["node_count"])
-    for name, triple in weights.items():
-        label = f"detector.weights.{name}"
-        if name != "default":
-            idx = _node_index(name)
-            if idx is None or idx >= node_total:
-                _fail(raw, "detector.weights", f"{label}: key must be 'default' or a known node id")
-        if (
-            not isinstance(triple, list)
-            or len(triple) != 3
-            or not all(isinstance(w, (int, float)) and not isinstance(w, bool) for w in triple)
-        ):
-            _fail(raw, "detector.weights", f"{label}: expected three numbers [alpha, beta, gamma]")
-        if abs(sum(triple) - 1.0) > 1e-9:
-            _fail(raw, "detector.weights", f"{label}: must sum to 1, got {sum(triple)}")
-
-    predictor = _require(cfg, raw, "", "predictor", (dict,))
-    _number(predictor, raw, "predictor.", "window", minimum=1)
-    _number(predictor, raw, "predictor.", "k1", minimum=0)
-    _number(predictor, raw, "predictor.", "k2", minimum=0)
-    delta_mode = _require(predictor, raw, "predictor.", "delta_mode", (str,))
-    if delta_mode not in ("signed", "absolute"):
-        _fail(raw, "predictor.delta_mode", f"must be 'signed' or 'absolute', got {delta_mode!r}")
-    _number(predictor, raw, "predictor.", "min_history_windows", minimum=1)
-    load_weights = _require(predictor, raw, "predictor.", "load_weights", (list,))
-    if len(load_weights) != 3 or abs(sum(load_weights) - 1.0) > 1e-9:
-        _fail(raw, "predictor.load_weights", "expected three numbers summing to 1")
-    train = _require(predictor, raw, "predictor.", "train", (dict,))
-    _number(train, raw, "predictor.train.", "learning_rate", minimum=0, maximum=1)
-    _number(train, raw, "predictor.train.", "lam", minimum=0)
-    _number(train, raw, "predictor.train.", "tau", minimum=0)
-    _number(train, raw, "predictor.train.", "max_depth", minimum=1)
-    _number(train, raw, "predictor.train.", "num_rounds", minimum=1)
-    _number(train, raw, "predictor.train.", "min_samples_leaf", minimum=1)
-    _number(train, raw, "predictor.train.", "base_score")
-
-    mitigator = _require(cfg, raw, "", "mitigator", (dict,))
-    _number(mitigator, raw, "mitigator.", "severity_boundary", minimum=1.0 + 1e-9)
-    _number(mitigator, raw, "mitigator.", "cpu_reserve_fraction", minimum=0, maximum=0.999)
-    _number(mitigator, raw, "mitigator.", "mu", minimum=1e-9, maximum=1)
-    _number(mitigator, raw, "mitigator.", "cooldown_intervals", minimum=0)
-
-    qos_weights = _require(cfg, raw, "", "qos_weights", (dict,))
-    for qos in VALID_QOS:
-        _number(qos_weights, raw, "qos_weights.", qos, minimum=1e-9)
+    k1, k2 = predictor.number("k1", 0), predictor.number("k2", 0)
+    if k1 == 0 and k2 == 0:
+        predictor.fail("k2", "k1 and k2 cannot both be 0")
+    train, kinds = predictor.object("train"), truth.object("interference")
+    scenario = Scenario(
+        horizon=top.count("horizon", 1),
+        sampling_period_s=top.count("sampling_period_s", 1),
+        node_count=node_count,
+        cpu_capacity=topology.number("cpu_capacity", 1e-9),
+        mem_capacity=topology.number("mem_capacity", 1.0),
+        apps=apps,
+        workload=WorkloadParams(
+            period_intervals=workload.count("period_intervals", 1),
+            batches_per_interval=workload.count("batches_per_interval", 1),
+            latency_jitter_sigma=workload.number("latency_jitter_sigma", 0),
+            rho_max=workload.number("rho_max", 0, 0.99),
+            latency_cpi_exponent=workload.number("latency_cpi_exponent", 1),
+            mem_demand_coupling=workload.number("mem_demand_coupling", 0),
+        ),
+        truth=TruthParams(
+            contention_gain=truth.number("contention_gain", 0),
+            cache_gain=truth.number("cache_gain", 0),
+            cpi_noise_std=truth.number("cpi_noise_std", 0),
+            cpi_floor_fraction=truth.number("cpi_floor_fraction", 0, 1),
+            miss_load_gain=truth.number("miss_load_gain", 0),
+            miss_noise_std=truth.number("miss_noise_std", 0),
+            miss_scale=truth.number("miss_scale", 1e-9),
+            kinds={
+                kind: KindParams(
+                    cpi_boost=spec.number("cpi_boost", 0),
+                    cpu_fraction=spec.number("cpu_fraction", 0, 1),
+                    miss_gain=spec.number("miss_gain", 0),
+                    mem_fraction=spec.number("mem_fraction", 0, 1),
+                )
+                for kind, spec in zip(VALID_KINDS, map(kinds.object, VALID_KINDS))
+            },
+        ),
+        injections=tuple(injections),
+        controllers_enabled=controllers.get("enabled", (bool,)),
+        reschedule_delay=controllers.count("reschedule_delay_intervals", 0),
+        qos_weights={qos: qos_weights.number(qos, 1e-9) for qos in VALID_QOS},
+        detector=DetectorConfig(
+            k=detector.number("k", 0),
+            deviation=detector.choice("deviation", ("variance", "std")),
+            hysteresis_intervals=detector.count("hysteresis_intervals", 1),
+            default_weights=node_weights.pop("default"),
+            node_weights=node_weights,
+        ),
+        predictor=PredictorConfig(
+            window=predictor.count("window", 1),
+            params=ThresholdParams(k1=k1, k2=k2),
+            load_weights=LoadFactorWeights(*predictor.triple("load_weights")),
+            delta_mode=predictor.choice("delta_mode", ("signed", "absolute")),
+            min_history_windows=predictor.count("min_history_windows", 1),
+            train=TrainConfig(
+                learning_rate=train.number("learning_rate", 0, 1),
+                lam=train.number("lam", 0),
+                tau=train.number("tau", 0),
+                max_depth=train.count("max_depth", 1),
+                num_rounds=train.count("num_rounds", 1),
+                min_samples_leaf=train.count("min_samples_leaf", 1),
+                base_score=train.number("base_score"),
+            ),
+        ),
+        mitigator=MitigationConfig(
+            severity_boundary=mitigator.number("severity_boundary", 1.0 + 1e-9),
+            cpu_reserve_fraction=mitigator.number("cpu_reserve_fraction", 0, 0.999),
+            eviction_ratio=mitigator.number("mu", 1e-9, 1),
+            cooldown_intervals=mitigator.count("cooldown_intervals", 0),
+        ),
+    )
+    top.close()
+    return scenario
 
 
-def _node_index(node_id: str) -> int | None:
-    if not node_id.startswith("node-"):
-        return None
-    try:
-        return int(node_id[len("node-"):])
-    except ValueError:
-        return None
+def _is_node(node_id: str, node_count: int) -> bool:
+    """Whether ``node_id`` is one of ``node_count`` nodes, spelled as node_ids spells it."""
+    digits = node_id[len("node-"):]
+    short = digits.isdecimal() and len(digits) <= len(str(node_count)) + 1  # int() limits length
+    return short and int(digits) < node_count and _node_name(int(digits)) == node_id
 
 
-def node_ids(cfg: dict) -> list[str]:
-    return [f"node-{i:02d}" for i in range(int(cfg["topology"]["node_count"]))]
+_node_name = "node-{:02d}".format

@@ -25,77 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cluster import ClusterState, NodeState, PodEntry, PodSpec, QosClass
-from .detector import DetectorConfig, UtilizationWeights
-from .gbdt import TrainConfig
 from .loop import ControlLoop, DecisionLog, NodeObservation, PlannedAction, PodObservation
-from .mitigator import Evict, MitigationConfig, Suppress
+from .mitigator import Evict, Suppress
 from .mitigator import apply as apply_action
-from .predictor import LoadFactorWeights, PredictorConfig, ThresholdParams
-from .scenario import node_ids as scenario_node_ids
-from .scenario import validate_config
+from .scenario import AppProfile, TruthParams, validate_config
 from .trace import RATIO_MAX, TraceRow, row_features
 
 REPORT_SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class AppProfile:
-    app_id: str
-    qos: QosClass
-    replicas: int
-    cpu_request: float
-    mem_request: float
-    base_rps: float
-    diurnal_amplitude: float
-    demand_noise_std: float
-    cpu_per_request: float
-    mem_footprint: float
-    latency_base_ms: float
-    cpi_base: float
-    base_miss_rate: float
-    phase_offset: float
-
-
-@dataclass(frozen=True)
-class WorkloadParams:
-    period_intervals: int
-    batches_per_interval: int
-    latency_jitter_sigma: float
-    rho_max: float
-    latency_cpi_exponent: float
-    mem_demand_coupling: float
-
-
-@dataclass(frozen=True)
-class KindParams:
-    cpi_boost: float
-    cpu_fraction: float
-    miss_gain: float
-    mem_fraction: float
-
-
-@dataclass(frozen=True)
-class TruthParams:
-    contention_gain: float
-    cache_gain: float
-    cpi_noise_std: float
-    cpi_floor_fraction: float
-    miss_load_gain: float
-    miss_noise_std: float
-    miss_scale: float
-    kinds: dict[str, KindParams]
-
-
-@dataclass(frozen=True)
-class InjectionSpec:
-    target_node: str
-    kind: str
-    start_interval: int
-    duration: int
-    intensity: float
-
-    def active(self, interval: int) -> bool:
-        return self.start_interval <= interval < self.start_interval + self.duration
 
 
 def diurnal_demand(
@@ -260,120 +196,6 @@ def nearest_rank(ordered: list[float], k: float) -> float:
     return ordered[max(0, rank - 1)]
 
 
-def _profiles(cfg: dict) -> list[AppProfile]:
-    out = []
-    for app in cfg["apps"]:
-        out.append(
-            AppProfile(
-                app_id=app["app_id"],
-                qos=QosClass(app["qos"]),
-                replicas=int(app["replicas"]),
-                cpu_request=float(app["cpu_request"]),
-                mem_request=float(app["mem_request"]),
-                base_rps=float(app["base_rps"]),
-                diurnal_amplitude=float(app["diurnal_amplitude"]),
-                demand_noise_std=float(app["demand_noise_std"]),
-                cpu_per_request=float(app["cpu_per_request"]),
-                mem_footprint=float(app["mem_footprint"]),
-                latency_base_ms=float(app["latency_base_ms"]),
-                cpi_base=float(app["cpi_base"]),
-                base_miss_rate=float(app["base_miss_rate"]),
-                phase_offset=float(app["phase_offset"]),
-            )
-        )
-    return out
-
-
-def _workload(cfg: dict) -> WorkloadParams:
-    w = cfg["workload"]
-    return WorkloadParams(
-        period_intervals=int(w["period_intervals"]),
-        batches_per_interval=int(w["batches_per_interval"]),
-        latency_jitter_sigma=float(w["latency_jitter_sigma"]),
-        rho_max=float(w["rho_max"]),
-        latency_cpi_exponent=float(w["latency_cpi_exponent"]),
-        mem_demand_coupling=float(w["mem_demand_coupling"]),
-    )
-
-
-def _truth(cfg: dict) -> TruthParams:
-    t = cfg["ground_truth"]
-    kinds = {
-        kind: KindParams(
-            cpi_boost=float(spec["cpi_boost"]),
-            cpu_fraction=float(spec["cpu_fraction"]),
-            miss_gain=float(spec["miss_gain"]),
-            mem_fraction=float(spec["mem_fraction"]),
-        )
-        for kind, spec in t["interference"].items()
-    }
-    return TruthParams(
-        contention_gain=float(t["contention_gain"]),
-        cache_gain=float(t["cache_gain"]),
-        cpi_noise_std=float(t["cpi_noise_std"]),
-        cpi_floor_fraction=float(t["cpi_floor_fraction"]),
-        miss_load_gain=float(t["miss_load_gain"]),
-        miss_noise_std=float(t["miss_noise_std"]),
-        miss_scale=float(t["miss_scale"]),
-        kinds=kinds,
-    )
-
-
-def _injections(cfg: dict) -> list[InjectionSpec]:
-    return [
-        InjectionSpec(
-            target_node=inj["target_node"],
-            kind=inj["kind"],
-            start_interval=int(inj["start_interval"]),
-            duration=int(inj["duration"]),
-            intensity=float(inj["intensity"]),
-        )
-        for inj in cfg["interference"]
-    ]
-
-
-def control_configs(cfg: dict) -> tuple[DetectorConfig, PredictorConfig, MitigationConfig]:
-    d = cfg["detector"]
-    weight_map = {
-        name: UtilizationWeights(*(float(x) for x in triple))
-        for name, triple in d["weights"].items()
-    }
-    detector_cfg = DetectorConfig(
-        k=float(d["k"]),
-        deviation=d["deviation"],
-        hysteresis_intervals=int(d["hysteresis_intervals"]),
-        default_weights=weight_map["default"],
-        node_weights={name: w for name, w in weight_map.items() if name != "default"},
-    )
-    p = cfg["predictor"]
-    lw_cpu, lw_mem, lw_miss = (float(x) for x in p["load_weights"])
-    t = p["train"]
-    predictor_cfg = PredictorConfig(
-        window=int(p["window"]),
-        params=ThresholdParams(k1=float(p["k1"]), k2=float(p["k2"])),
-        load_weights=LoadFactorWeights(lw_cpu, lw_mem, lw_miss),
-        delta_mode=p["delta_mode"],
-        min_history_windows=int(p["min_history_windows"]),
-        train=TrainConfig(
-            learning_rate=float(t["learning_rate"]),
-            lam=float(t["lam"]),
-            tau=float(t["tau"]),
-            max_depth=int(t["max_depth"]),
-            num_rounds=int(t["num_rounds"]),
-            min_samples_leaf=int(t["min_samples_leaf"]),
-            base_score=float(t["base_score"]),
-        ),
-    )
-    m = cfg["mitigator"]
-    mitigator_cfg = MitigationConfig(
-        severity_boundary=float(m["severity_boundary"]),
-        cpu_reserve_fraction=float(m["cpu_reserve_fraction"]),
-        eviction_ratio=float(m["mu"]),
-        cooldown_intervals=int(m["cooldown_intervals"]),
-    )
-    return detector_cfg, predictor_cfg, mitigator_cfg
-
-
 @dataclass
 class RunResult:
     report: dict
@@ -383,20 +205,10 @@ class RunResult:
 
 class Simulator:
     def __init__(self, cfg: dict, seed: int) -> None:
-        validate_config(cfg)
-        self.cfg = cfg
+        self.scenario = scenario = validate_config(cfg)
+        self.cfg = cfg  # echoed into the report
         self.seed = int(seed)
-        self.profiles = {p.app_id: p for p in _profiles(cfg)}
-        self.workload = _workload(cfg)
-        self.truth = _truth(cfg)
-        self.injections = _injections(cfg)
-        self.horizon = int(cfg["horizon"])
-        self.period_s = int(cfg["sampling_period_s"])
-        self.qos_weights = {k: float(v) for k, v in cfg["qos_weights"].items()}
-        self.controllers_enabled = bool(cfg["controllers"]["enabled"])
-        self.reschedule_delay = int(cfg["controllers"]["reschedule_delay_intervals"])
-        detector_cfg, predictor_cfg, mitigator_cfg = control_configs(cfg)
-        self.loop = ControlLoop(detector_cfg, predictor_cfg, mitigator_cfg)
+        self.loop = ControlLoop(scenario.detector, scenario.predictor, scenario.mitigator)
 
         self.state = self._initial_state()
         self._streams: dict[tuple[str, str], np.random.Generator] = {}
@@ -406,16 +218,12 @@ class Simulator:
     # -- construction ----------------------------------------------------
 
     def _initial_state(self) -> ClusterState:
-        topo = self.cfg["topology"]
+        scenario = self.scenario
         state = ClusterState(interval=-1)
-        names = scenario_node_ids(self.cfg)
+        names = scenario.node_ids
         for name in names:
-            state.nodes[name] = NodeState(
-                node_id=name,
-                cpu_capacity=float(topo["cpu_capacity"]),
-                mem_capacity=float(topo["mem_capacity"]),
-            )
-        for profile in self.profiles.values():
+            state.nodes[name] = NodeState(name, scenario.cpu_capacity, scenario.mem_capacity)
+        for profile in scenario.apps.values():
             for i in range(profile.replicas):
                 node_id = names[i % len(names)]
                 spec = PodSpec(
@@ -445,10 +253,10 @@ class Simulator:
 
     def _interference_effects(self, interval: int) -> dict[str, dict[str, float]]:
         effects: dict[str, dict[str, float]] = {}
-        for inj in self.injections:
+        for inj in self.scenario.injections:
             if not inj.active(interval):
                 continue
-            kind = self.truth.kinds[inj.kind]
+            kind = self.scenario.truth.kinds[inj.kind]
             node = effects.setdefault(
                 inj.target_node,
                 {"cpu": 0.0, "mem_fraction": 0.0, "miss_gain": 0.0, "cpi_boost": 0.0},
@@ -492,11 +300,11 @@ class Simulator:
         rescheduled = self._reschedule_due(interval)
         effects = self._interference_effects(interval)
         pods_by_id = state.pods
-        profiles = self.profiles
-        truth = self.truth
+        scenario = self.scenario
+        profiles, truth = scenario.apps, scenario.truth
 
         demand: dict[str, float] = {}
-        period = self.workload.period_intervals
+        period = scenario.workload.period_intervals
         for pod_id in sorted(pods_by_id):
             profile = profiles[pods_by_id[pod_id].spec.app_id]
             rng = self._rng("demand", pod_id) if profile.demand_noise_std > 0 else None
@@ -526,7 +334,7 @@ class Simulator:
                 ],
                 node.cpu_capacity - hog,
                 node.be_cpu_cap,
-                self.qos_weights,
+                scenario.qos_weights,
             )
             usage_all.update(usage)
             potential_all.update(potential)
@@ -534,7 +342,7 @@ class Simulator:
         # metrics pass: pods, nodes, system
         total_capacity = sum(n.cpu_capacity for n in state.nodes.values())
         total_mem_capacity = sum(n.mem_capacity for n in state.nodes.values())
-        mem_coupling = self.workload.mem_demand_coupling
+        mem_coupling = scenario.workload.mem_demand_coupling
         used_cores_sys = 0.0
         used_mem_sys = 0.0
         for node, placed, hog in zip(nodes, members, hog_cores):
@@ -651,7 +459,7 @@ class Simulator:
                 apply_action(action, self.state)
                 suppressed += 1
             elif isinstance(action, Evict):
-                due = interval + self.reschedule_delay
+                due = interval + self.scenario.reschedule_delay
                 self._pending.extend((due, self.state.pods[p].spec) for p in action.pod_ids)
                 apply_action(action, self.state)
                 evicted += len(action.pod_ids)
@@ -669,24 +477,26 @@ class Simulator:
     # -- full run ----------------------------------------------------------
 
     def run(self) -> RunResult:
-        wl = self.workload
+        scenario = self.scenario
+        profiles = scenario.apps
+        wl = scenario.workload
         latency: dict[str, dict[str, list[float]]] = {
-            app: {"normal": [], "interference": []} for app in self.profiles
+            app: {"normal": [], "interference": []} for app in profiles
         }
         cpi_sum: dict[str, dict[str, list[float]]] = {
-            app: {"normal": [], "interference": []} for app in self.profiles
+            app: {"normal": [], "interference": []} for app in profiles
         }
         trace_rows: list[TraceRow] = []
         decisions = DecisionLog()
         interval_records: list[dict] = []
-        injection_starts = sorted(inj.start_interval for inj in self.injections)
+        injection_starts = sorted(inj.start_interval for inj in scenario.injections)
         evictions = 0
         reschedules = 0
         suppressions = 0
         node_cpu_running: dict[str, float] = {n: 0.0 for n in self.state.nodes}
         phase_counts = {"normal": 0, "interference": 0}
 
-        for interval in range(self.horizon):
+        for interval in range(scenario.horizon):
             pod_obs, node_obs, stats = self.step(interval)
             reschedules += stats["rescheduled"]
             phase = "interference" if stats["interference_active"] else "normal"
@@ -695,7 +505,7 @@ class Simulator:
             rps = self._last_rps
 
             for ob in pod_obs:
-                profile = self.profiles[ob.app_id]
+                profile = profiles[ob.app_id]
                 if profile.latency_base_ms > 0:
                     rho = utilization_rho(
                         rps[ob.pod_id], profile.cpu_per_request, potential[ob.pod_id], wl.rho_max
@@ -714,9 +524,9 @@ class Simulator:
                 cpi_sum[ob.app_id][phase].append(ob.cpi)
             trace_rows.extend(stats["trace_rows"])
 
-            outcome = self.loop.observe(interval, pod_obs, node_obs, self.controllers_enabled)
+            outcome = self.loop.observe(interval, pod_obs, node_obs, scenario.controllers_enabled)
             decisions.add(outcome)
-            if self.controllers_enabled:
+            if scenario.controllers_enabled:
                 step_evicted, step_suppressed = self._enforce(interval, outcome.actions)
                 evictions += step_evicted
                 suppressions += step_suppressed
@@ -743,9 +553,9 @@ class Simulator:
         report = {
             "schema_version": REPORT_SCHEMA_VERSION,
             "seed": self.seed,
-            "horizon": self.horizon,
-            "sampling_period_s": self.period_s,
-            "controllers_enabled": self.controllers_enabled,
+            "horizon": scenario.horizon,
+            "sampling_period_s": scenario.sampling_period_s,
+            "controllers_enabled": scenario.controllers_enabled,
             "config": self.cfg,
             "phases": phase_counts,
             "intervals": interval_records,
@@ -773,7 +583,7 @@ class Simulator:
             "suppressions": suppressions,
             "models": self.loop.models_trained,
             "node_cpu_mean": {
-                node_id: total / self.horizon for node_id, total in node_cpu_running.items()
+                node_id: total / scenario.horizon for node_id, total in node_cpu_running.items()
             },
             "interference_windows": [
                 {
@@ -783,7 +593,7 @@ class Simulator:
                     "end_interval": inj.start_interval + inj.duration,
                     "intensity": inj.intensity,
                 }
-                for inj in self.injections
+                for inj in scenario.injections
             ],
         }
         return RunResult(

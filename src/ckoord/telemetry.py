@@ -75,11 +75,6 @@ class TimeSeries:
             raise EmptyWindowError(f"{self.name}: no samples")
         return [s.value for s in self.samples[-n:]]
 
-    def last(self) -> MetricSample:
-        if not self.samples:
-            raise EmptyWindowError(f"{self.name}: no samples")
-        return self.samples[-1]
-
 
 def rolling_mean(series: TimeSeries, n: int) -> float:
     values = series.window_values(n)

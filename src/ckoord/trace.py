@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import re
 import tempfile
 from contextlib import contextmanager
 from operator import attrgetter
@@ -73,6 +74,8 @@ TRACE_HEADER = ",".join(TRACE_COLUMNS)
 _FLOAT_FIELDS = TRACE_COLUMNS[5:]  # every column after qos
 _TEXT_COLUMNS = TRACE_COLUMNS[1:5]  # node_id, pod_id, app_id, qos: written raw
 _ID_FORBIDDEN = (",", '"', "\r", "\n")  # what csv would quote
+# int() and float() also read 1_0, " 0.8" and non-ASCII digits; a trace may not.
+_NOT_PLAIN = re.compile(r"[^!-~]|_")
 # Model inputs are read by name, so the slot order lives in FEATURE_NAMES only.
 _features_of = attrgetter(*FEATURE_NAMES)
 # One line per row: what csv.writer writes for a row whose strings need no
@@ -195,6 +198,11 @@ def read_trace(path: str | Path) -> list[TraceRow]:
             if len(record) != len(TRACE_COLUMNS):
                 raise TraceFormatError(
                     f"line {line}: expected {len(TRACE_COLUMNS)} fields, got {len(record)}"
+                )
+            if _NOT_PLAIN.search(record[0] + "".join(record[5:])):
+                bad = next(i for i in (0, *range(5, len(record))) if _NOT_PLAIN.search(record[i]))
+                raise TraceFormatError(
+                    f"line {line}: {TRACE_COLUMNS[bad]}={record[bad]!r} is not a plain number"
                 )
             text = tuple(record[1:5])
             try:

@@ -12,6 +12,9 @@ Matching rules (must mirror the documented contract, not the code):
   * ties on gain prefer the lower feature index, then the lower threshold
   * growth stops when best gain <= 0, at max_depth, or when a child would
     fall under min_samples_leaf
+
+``squared_error_objective`` scores an implementation Ensemble against the
+regularized objective the trainer minimizes, for the objective tests.
 """
 
 from __future__ import annotations
@@ -142,3 +145,16 @@ def same_structure(ref: RefNode, node, weight_tol: float = 1e-9) -> bool:
     return same_structure(ref.left, node.left, weight_tol) and same_structure(
         ref.right, node.right, weight_tol
     )
+
+
+def _tree_penalty(node, lam: float, tau: float) -> float:
+    if node.is_leaf:
+        return tau + 0.5 * lam * node.weight**2
+    return _tree_penalty(node.left, lam, tau) + _tree_penalty(node.right, lam, tau)
+
+
+def squared_error_objective(ensemble, X, y, cfg) -> float:
+    """Training objective of an implementation Ensemble: half the sum of
+    squared errors, plus tau + 0.5 * lam * weight**2 for every leaf."""
+    loss = 0.5 * sum((float(p) - float(t)) ** 2 for p, t in zip(ensemble.predict(X), y))
+    return loss + sum(_tree_penalty(t, cfg.lam, cfg.tau) for t in ensemble.trees)

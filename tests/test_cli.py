@@ -120,6 +120,47 @@ def test_simulate_rejects_an_app_id_csv_would_quote(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+# Each of these was accepted, or failed with exit 1 and no key path, when the
+# simulator read the config dict a second time after validation.
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (['predictor.load_weights=["a","b","c"]'],
+         "predictor.load_weights[0]: expected int/float, got str"),
+        (["predictor.load_weights=[1.5,-0.3,-0.2]"],
+         "predictor.load_weights[1]: must be >= 0, got -0.3"),
+        (["detector.weights.default=[1.5,-0.25,-0.25]"],
+         "detector.weights.default[1]: must be >= 0, got -0.25"),
+        (["predictor.k1=0", "predictor.k2=0"], "predictor.k2: k1 and k2 cannot both be 0"),
+        (["predictor.load_weights=[true,false,0]"],
+         "predictor.load_weights[0]: expected int/float, got bool"),
+        (["horizon=3.5"], "horizon: must be an integer, got 3.5"),
+        (["predictor.windw=20"], "predictor.windw: unknown key"),
+        (["interference.0.target_node=node-2"],
+         "interference[0].target_node: 'node-2' is not a node of this topology"),
+    ],
+    ids=["text-weights", "negative-weights", "negative-detector-weights", "k1-k2-zero",
+         "bool-weights", "fractional-horizon", "unknown-key", "unpadded-node-id"],
+)
+def test_simulate_config_fault_is_exit_2_with_its_key_path(tmp_path, capsys, overrides, message):
+    sets = [arg for override in overrides for arg in ("--set", override)]
+    assert run_cli("simulate", *sets, "--out", str(tmp_path / "run")) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_replay_rejects_an_unknown_config_key_with_its_line(tmp_path, capsys):
+    trace = simulate_small(tmp_path)
+    cfg = json.loads(Path(write_small_cfg(tmp_path)).read_text())
+    cfg["predictor"]["windw"] = 20
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(cfg, indent=2))
+    line = next(n for n, text in enumerate(path.read_text().splitlines(), 1) if '"windw"' in text)
+    capsys.readouterr()
+    assert run_cli("replay", "--trace", str(trace), "--config", str(path)) == 2
+    assert capsys.readouterr().err == f"error: predictor.windw (line {line}): unknown key\n"
+
+
 def simulate_small(tmp_path, seed=3):
     cfg = write_small_cfg(tmp_path)
     out = tmp_path / "run"
@@ -329,7 +370,10 @@ def test_bad_model_json_is_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fault", ["repeated_pod_row", "inf_cpi", "quoted_pod_id"])
+@pytest.mark.parametrize(
+    "fault",
+    ["repeated_pod_row", "inf_cpi", "quoted_pod_id", "underscore_interval", "padded_float"],
+)
 def test_malformed_trace_is_exit_2_with_its_line(tmp_path, capsys, fault):
     trace = simulate_small(tmp_path)
     model = tmp_path / "model.json"
@@ -343,6 +387,16 @@ def test_malformed_trace_is_exit_2_with_its_line(tmp_path, capsys, fault):
         record[2] = f'"{record[2]},x"'
         lines[2] = ",".join(record)
         expected = "line 3: pod_id "
+    elif fault == "underscore_interval":
+        record = lines[2].split(",")
+        record[0] = "0_0"  # int() reads it as 0, the interval the line is in
+        lines[2] = ",".join(record)
+        expected = "line 3: interval='0_0' is not a plain number"
+    elif fault == "padded_float":
+        record = lines[2].split(",")
+        record[5] = " " + record[5]
+        lines[2] = ",".join(record)
+        expected = f"line 3: pod_cpu_util={record[5]!r} is not a plain number"
     else:
         record = lines[2].split(",")
         record[-1] = "inf"

@@ -18,7 +18,6 @@ from ckoord.gbdt import (
     leaf_weight,
     regression_metrics,
     split_gain,
-    squared_error_objective,
     train_ensemble,
     tree_predict,
 )
@@ -28,6 +27,7 @@ from gbdt_reference import (
     ref_predict_row,
     ref_train,
     same_structure,
+    squared_error_objective,
 )
 
 

@@ -2,12 +2,15 @@ import json
 
 import pytest
 
+from ckoord.cluster import QosClass
+from ckoord.predictor import ThresholdParams
 from ckoord.scenario import (
     ConfigError,
+    InjectionSpec,
+    Scenario,
     apply_overrides,
     default_config,
     load_config,
-    node_ids,
     parse_override,
     validate_config,
 )
@@ -15,6 +18,26 @@ from ckoord.scenario import (
 
 def test_default_scenario_validates():
     validate_config(default_config())
+
+
+def test_validate_config_returns_the_typed_scenario():
+    scenario = validate_config(default_config())
+    assert scenario.horizon == 300 and type(scenario.horizon) is int
+    assert scenario.sampling_period_s == 5
+    assert scenario.node_ids[:3] == ["node-00", "node-01", "node-02"]
+    assert len(scenario.node_ids) == scenario.node_count == 10
+    assert list(scenario.apps) == ["web", "cache", "batch"]  # config order places the pods
+    assert scenario.apps["batch"].qos is QosClass.BE
+    assert scenario.apps["web"].replicas == 10 and type(scenario.apps["web"].replicas) is int
+    assert scenario.apps["web"].mem_request == 4294967296.0
+    assert scenario.injections == (InjectionSpec("node-02", "cpu_hog", 170, 60, 1.0),)
+    assert sorted(scenario.truth.kinds) == ["cache_thrash", "cpu_hog", "mem_pressure"]
+    assert scenario.controllers_enabled is True and scenario.reschedule_delay == 70
+    assert scenario.qos_weights == {"BE": 1.0, "LS": 3.0, "LSR": 4.0, "SYSTEM": 5.0}
+    assert scenario.detector.deviation == "std" and scenario.detector.node_weights == {}
+    assert scenario.predictor.params == ThresholdParams(k1=3.0, k2=0.1)
+    assert scenario.predictor.train.num_rounds == 60
+    assert scenario.mitigator.eviction_ratio == 0.25
 
 
 def test_default_config_returns_fresh_copies():
@@ -26,7 +49,7 @@ def test_default_config_returns_fresh_copies():
 def test_node_ids_are_zero_padded():
     cfg = default_config()
     cfg["topology"]["node_count"] = 3
-    assert node_ids(cfg) == ["node-00", "node-01", "node-02"]
+    assert validate_config(cfg).node_ids == ["node-00", "node-01", "node-02"]
 
 
 def write_cfg(tmp_path, cfg_or_text):
@@ -205,3 +228,155 @@ def test_app_id_that_csv_would_quote_is_rejected_with_its_line(tmp_path, char):
         load_config(path)
     with pytest.raises(ConfigError, match=r"^apps\[0\]\.app_id: app_id .* contains"):
         validate_config(cfg)
+
+
+def test_counts_take_integral_numbers_only():
+    cfg = default_config()
+    cfg["horizon"] = 60.0
+    cfg["predictor"]["window"] = 20.0
+    scenario = validate_config(cfg)
+    assert scenario.horizon == 60 and type(scenario.horizon) is int
+    assert scenario.predictor.window == 20 and type(scenario.predictor.window) is int
+    cfg["horizon"] = 3.5
+    with pytest.raises(ConfigError, match=r"^horizon: must be an integer, got 3\.5$"):
+        validate_config(cfg)
+
+
+CONFIG_FAULTS = [
+    (['predictor.load_weights=["a","b","c"]'],
+     "predictor.load_weights[0]: expected int/float, got str"),
+    (["predictor.load_weights=[1.5,-0.3,-0.2]"],
+     "predictor.load_weights[1]: must be >= 0, got -0.3"),
+    (["predictor.load_weights=[true,false,0]"],
+     "predictor.load_weights[0]: expected int/float, got bool"),
+    (["predictor.load_weights=[0.5,0.5]"],
+     "predictor.load_weights: expected three numbers, got 2"),
+    (["detector.weights.default=[1.5,-0.25,-0.25]"],
+     "detector.weights.default[1]: must be >= 0, got -0.25"),
+    (["predictor.k1=0", "predictor.k2=0"], "predictor.k2: k1 and k2 cannot both be 0"),
+    (["horizon=3.5"], "horizon: must be an integer, got 3.5"),
+    (["predictor.windw=20"], "predictor.windw: unknown key"),
+    (["colour=1"], "colour: unknown key"),
+    (["apps.1.colour=1"], "apps[1].colour: unknown key"),
+    (["ground_truth.interference.gamma_rays={}"],
+     "ground_truth.interference.gamma_rays: unknown key"),
+    (["interference.0.target_node=node-2"],
+     "interference[0].target_node: 'node-2' is not a node of this topology"),
+    (["detector.weights.node-2=[0.2,0.5,0.3]"],
+     "detector.weights.node-2: key must be 'default' or a known node id"),
+    (["detector.k=NaN"], "detector.k: must be finite, got nan"),
+    (["interference.0.start_interval=Infinity"],
+     "interference[0].start_interval: must be finite, got inf"),
+]
+
+
+@pytest.mark.parametrize(
+    "overrides, message", CONFIG_FAULTS, ids=[",".join(o) for o, _ in CONFIG_FAULTS]
+)
+def test_config_faults_name_their_key_path(overrides, message):
+    with pytest.raises(ConfigError) as caught:
+        apply_overrides(default_config(), overrides)
+    assert str(caught.value) == message
+
+
+def test_node_id_too_long_for_int_is_not_a_node():
+    cfg = default_config()
+    cfg["interference"][0]["target_node"] = "node-" + "1" * 5000  # int() refuses this many digits
+    with pytest.raises(ConfigError, match=r"^interference\[0\]\.target_node: 'node-1+' is not"):
+        validate_config(cfg)
+
+
+_DELETED = object()
+# Values that a leaf of the config may be mutated to: each must give a
+# Scenario or a ConfigError that names the leaf.
+_MUTATIONS = [-1, 0, 0.5, 1e9, True, "x", [], _DELETED]
+
+
+def _leaves(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _leaves(value, path + (index,))
+    else:
+        yield path
+
+
+def _dotted(path):
+    out = ""
+    for part in path:
+        out += f"[{part}]" if isinstance(part, int) else f".{part}" if out else part
+    return out
+
+
+@pytest.mark.parametrize(
+    "mutation", _MUTATIONS, ids=["-1", "0", "0.5", "1e9", "true", "x", "[]", "deleted"]
+)
+def test_each_leaf_mutation_gives_a_scenario_or_an_error_naming_it(mutation):
+    paths = list(_leaves(default_config()))
+    assert len(paths) > 100
+    outcomes = set()
+    for path in paths:
+        cfg = default_config()
+        parent = cfg
+        for part in path[:-1]:
+            parent = parent[part]
+        if mutation is _DELETED:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = mutation
+        try:
+            result = validate_config(cfg)
+        except ConfigError as exc:
+            # a weight triple's length and sum belong to the list, not to one element
+            named = {_dotted(path)} | ({_dotted(path[:-1])} if isinstance(path[-1], int) else set())
+            assert str(exc).split(":", 1)[0] in named, (path, mutation, str(exc))
+            outcomes.add("error")
+        else:
+            assert isinstance(result, Scenario), (path, mutation)
+            outcomes.add("scenario")
+    assert "error" in outcomes
+
+
+def test_error_line_of_a_list_element_is_found_by_walking_the_path(tmp_path):
+    # the first line holding "cpu_request" belongs to apps[0]
+    cfg = default_config()
+    cfg["apps"][2]["cpu_request"] = -1
+    path = write_cfg(tmp_path, cfg)
+    lines = open(path).read().splitlines()
+    expected = [n for n, text in enumerate(lines, start=1) if '"cpu_request"' in text][2]
+    with pytest.raises(ConfigError, match=rf"^apps\[2\]\.cpu_request \(line {expected}\): "):
+        load_config(path)
+
+
+def test_error_line_of_a_repeated_name_is_found_by_walking_the_path(tmp_path):
+    # "miss_gain" is also a key of cpu_hog and mem_pressure, which come first
+    cfg = default_config()
+    cfg["ground_truth"]["interference"]["cache_thrash"]["miss_gain"] = -1
+    path = write_cfg(tmp_path, cfg)
+    numbered = list(enumerate(open(path).read().splitlines(), start=1))
+    start = next(n for n, text in numbered if '"cache_thrash"' in text)
+    expected = next(n for n, text in numbered if n > start and '"miss_gain"' in text)
+    with pytest.raises(
+        ConfigError,
+        match=rf"^ground_truth\.interference\.cache_thrash\.miss_gain \(line {expected}\): ",
+    ):
+        load_config(path)
+
+
+def test_error_lines_of_missing_and_unknown_keys(tmp_path):
+    cfg = default_config()
+    del cfg["workload"]["rho_max"]
+    text = json.dumps(cfg, indent=2)
+    workload_line = next(
+        n for n, line in enumerate(text.splitlines(), start=1) if '"workload"' in line
+    )
+    with pytest.raises(ConfigError, match=rf"^workload\.rho_max \(line {workload_line}\): "):
+        validate_config(cfg, text)
+    cfg = default_config()
+    cfg["predictor"]["windw"] = 20
+    text = json.dumps(cfg, indent=2)
+    windw_line = next(n for n, line in enumerate(text.splitlines(), start=1) if '"windw"' in line)
+    with pytest.raises(ConfigError, match=rf"^predictor\.windw \(line {windw_line}\): unknown"):
+        validate_config(cfg, text)

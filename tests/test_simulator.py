@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckoord.cluster import QosClass
+from ckoord.scenario import AppProfile, TruthParams
 from ckoord.simulator import (
-    AppProfile,
     Simulator,
-    TruthParams,
     _percentile_block,
     allocate_cpu,
     diurnal_demand,

@@ -23,7 +23,7 @@ def test_append_base_case():
     s = TimeSeries("t")
     s.append(MetricSample(0, 1.0))
     assert len(s) == 1
-    assert s.last().value == 1.0
+    assert s.samples[-1].value == 1.0
 
 
 def test_append_ring_evicts_oldest():
@@ -91,7 +91,7 @@ def test_empty_series_errors():
     with pytest.raises(EmptyWindowError):
         rolling_mean(s, 5)
     with pytest.raises(EmptyWindowError):
-        s.last()
+        s.window_values(1)
 
 
 def test_window_must_be_positive():

@@ -162,6 +162,35 @@ def test_read_rejects_non_finite_values(tmp_path, column, value):
         read_trace(path)
 
 
+# int() and float() read each of these; the writer never writes them.
+@pytest.mark.parametrize(
+    "column, text",
+    [
+        ("interval", "0_0"),
+        ("interval", " 0"),
+        ("pod_cpu_util", " 0.64"),
+        ("l3_miss_rate", "2_500_000"),
+        ("cpi", "1.25 "),
+        ("node_mem_util", "0.5\t"),
+        ("sys_cpu_total", "\u00a00.55"),  # no-break space
+        ("cpi", "\uff11"),  # fullwidth digit one
+    ],
+)
+def test_read_rejects_python_only_number_spellings(tmp_path, column, text):
+    record = body_line().split(",")
+    record[TRACE_COLUMNS.index(column)] = text
+    path = write_body(tmp_path, body_line(pod_id="web-1"), ",".join(record))
+    with pytest.raises(TraceFormatError) as caught:
+        read_trace(path)
+    assert str(caught.value) == f"line 3: {column}={text!r} is not a plain number"
+
+
+def test_read_keeps_spaces_and_underscores_in_ids(tmp_path):
+    path = write_body(tmp_path, body_line(pod_id="web_0 a", app_id="web app"))
+    (row,) = read_trace(path)
+    assert (row.pod_id, row.app_id) == ("web_0 a", "web app")
+
+
 def test_read_rejects_repeated_pod_row(tmp_path):
     path = write_body(
         tmp_path,
