@@ -1,30 +1,38 @@
 """Gradient-boosted regression trees, written from scratch.
 
-Boosting with a second-order objective: each round fits one regression tree
-to the per-sample gradients g_i and hessians h_i of the running prediction.
-For squared loss, g_i = pred_i - y_i and h_i = 1.  With L2 leaf penalty
-``lam`` and per-leaf cost ``tau``:
+Least-squares boosting (Friedman, Annals of Statistics 2001): each round fits
+one regression tree to the per-sample gradients g_i = pred_i - y_i of the
+running prediction under squared loss.  In the second-order form of XGBoost
+(Chen & Guestrin, KDD 2016) the hessian of squared loss is h_i = 1, so every
+hessian sum H is the node's row count n.  With L2 leaf penalty ``lam`` and
+per-leaf cost ``tau``:
 
-    leaf weight   w* = -G / (H + lam)
-    split gain    0.5 * ( GL^2/(HL+lam) + GR^2/(HR+lam) - G^2/(H+lam) ) - tau
+    leaf weight   w* = -G / (n + lam)
+    split gain    0.5 * ( GL^2/(nL+lam) + GR^2/(nR+lam) - G^2/(n+lam) ) - tau
 
-where G/H are gradient/hessian sums over the samples reaching the node.
+where G is the gradient sum over the samples reaching the node.  A sum of
+1.0s below 2**53 is exact in float64, so counting rows gives the same bits
+as summing a hessian array of ones; no hessian array is built.
+
 Splits are exact greedy: thresholds are midpoints between consecutive
 distinct sorted feature values, routing is strictly ``x[feature] < threshold``
 to the left child.  Ties on gain prefer the lower feature index, then the
 lower threshold; to keep that deterministic regardless of summation order,
 the winning candidate per feature is re-scored from row-order sums before
-the cross-feature comparison.  Growth stops when the best gain is <= 0, the
-depth limit is reached, or a child would fall under min_samples_leaf.
+the cross-feature comparison.  A child's G is the winner's re-scored sum, the
+sum of the child's own rows in ascending order.  Growth stops when the best
+gain is <= 0, the depth limit is reached, or a child would fall under
+min_samples_leaf.
 
 Trees are grown from pre-sorted column blocks, as in XGBoost's exact greedy
-method (Chen & Guestrin, KDD 2016): each feature is stable-sorted once per
-fit, a (d, n) array of row indices, since only g changes across rounds.  A
-node's block is split between its children by a stable partition, so each
-child's rows stay sorted by value and, among equal values, by row index:
-exactly the order a stable sort of the child's own rows gives.  The prefix
-sums, and so the chosen splits, are therefore the same bits as re-sorting
-every feature at every node.  The features of a node are scored together on
+method: each feature is stable-sorted once per fit, a (d, n) array of row
+indices, since only g changes across rounds.  A node's block is split
+between its children by a stable partition, so each child's rows stay
+sorted by value and, among equal values, by row index: exactly the order a
+stable sort of the child's own rows gives.  The prefix sums, and so the
+chosen splits, are therefore the same bits as re-sorting every feature at
+every node.  A child that must be a leaf needs only its G and n, so its
+block is not partitioned.  The features of a node are scored together on
 feature-major arrays; per element the arithmetic is the same in any layout.
 
 The ensemble prediction is base_score + learning_rate * sum of tree outputs;
@@ -34,6 +42,7 @@ the shrinkage factor is uniform across rounds.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,10 +64,6 @@ FEATURE_NAMES = (
 FEATURE_COUNT = len(FEATURE_NAMES)
 
 MODEL_SCHEMA_VERSION = 1
-
-
-class DegenerateLeafError(ValueError):
-    """Leaf weight undefined: hessian sum plus lam is not positive."""
 
 
 class ModelSchemaError(ValueError):
@@ -106,27 +111,24 @@ class TreeNode:
         return self.feature is None
 
 
-def leaf_weight(g_sum: float, h_sum: float, lam: float) -> float:
-    denom = h_sum + lam
-    if denom <= 0:
-        raise DegenerateLeafError(f"h_sum + lam = {denom} is not positive")
-    return -g_sum / denom
+def leaf_weight(g_sum: float, count: float, lam: float) -> float:
+    return -g_sum / (count + lam)
 
 
 def split_gain(
     g_left: float,
-    h_left: float,
+    n_left: float,
     g_right: float,
-    h_right: float,
+    n_right: float,
     lam: float,
     tau: float,
 ) -> float:
     parent_g = g_left + g_right
-    parent_h = h_left + h_right
+    parent_n = n_left + n_right
     return 0.5 * (
-        g_left * g_left / (h_left + lam)
-        + g_right * g_right / (h_right + lam)
-        - parent_g * parent_g / (parent_h + lam)
+        g_left * g_left / (n_left + lam)
+        + g_right * g_right / (n_right + lam)
+        - parent_g * parent_g / (parent_n + lam)
     ) - tau
 
 
@@ -139,34 +141,31 @@ _BLOCK_CELLS = 8192
 
 
 def _prefix_gains(
-    g: np.ndarray, h: np.ndarray, order: np.ndarray, lo: int, hi: int, cfg: TrainConfig
+    g: np.ndarray, order: np.ndarray, lo: int, hi: int, cfg: TrainConfig
 ) -> np.ndarray:
     """Gain of each candidate split of each feature, from prefix sums.
 
     Entry (f, j) splits ``order[f]`` after its first lo + j + 1 rows; entries
-    may be non-finite.  Each step applies one operation of the split-gain
-    formula to the same operands as the formula does, so the gains are the
-    formula's bits; working in place keeps at most four arrays the size of
-    ``order`` alive.
+    may be non-finite.  The left count lo + j + 1 is shared by every feature.
+    Each step applies one operation of the split-gain formula to the same
+    operands as the formula does, so the gains are the formula's bits;
+    working in place keeps at most two arrays the size of ``order`` alive.
     """
+    m = order.shape[1]
+    n_left = np.arange(lo + 1, hi + 1, dtype=np.float64)
     g_cum = g[order]
     np.cumsum(g_cum, axis=1, out=g_cum)
-    h_cum = h[order]
-    np.cumsum(h_cum, axis=1, out=h_cum)
-    g_tot, h_tot = g_cum[:, -1:], h_cum[:, -1:]
-    g_pre, h_pre = g_cum[:, lo:hi], h_cum[:, lo:hi]
+    g_tot = g_cum[:, -1:]
+    g_pre = g_cum[:, lo:hi]
     with np.errstate(divide="ignore", invalid="ignore"):
         # G^2 is a product, as every other square here: pow() would tie the
         # trees to the host's libm, whose rounding of x**2 may differ from x*x
-        parent = np.square(g_tot[:, 0]) / (h_tot[:, 0] + cfg.lam)
+        parent = np.square(g_tot[:, 0]) / (m + cfg.lam)
         right_term = g_tot - g_pre
         np.square(right_term, out=right_term)
-        den = h_tot - h_pre
-        den += cfg.lam
-        right_term /= den
-        h_pre += cfg.lam
+        right_term /= (m - n_left) + cfg.lam
         gains = np.square(g_pre, out=g_pre)
-        gains /= h_pre
+        gains /= n_left + cfg.lam
         gains += right_term
         gains -= parent[:, None]
         gains *= 0.5
@@ -175,7 +174,7 @@ def _prefix_gains(
 
 
 def _feature_winners(
-    X: np.ndarray, g: np.ndarray, h: np.ndarray, order: np.ndarray, cfg: TrainConfig
+    XT: np.ndarray, g: np.ndarray, order: np.ndarray, cfg: TrainConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per feature: whether it has a valid candidate, and its best threshold.
 
@@ -190,11 +189,12 @@ def _feature_winners(
     lo, hi = cfg.min_samples_leaf - 1, m - cfg.min_samples_leaf
     found = np.empty(d, dtype=bool)
     cut = np.empty(d)
+    starts = XT.shape[1] * np.arange(d)[:, None]  # each feature's offset in XT.flat
     step = max(1, _BLOCK_CELLS // m)
     for first in range(0, d, step):
         block = slice(first, first + step)
-        gains = _prefix_gains(g, h, order[block], lo, hi, cfg)
-        v = np.take_along_axis(X.T[block], order[block], axis=1)
+        gains = _prefix_gains(g, order[block], lo, hi, cfg)
+        v = XT.take(order[block] + starts[block])
         below, above = v[:, lo:hi], v[:, lo + 1 : hi + 1]
         thresholds = below + above
         thresholds /= 2.0
@@ -209,86 +209,86 @@ def _feature_winners(
 
 
 def _best_split(
-    X: np.ndarray,
+    XT: np.ndarray,
     g: np.ndarray,
-    h: np.ndarray,
     rows: np.ndarray,
     order: np.ndarray,
     cfg: TrainConfig,
-) -> tuple[float, int, float] | None:
-    """Best (gain, feature, threshold) over every feature of one node, or None.
+) -> tuple[float, int, float, tuple[tuple[float, int], tuple[float, int]]] | None:
+    """Best split of one node over every feature, or None.
 
+    Returns (gain, feature, threshold, ((G, n) left, (G, n) right)).
     ``rows`` are the node's rows in ascending order and ``order[f]`` the same
     rows sorted by feature f.  Each feature's winner is re-scored from
-    row-order sums so gains are comparable across features bit for bit.
+    row-order sums so gains are comparable across features bit for bit; a
+    child's G is therefore the sum of its own rows in ascending order.
     """
-    found, cut = _feature_winners(X, g, h, order, cfg)
-    left = X.take(rows, axis=0).T < cut[:, None]
+    found, cut = _feature_winners(XT, g, order, cfg)
+    left = XT.take(rows, axis=1) < cut[:, None]
     right = ~left
+    n_left = np.count_nonzero(left, axis=1).tolist()
+    m = rows.size
     g_node = g[rows]
-    h_node = h[rows]
     add = np.add.reduce  # ndarray.sum's pairwise sum, without its Python wrapper
-    best: tuple[float, int, float] | None = None
-    for f in np.flatnonzero(found):
-        gain = split_gain(
-            float(add(g_node.compress(left[f]))),
-            float(add(h_node.compress(left[f]))),
-            float(add(g_node.compress(right[f]))),
-            float(add(h_node.compress(right[f]))),
-            cfg.lam,
-            cfg.tau,
-        )
+    best = None
+    for f in np.flatnonzero(found).tolist():
+        g_left = float(add(g_node.compress(left[f])))
+        g_right = float(add(g_node.compress(right[f])))
+        gain = split_gain(g_left, n_left[f], g_right, m - n_left[f], cfg.lam, cfg.tau)
         if best is None or gain > best[0]:  # ties keep the lower feature index
-            best = (gain, int(f), float(cut[f]))
+            best = (gain, f, float(cut[f]), ((g_left, n_left[f]), (g_right, m - n_left[f])))
     return best
 
 
+def _may_split(count: int, depth: int, cfg: TrainConfig) -> bool:
+    return depth < cfg.max_depth and count >= 2 * cfg.min_samples_leaf
+
+
 def _grow(
-    X: np.ndarray,
+    XT: np.ndarray,
     g: np.ndarray,
-    h: np.ndarray,
     rows: np.ndarray,
     order: np.ndarray,
+    g_sum: float,
     depth: int,
     cfg: TrainConfig,
 ) -> TreeNode:
-    best = None
-    if depth < cfg.max_depth and rows.size >= 2 * cfg.min_samples_leaf:
-        best = _best_split(X, g, h, rows, order, cfg)
-
+    """Subtree over ``rows``, a node that _may_split; ``g_sum`` is their G."""
+    best = _best_split(XT, g, rows, order, cfg)
     if best is None or best[0] <= 0.0:
-        return TreeNode(
-            weight=leaf_weight(float(np.sum(g[rows])), float(np.sum(h[rows])), cfg.lam)
-        )
+        return TreeNode(weight=leaf_weight(g_sum, rows.size, cfg.lam))
 
-    _, feature, threshold = best
-    go_left = X[:, feature] < threshold
+    _, feature, threshold, sides = best
+    go_left = XT[feature] < threshold
     d = order.shape[0]
-    # selection keeps each feature's sorted order: a stable partition
-    left, right = (
-        _grow(
-            X,
-            g,
-            h,
-            rows.compress(side[rows]),
-            order.compress(side[order].ravel()).reshape(d, -1),
-            depth + 1,
-            cfg,
-        )
-        for side in (go_left, ~go_left)
-    )
+    children = []
+    for side, (child_sum, count) in zip((go_left, ~go_left), sides):
+        if _may_split(count, depth + 1, cfg):
+            # selection keeps each feature's sorted order: a stable partition
+            child = _grow(
+                XT,
+                g,
+                rows.compress(side[rows]),
+                order.compress(side[order].ravel()).reshape(d, -1),
+                child_sum,
+                depth + 1,
+                cfg,
+            )
+        else:  # a leaf needs only its sums, not its rows
+            child = TreeNode(weight=leaf_weight(child_sum, count, cfg.lam))
+        children.append(child)
+    left, right = children
     return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
 
 
 def fit_tree(
     X: np.ndarray,
     g: np.ndarray,
-    h: np.ndarray,
     cfg: TrainConfig,
     *,
     order: np.ndarray | None = None,
 ) -> TreeNode:
-    """Fit one regression tree to gradient/hessian pairs.
+    """Fit one least-squares regression tree to the gradients g.
 
     ``order`` is ``np.argsort(X.T, axis=1, kind="stable")``.  It depends on X
     alone, so a caller fitting many trees on one X sorts once and passes it;
@@ -296,16 +296,20 @@ def fit_tree(
     """
     X = np.asarray(X, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("X must be a non-empty 2-D array")
-    if g.shape != (X.shape[0],) or h.shape != (X.shape[0],):
-        raise ValueError("g and h must be 1-D and match the number of rows")
-    if not (np.isfinite(X).all() and np.isfinite(g).all() and np.isfinite(h).all()):
+    if g.shape != (X.shape[0],):
+        raise ValueError("g must be 1-D and match the number of rows")
+    if not (np.isfinite(X).all() and np.isfinite(g).all()):
         raise ValueError("non-finite training input")
+    XT = np.ascontiguousarray(X.T)  # one row per feature, read by every node
     if order is None:
-        order = np.argsort(X.T, axis=1, kind="stable")
-    return _grow(X, g, h, np.arange(X.shape[0]), order, 0, cfg)
+        order = np.argsort(XT, axis=1, kind="stable")
+    n = X.shape[0]
+    g_sum = float(np.add.reduce(g))
+    if not _may_split(n, 0, cfg):
+        return TreeNode(weight=leaf_weight(g_sum, n, cfg.lam))
+    return _grow(XT, g, np.arange(n), order, g_sum, 0, cfg)
 
 
 def tree_predict_row(node: TreeNode, x: np.ndarray) -> float:
@@ -374,11 +378,10 @@ def train_ensemble(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> Ensemble:
         feature_count=X.shape[1],
     )
     preds = np.full(X.shape[0], cfg.base_score, dtype=np.float64)
-    h = np.ones(X.shape[0], dtype=np.float64)
     order = np.argsort(X.T, axis=1, kind="stable")  # X is fixed, so sort once per fit
     for _ in range(cfg.num_rounds):
         g = preds - y
-        tree = fit_tree(X, g, h, cfg, order=order)
+        tree = fit_tree(X, g, cfg, order=order)
         ensemble.trees.append(tree)
         preds += cfg.learning_rate * tree_predict(tree, X)
     return ensemble
@@ -421,25 +424,47 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _node_from_dict(obj: dict, feature_count: int) -> TreeNode:
+def _model_number(obj: dict, key: str, path: str) -> float:
+    """obj[key] as a float: a finite int or float, never a bool."""
+    value = obj[key]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int past the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ModelSchemaError(f"{path}: must be a finite number")
+
+
+def _model_integer(obj: dict, key: str, path: str) -> int:
+    """obj[key] as an int: an int or integral float, never a bool."""
+    value = obj[key]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ModelSchemaError(f"{path}: must be an integer")
+
+
+def _node_from_dict(obj: dict, feature_count: int, path: str) -> TreeNode:
     if not isinstance(obj, dict):
-        raise ModelSchemaError(f"tree node must be an object, got {type(obj).__name__}")
+        raise ModelSchemaError(f"{path}: must be an object, got {type(obj).__name__}")
     if "weight" in obj:
-        return TreeNode(weight=float(obj["weight"]))
-    try:
-        feature = int(obj["feature"])
-        threshold = float(obj["threshold"])
-        left = obj["left"]
-        right = obj["right"]
-    except KeyError as exc:
-        raise ModelSchemaError(f"tree node missing field {exc}") from exc
+        return TreeNode(weight=_model_number(obj, "weight", f"{path}.weight"))
+    for key in ("feature", "threshold", "left", "right"):
+        if key not in obj:
+            raise ModelSchemaError(f"{path}: missing field {key!r}")
+    feature = _model_integer(obj, "feature", f"{path}.feature")
     if not 0 <= feature < feature_count:
-        raise ModelSchemaError(f"feature index {feature} outside [0, {feature_count})")
+        raise ModelSchemaError(
+            f"{path}.feature: index {feature} outside [0, {feature_count})"
+        )
     return TreeNode(
         feature=feature,
-        threshold=threshold,
-        left=_node_from_dict(left, feature_count),
-        right=_node_from_dict(right, feature_count),
+        threshold=_model_number(obj, "threshold", f"{path}.threshold"),
+        left=_node_from_dict(obj["left"], feature_count, f"{path}.left"),
+        right=_node_from_dict(obj["right"], feature_count, f"{path}.right"),
     )
 
 
@@ -461,14 +486,19 @@ def ensemble_from_dict(obj: dict) -> Ensemble:
     for key in ("base_score", "learning_rate", "feature_count", "trees"):
         if key not in obj:
             raise ModelSchemaError(f"model missing field {key!r}")
-    feature_count = int(obj["feature_count"])
+    feature_count = _model_integer(obj, "feature_count", "feature_count")
     if feature_count < 1:
-        raise ModelSchemaError("feature_count must be >= 1")
+        raise ModelSchemaError("feature_count: must be >= 1")
+    if not isinstance(obj["trees"], list):
+        raise ModelSchemaError("trees: must be a list")
     return Ensemble(
-        base_score=float(obj["base_score"]),
-        learning_rate=float(obj["learning_rate"]),
+        base_score=_model_number(obj, "base_score", "base_score"),
+        learning_rate=_model_number(obj, "learning_rate", "learning_rate"),
         feature_count=feature_count,
-        trees=[_node_from_dict(t, feature_count) for t in obj["trees"]],
+        trees=[
+            _node_from_dict(tree, feature_count, f"trees[{i}]")
+            for i, tree in enumerate(obj["trees"])
+        ],
     )
 
 

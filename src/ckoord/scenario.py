@@ -174,7 +174,10 @@ def _typed(value: Any, raw: str | None, path: str, types: tuple) -> Any:
 
 
 def _number(value: Any, raw: str | None, path: str, minimum=None, maximum=None) -> float:
-    number = float(_typed(value, raw, path, (int, float)))
+    try:
+        number = float(_typed(value, raw, path, (int, float)))
+    except OverflowError:
+        _fail(raw, path, "must be finite, got an integer past the float range")
     if not math.isfinite(number):
         _fail(raw, path, f"must be finite, got {value}")
     if minimum is not None and number < minimum:

@@ -87,7 +87,7 @@ def test_criterion_1_tree_oracle_equivalence():
         depth = rng.randint(1, 2)
         msl = rng.choice([1, 2, 3])
         cfg = TrainConfig(lam=lam, tau=tau, max_depth=depth, min_samples_leaf=msl)
-        impl = fit_tree(np.array(X), np.array(g), np.ones(n), cfg)
+        impl = fit_tree(np.array(X), np.array(g), cfg)
         ref = ref_fit_tree(X, g, [1.0] * n, depth, lam, tau, msl)
         if not same_structure(ref, impl, weight_tol=1e-9):
             continue

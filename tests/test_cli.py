@@ -138,9 +138,12 @@ def test_simulate_rejects_an_app_id_csv_would_quote(tmp_path, capsys):
         (["predictor.windw=20"], "predictor.windw: unknown key"),
         (["interference.0.target_node=node-2"],
          "interference[0].target_node: 'node-2' is not a node of this topology"),
+        (["horizon=1" + "0" * 400],
+         "horizon: must be finite, got an integer past the float range"),
     ],
     ids=["text-weights", "negative-weights", "negative-detector-weights", "k1-k2-zero",
-         "bool-weights", "fractional-horizon", "unknown-key", "unpadded-node-id"],
+         "bool-weights", "fractional-horizon", "unknown-key", "unpadded-node-id",
+         "horizon-past-float-range"],
 )
 def test_simulate_config_fault_is_exit_2_with_its_key_path(tmp_path, capsys, overrides, message):
     sets = [arg for override in overrides for arg in ("--set", override)]
@@ -159,6 +162,19 @@ def test_replay_rejects_an_unknown_config_key_with_its_line(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("replay", "--trace", str(trace), "--config", str(path)) == 2
     assert capsys.readouterr().err == f"error: predictor.windw (line {line}): unknown key\n"
+
+
+def test_config_file_number_past_the_float_range_is_exit_2_with_its_line(tmp_path, capsys):
+    cfg = json.loads(Path(write_small_cfg(tmp_path)).read_text())
+    cfg["predictor"]["k1"] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg, indent=2))
+    line = next(n for n, text in enumerate(path.read_text().splitlines(), 1) if '"k1"' in text)
+    assert run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "run")) == 2
+    assert capsys.readouterr().err == (
+        f"error: predictor.k1 (line {line}): must be finite, got an integer past the float range\n"
+    )
+    assert not (tmp_path / "run").exists()
 
 
 def simulate_small(tmp_path, seed=3):
@@ -368,6 +384,67 @@ def test_bad_model_json_is_exit_2(tmp_path, capsys):
     code = run_cli("predict", "--trace", str(trace), "--model", str(bad_model))
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+MODEL_TEMPLATE = (
+    '{"version": 1, "base_score": %(base_score)s, "learning_rate": %(learning_rate)s,'
+    ' "feature_count": 9, "trees": [{"feature": %(feature)s, "threshold": %(threshold)s,'
+    ' "left": {"weight": %(weight)s}, "right": {"weight": -0.25}}]}'
+)
+GOOD_MODEL_FIELDS = {
+    "base_score": "0.5",
+    "learning_rate": "0.1",
+    "feature": "0",
+    "threshold": "0.5",
+    "weight": "0.25",
+}
+MODEL_FIELD_PATHS = {
+    "base_score": "base_score",
+    "learning_rate": "learning_rate",
+    "feature": "trees[0].feature",
+    "threshold": "trees[0].threshold",
+    "weight": "trees[0].left.weight",
+}
+# raw JSON text: json.loads reads NaN and 1e400 as floats, the 401-digit
+# literal as an int that float() cannot hold
+BAD_MODEL_NUMBERS = ["NaN", "1e400", "-Infinity", "1" + "0" * 400, '"x"', "null", "true"]
+BAD_MODEL_CASES = [
+    (field, bad, "must be a finite number")
+    for field in ("base_score", "learning_rate", "threshold", "weight")
+    for bad in BAD_MODEL_NUMBERS
+] + [
+    ("feature", bad, "must be an integer")
+    for bad in ["2.5", "NaN", "1e400", '"x"', '"0"', "null", "true"]
+] + [("feature", "9", "index 9 outside [0, 9)")]
+
+
+@pytest.fixture(scope="module")
+def small_trace(tmp_path_factory):
+    return simulate_small(tmp_path_factory.mktemp("small"))
+
+
+@pytest.mark.parametrize(
+    "field, bad, message",
+    BAD_MODEL_CASES,
+    ids=[f"{field}={bad[:8]}" for field, bad, _ in BAD_MODEL_CASES],
+)
+def test_model_with_a_bad_number_is_exit_2_with_its_path(
+    small_trace, tmp_path, capsys, field, bad, message
+):
+    model = tmp_path / "model.json"
+    model.write_text(MODEL_TEMPLATE % {**GOOD_MODEL_FIELDS, field: bad})
+    out = tmp_path / "pred.csv"
+    capsys.readouterr()
+    code = run_cli("predict", "--trace", str(small_trace), "--model", str(model), "--out", str(out))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {MODEL_FIELD_PATHS[field]}: {message}\n"
+    assert not out.exists()
+
+
+def test_model_template_is_a_valid_model(small_trace, tmp_path):
+    model = tmp_path / "model.json"
+    model.write_text(MODEL_TEMPLATE % GOOD_MODEL_FIELDS)
+    assert run_cli("predict", "--trace", str(small_trace), "--model", str(model)) == 0
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ckoord.gbdt import (
     FEATURE_COUNT,
-    DegenerateLeafError,
     Ensemble,
     ModelSchemaError,
     TrainConfig,
@@ -21,6 +20,7 @@ from ckoord.gbdt import (
     train_ensemble,
     tree_predict,
 )
+import fit_reference
 from gbdt_reference import (
     ref_ensemble_predict,
     ref_fit_tree,
@@ -37,13 +37,6 @@ def test_leaf_weight_hand_values():
     assert leaf_weight(2.0, 0.0, 1.0) == pytest.approx(-2.0, abs=1e-15)
 
 
-def test_leaf_weight_degenerate():
-    with pytest.raises(DegenerateLeafError):
-        leaf_weight(1.0, 0.0, 0.0)
-    with pytest.raises(DegenerateLeafError):
-        leaf_weight(1.0, -2.0, 1.0)
-
-
 def test_split_gain_hand_values():
     assert split_gain(-1.0, 1.0, -1.0, 1.0, 0.0, 0.0) == pytest.approx(0.0, abs=1e-15)
     assert split_gain(-2.0, 1.0, 2.0, 1.0, 0.0, 0.0) == pytest.approx(4.0, abs=1e-15)
@@ -53,8 +46,7 @@ def test_split_gain_hand_values():
 def test_fit_tree_constant_gradients_single_leaf():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     g = np.full(4, -2.0)
-    h = np.ones(4)
-    tree = fit_tree(X, g, h, TrainConfig(lam=1.0, min_samples_leaf=1))
+    tree = fit_tree(X, g, TrainConfig(lam=1.0, min_samples_leaf=1))
     assert tree.is_leaf
     assert tree.weight == pytest.approx(8.0 / 5.0, abs=1e-12)
 
@@ -63,9 +55,8 @@ def test_fit_tree_two_point_split():
     # residual targets 0 and 10 as gradients of squared loss from pred 0
     X = np.array([[0.0], [1.0]])
     g = np.array([0.0, -10.0])
-    h = np.ones(2)
     cfg = TrainConfig(lam=0.0, tau=0.0, max_depth=1, min_samples_leaf=1)
-    tree = fit_tree(X, g, h, cfg)
+    tree = fit_tree(X, g, cfg)
     assert not tree.is_leaf
     assert tree.feature == 0 and tree.threshold == 0.5
     assert tree.left.weight == pytest.approx(0.0, abs=1e-15)
@@ -76,19 +67,19 @@ def test_fit_tree_huge_tau_single_leaf():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(20, 2))
     g = rng.normal(size=20)
-    tree = fit_tree(X, g, np.ones(20), TrainConfig(tau=1e9, min_samples_leaf=1))
+    tree = fit_tree(X, g, TrainConfig(tau=1e9, min_samples_leaf=1))
     assert tree.is_leaf
 
 
 def test_fit_tree_input_validation():
     with pytest.raises(ValueError):
-        fit_tree(np.empty((0, 2)), np.empty(0), np.empty(0), TrainConfig())
+        fit_tree(np.empty((0, 2)), np.empty(0), TrainConfig())
     with pytest.raises(ValueError):
-        fit_tree(np.ones((3, 2)), np.ones(2), np.ones(3), TrainConfig())
+        fit_tree(np.ones((3, 2)), np.ones(2), TrainConfig())
     bad = np.ones((3, 2))
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
-        fit_tree(bad, np.ones(3), np.ones(3), TrainConfig())
+        fit_tree(bad, np.ones(3), TrainConfig())
 
 
 def test_train_constant_targets_one_round_recovers_constant():
@@ -210,16 +201,15 @@ def test_fit_tree_matches_reference_oracle_sample():
         if trial % 3 == 0:
             X = np.round(X)  # duplicate feature values
         g = rng.normal(size=n)
-        h = np.ones(n)
         cfg = TrainConfig(
             lam=float(rng.choice([0.0, 0.5, 1.0])),
             tau=float(rng.choice([0.0, 0.1])),
             max_depth=int(rng.integers(1, 3)),
             min_samples_leaf=int(rng.integers(1, 4)),
         )
-        tree = fit_tree(X, g, h, cfg)
+        tree = fit_tree(X, g, cfg)
         ref = ref_fit_tree(
-            X.tolist(), g.tolist(), h.tolist(),
+            X.tolist(), g.tolist(), [1.0] * n,
             cfg.max_depth, cfg.lam, cfg.tau, cfg.min_samples_leaf,
         )
         assert same_structure(ref, tree), f"trial {trial}: tree diverges from oracle"
@@ -235,11 +225,10 @@ LEVELS = (-1.5, -0.25, 0.0, 0.5, 2.0, 3.75)
 
 @st.composite
 def tie_heavy_nodes(draw):
-    """A fit_tree input whose gradient and hessian sums are exact in float64.
+    """A fit_tree input whose gradient sums are exact in float64.
 
-    g and h are multiples of 1/16, so prefix sums and row-order sums agree
-    bit for bit and ties on gain are real ties for both the trainer and the
-    oracle.  Hessians are positive and mostly not 1.
+    g are multiples of 1/4, so prefix sums and row-order sums agree bit for
+    bit and ties on gain are real ties for both the trainer and the oracle.
     """
     m = draw(st.integers(2, 24))
     d = draw(st.integers(1, FEATURE_COUNT))
@@ -251,11 +240,6 @@ def tie_heavy_nodes(draw):
             columns.append(draw(st.lists(st.sampled_from(LEVELS), min_size=m, max_size=m)))
     # coarse gradients make tied gains common, within a feature and across
     g = draw(st.lists(st.integers(-8, 8).map(lambda k: k / 4.0), min_size=m, max_size=m))
-    h_equal = draw(st.sampled_from([None, 0.5, 1.0, 2.5]))
-    if h_equal is None:
-        h = draw(st.lists(st.integers(1, 64).map(lambda k: k / 16.0), min_size=m, max_size=m))
-    else:
-        h = [h_equal] * m
     cfg = TrainConfig(
         lam=draw(st.sampled_from([0.0, 0.5, 1.0])),
         tau=draw(st.sampled_from([0.0, 0.25])),
@@ -264,14 +248,13 @@ def tie_heavy_nodes(draw):
             st.one_of(st.integers(1, 2), st.integers(max(1, m // 2 - 2), m // 2 + 1))
         ),
     )
-    return np.array(columns).T, np.array(g), np.array(h), cfg
+    return np.array(columns).T, np.array(g), cfg
 
 
 # mirror-image gradients: thresholds 0.5 and 2.5 tie exactly, the lower wins
 SYMMETRIC_TIE = (
     np.array([[0.0], [1.0], [2.0], [3.0]]),
     np.array([1.0, -1.0, -1.0, 1.0]),
-    np.full(4, 0.5),
     TrainConfig(lam=1.0, max_depth=1, min_samples_leaf=1),
 )
 
@@ -280,10 +263,10 @@ SYMMETRIC_TIE = (
 @given(tie_heavy_nodes())
 @example(SYMMETRIC_TIE)
 def test_fit_tree_matches_reference_oracle_property(case):
-    X, g, h, cfg = case
-    tree = fit_tree(X, g, h, cfg)
+    X, g, cfg = case
+    tree = fit_tree(X, g, cfg)
     ref = ref_fit_tree(
-        X.tolist(), g.tolist(), h.tolist(),
+        X.tolist(), g.tolist(), [1.0] * len(g),
         cfg.max_depth, cfg.lam, cfg.tau, cfg.min_samples_leaf,
     )
     assert same_structure(ref, tree)
@@ -294,6 +277,46 @@ def test_fit_tree_matches_reference_oracle_property(case):
     got = tree_predict(tree, probe)
     want = [ref_predict_row(ref, row.tolist()) for row in probe]
     assert np.allclose(got, want, rtol=0.0, atol=1e-9)
+
+
+@st.composite
+def loop_sized_nodes(draw):
+    """A fit_tree input of 2 to 1,500 rows with non-dyadic gradients.
+
+    Half the draws have more than 910 rows, so the upper nodes score their
+    features in several blocks.  Columns are continuous, tie-heavy or
+    constant; the arrays come from a drawn seed, since hypothesis lists of
+    this length would be slow to generate.
+    """
+    m = draw(st.one_of(st.integers(2, 910), st.integers(911, 1500)))
+    kinds = draw(
+        st.lists(st.sampled_from(["normal", "ties", "constant"]), min_size=1, max_size=FEATURE_COUNT)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = {
+        "normal": lambda: rng.normal(size=m),
+        "ties": lambda: rng.choice(LEVELS, size=m),
+        "constant": lambda: np.full(m, rng.choice(LEVELS)),
+    }
+    X = np.column_stack([columns[kind]() for kind in kinds])
+    g = rng.normal(scale=draw(st.sampled_from([0.01, 1.0, 30.0])), size=m)
+    cfg = TrainConfig(
+        lam=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        tau=draw(st.sampled_from([0.0, 0.1])),
+        max_depth=draw(st.integers(1, 4)),
+        min_samples_leaf=draw(st.integers(1, 3)),
+    )
+    return X, g, cfg
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(loop_sized_nodes())
+def test_fit_tree_is_bit_identical_to_the_hessian_trainer(case):
+    """Counting rows in place of summing unit hessians keeps every bit."""
+    X, g, cfg = case
+    tree = fit_tree(X, g, cfg)
+    ref = fit_reference.fit_tree(X, g, np.ones(g.size), cfg)
+    assert ensemble_to_json(Ensemble(trees=[tree])) == ensemble_to_json(Ensemble(trees=[ref]))
 
 
 def tied_dataset():
@@ -310,9 +333,12 @@ def tied_dataset():
     return X, y
 
 
-# sha256 of ensemble_to_json.  They were recorded with a trainer that
-# stable-sorts every feature at every node, the direct form of exact greedy,
-# so they hold the pre-sorted trainer to the same model bytes.
+# sha256 of ensemble_to_json.  The first two were recorded with a trainer
+# that stable-sorts every feature at every node, the direct form of exact
+# greedy, so they hold the pre-sorted trainer to the same model bytes.  The
+# third, in the control loop's shape (the packaged scenario's train config
+# on MAX_TRAIN_ROWS rows), was recorded with the trainer that summed a
+# hessian array of ones.  "rows" takes the first rows of the dataset.
 @pytest.mark.parametrize(
     "overrides, digest",
     [
@@ -321,22 +347,27 @@ def tied_dataset():
             {"min_samples_leaf": 3, "lam": 0.0},
             "cb99d0bc687d263ae98ffa4aa61d349d5d788570650f058467ca9ebb0ad460cd",
         ),
+        (
+            {"rows": 1200, "max_depth": 3, "num_rounds": 60, "min_samples_leaf": 1},
+            "b69c0cc85c2275d5331f4704fac1609bccbc23748c1cfdf9f4c52dbef0b4aec3",
+        ),
     ],
 )
 def test_trained_model_bytes_are_pinned(overrides, digest):
     X, y = tied_dataset()
-    model = train_ensemble(X, y, TrainConfig(num_rounds=20, **overrides))
+    overrides = dict(overrides)
+    rows = overrides.pop("rows", None)
+    cfg = TrainConfig(**{"num_rounds": 20, **overrides})
+    model = train_ensemble(X[:rows], y[:rows], cfg)
     assert hashlib.sha256(ensemble_to_json(model).encode()).hexdigest() == digest
 
 
 def test_fit_tree_presorted_order_gives_the_same_tree():
     X, y = tied_dataset()
-    rng = np.random.default_rng(7)
-    h = rng.uniform(0.5, 2.0, size=y.size)
     order = np.argsort(X.T, axis=1, kind="stable")
     for cfg in (TrainConfig(), TrainConfig(min_samples_leaf=3, lam=0.0, max_depth=5)):
-        sorted_inside = Ensemble(trees=[fit_tree(X, -y, h, cfg)])
-        presorted = Ensemble(trees=[fit_tree(X, -y, h, cfg, order=order)])
+        sorted_inside = Ensemble(trees=[fit_tree(X, -y, cfg)])
+        presorted = Ensemble(trees=[fit_tree(X, -y, cfg, order=order)])
         assert not sorted_inside.trees[0].is_leaf
         assert ensemble_to_json(presorted) == ensemble_to_json(sorted_inside)
 
