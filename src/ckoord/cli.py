@@ -134,6 +134,11 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     with open(args.model, encoding="utf-8") as handle:
         model = ensemble_from_json(handle.read())
     X, _ = feature_matrix(rows)
+    if model.feature_count != X.shape[1]:
+        raise ModelSchemaError(
+            f"{args.model}: model takes {model.feature_count} features,"
+            f" the trace gives {X.shape[1]}"
+        )
     preds = model.predict(X)
     out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
     try:

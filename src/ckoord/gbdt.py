@@ -37,13 +37,26 @@ feature-major arrays; per element the arithmetic is the same in any layout.
 
 The ensemble prediction is base_score + learning_rate * sum of tree outputs;
 the shrinkage factor is uniform across rounds.
+
+Prediction walks a packed forest, after QuickScorer (Lucchese et al., SIGIR
+2015): every node of every tree is one slot of flat arrays (feature,
+threshold, value, and two children per node), and tree t's root is slot t.
+A leaf's children are the leaf itself, so after ``depth`` steps, the depth
+of the deepest tree, every (row, tree) pair sits on its leaf whatever the
+depths of the other trees.  All pairs of a block of rows step together.  A
+row's sum is added left to right, base_score then learning_rate * leaf of
+each tree in order, by ``np.cumsum`` along the tree axis: an accumulate adds
+one term at a time, as the one-row loop ``total += lr * leaf`` does, so the
+two give the same bits.  ``np.sum`` would not, as it adds pairwise.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,7 +149,8 @@ def split_gain(
 # float64.  Nodes of up to 910 rows score all nine features in one pass; a
 # larger node takes a few features at a time, so its arrays stay in cache and
 # under malloc's mmap threshold instead of faulting in fresh pages at every
-# node, and the fit's memory stays bounded.
+# node, and the fit's memory stays bounded.  Prediction walks at most this
+# many (row, tree) cells at a time, for the same reasons.
 _BLOCK_CELLS = 8192
 
 
@@ -312,12 +326,6 @@ def fit_tree(
     return _grow(XT, g, np.arange(n), order, g_sum, 0, cfg)
 
 
-def tree_predict_row(node: TreeNode, x: np.ndarray) -> float:
-    while not node.is_leaf:
-        node = node.left if x[node.feature] < node.threshold else node.right
-    return node.weight
-
-
 def tree_predict(node: TreeNode, X: np.ndarray) -> np.ndarray:
     """Vectorized tree evaluation over the rows of X."""
     out = np.empty(X.shape[0], dtype=np.float64)
@@ -335,30 +343,112 @@ def tree_predict(node: TreeNode, X: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Forest(NamedTuple):
+    """An ensemble's trees packed into flat arrays, one slot per node."""
+
+    trees: tuple[TreeNode, ...]  # what was packed, compared by identity
+    feature_count: int
+    feature: np.ndarray    # split feature of each slot; 0 at a leaf
+    threshold: np.ndarray  # x[feature] < threshold goes left
+    children: np.ndarray   # slot i's right child at 2i, its left at 2i + 1
+    value: np.ndarray      # leaf weight of each slot
+    depth: int             # edges on the longest root-to-leaf path
+    block_rows: int        # rows walked together, _BLOCK_CELLS // trees or 1
+    # cell r * trees + t of a block is (row r, tree t):
+    roots: np.ndarray      # the slot each cell starts at, tree t's root
+    row_start: np.ndarray  # where row r starts in the block's flat features
+
+
+def _pack(trees: list[TreeNode], feature_count: int) -> _Forest:
+    """Number the nodes breadth first, so tree t's root is slot t.
+
+    The walk is iterative, so a tree of any depth packs.
+    """
+    nodes = list(trees)
+    levels = [0] * len(nodes)
+    children: list[int] = []
+    i = 0
+    while i < len(nodes):
+        node = nodes[i]
+        if node.is_leaf:
+            children += (i, i)
+        elif 0 <= node.feature < feature_count:  # take() would read another row
+            children += (len(nodes) + 1, len(nodes))
+            nodes += (node.left, node.right)
+            levels += (levels[i] + 1,) * 2
+        else:
+            raise ValueError(f"a tree splits on feature {node.feature}, outside [0, {feature_count})")
+        i += 1
+    n_trees = len(trees)
+    block_rows = max(1, _BLOCK_CELLS // max(1, n_trees))
+    return _Forest(
+        trees=tuple(trees),
+        feature_count=feature_count,
+        feature=np.array([0 if n.is_leaf else n.feature for n in nodes], dtype=np.intp),
+        threshold=np.array([0.0 if n.is_leaf else n.threshold for n in nodes], dtype=np.float64),
+        children=np.array(children, dtype=np.intp),
+        value=np.array([n.weight for n in nodes], dtype=np.float64),
+        depth=max(levels, default=0),
+        block_rows=block_rows,
+        roots=np.tile(np.arange(n_trees), block_rows),
+        row_start=np.repeat(np.arange(0, block_rows * feature_count, feature_count), n_trees),
+    )
+
+
 @dataclass
 class Ensemble:
+    """Boosted trees.  ``trees`` may be replaced or appended to between
+    predictions, and the packed forest is rebuilt when it has changed; the
+    nodes themselves are never modified once built."""
+
     base_score: float = 0.0
     learning_rate: float = 0.1
     feature_count: int = FEATURE_COUNT
     trees: list[TreeNode] = field(default_factory=list)
+    _forest: _Forest | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _packed(self) -> _Forest:
+        forest = self._forest
+        if (
+            forest is None
+            or forest.feature_count != self.feature_count
+            or len(forest.trees) != len(self.trees)
+            or not all(map(operator.is_, forest.trees, self.trees))
+        ):
+            forest = self._forest = _pack(self.trees, self.feature_count)
+        return forest
 
     def predict(self, X: np.ndarray) -> np.ndarray:
+        """Predictions for the rows of X, walked in blocks of at most
+        _BLOCK_CELLS (row, tree) cells, which bounds the walk's memory."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.feature_count:
             raise ValueError(f"expected (n, {self.feature_count}) features, got {X.shape}")
-        preds = np.full(X.shape[0], self.base_score, dtype=np.float64)
-        for tree in self.trees:
-            preds += self.learning_rate * tree_predict(tree, X)
+        forest = self._packed()
+        preds = np.empty(X.shape[0], dtype=np.float64)
+        step = forest.block_rows
+        for first in range(0, X.shape[0], step):
+            preds[first : first + step] = self._walk(forest, X[first : first + step])
         return preds
+
+    def _walk(self, forest: _Forest, X: np.ndarray) -> np.ndarray:
+        m, n_trees = X.shape[0], len(forest.trees)
+        flat = X.ravel()
+        slot = forest.roots[: m * n_trees]
+        row_start = forest.row_start[: m * n_trees]
+        for _ in range(forest.depth):
+            go_left = flat.take(row_start + forest.feature.take(slot)) < forest.threshold.take(slot)
+            slot = forest.children.take(2 * slot + go_left)
+        terms = np.empty((m, n_trees + 1), dtype=np.float64)
+        terms[:, 0] = self.base_score
+        np.multiply(self.learning_rate, forest.value.take(slot).reshape(m, n_trees), out=terms[:, 1:])
+        return terms.cumsum(axis=1)[:, -1]  # adds left to right, as the one-row loop did
 
     def predict_row(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.feature_count,):
             raise ValueError(f"expected {self.feature_count} features, got {x.shape}")
-        total = self.base_score
-        for tree in self.trees:
-            total += self.learning_rate * tree_predict_row(tree, x)
-        return float(total)
+        return float(self.predict(x[None, :])[0])
 
 
 def train_ensemble(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> Ensemble:
@@ -447,25 +537,35 @@ def _model_integer(obj: dict, key: str, path: str) -> int:
     raise ModelSchemaError(f"{path}: must be an integer")
 
 
-def _node_from_dict(obj: dict, feature_count: int, path: str) -> TreeNode:
-    if not isinstance(obj, dict):
-        raise ModelSchemaError(f"{path}: must be an object, got {type(obj).__name__}")
-    if "weight" in obj:
-        return TreeNode(weight=_model_number(obj, "weight", f"{path}.weight"))
-    for key in ("feature", "threshold", "left", "right"):
-        if key not in obj:
-            raise ModelSchemaError(f"{path}: missing field {key!r}")
-    feature = _model_integer(obj, "feature", f"{path}.feature")
-    if not 0 <= feature < feature_count:
-        raise ModelSchemaError(
-            f"{path}.feature: index {feature} outside [0, {feature_count})"
-        )
-    return TreeNode(
-        feature=feature,
-        threshold=_model_number(obj, "threshold", f"{path}.threshold"),
-        left=_node_from_dict(obj["left"], feature_count, f"{path}.left"),
-        right=_node_from_dict(obj["right"], feature_count, f"{path}.right"),
-    )
+def _tree_from_dict(obj: dict, feature_count: int, path: str) -> TreeNode:
+    """One tree, read without recursion, so a tree of any depth loads.
+
+    Nodes are checked in pre-order, left subtree first, and each fault
+    names its node's path.
+    """
+    root = TreeNode()
+    stack = [(obj, path, root)]
+    while stack:
+        obj, path, node = stack.pop()
+        if not isinstance(obj, dict):
+            raise ModelSchemaError(f"{path}: must be an object, got {type(obj).__name__}")
+        if "weight" in obj:
+            node.weight = _model_number(obj, "weight", f"{path}.weight")
+            continue
+        for key in ("feature", "threshold", "left", "right"):
+            if key not in obj:
+                raise ModelSchemaError(f"{path}: missing field {key!r}")
+        feature = _model_integer(obj, "feature", f"{path}.feature")
+        if not 0 <= feature < feature_count:
+            raise ModelSchemaError(
+                f"{path}.feature: index {feature} outside [0, {feature_count})"
+            )
+        node.feature = feature
+        node.threshold = _model_number(obj, "threshold", f"{path}.threshold")
+        node.left, node.right = TreeNode(), TreeNode()
+        stack.append((obj["right"], f"{path}.right", node.right))
+        stack.append((obj["left"], f"{path}.left", node.left))
+    return root
 
 
 def ensemble_to_dict(ensemble: Ensemble) -> dict:
@@ -481,8 +581,9 @@ def ensemble_to_dict(ensemble: Ensemble) -> dict:
 def ensemble_from_dict(obj: dict) -> Ensemble:
     if not isinstance(obj, dict):
         raise ModelSchemaError("model document must be an object")
-    if obj.get("version") != MODEL_SCHEMA_VERSION:
-        raise ModelSchemaError(f"unsupported model version {obj.get('version')!r}")
+    version = obj.get("version")
+    if type(version) is not int or version != MODEL_SCHEMA_VERSION:  # not True, not 1.0
+        raise ModelSchemaError(f"unsupported model version {version!r}")
     for key in ("base_score", "learning_rate", "feature_count", "trees"):
         if key not in obj:
             raise ModelSchemaError(f"model missing field {key!r}")
@@ -496,7 +597,7 @@ def ensemble_from_dict(obj: dict) -> Ensemble:
         learning_rate=_model_number(obj, "learning_rate", "learning_rate"),
         feature_count=feature_count,
         trees=[
-            _node_from_dict(tree, feature_count, f"trees[{i}]")
+            _tree_from_dict(tree, feature_count, f"trees[{i}]")
             for i, tree in enumerate(obj["trees"])
         ],
     )
@@ -511,4 +612,6 @@ def ensemble_from_json(text: str) -> Ensemble:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelSchemaError(f"model is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # the JSON reader recurses once per level
+        raise ModelSchemaError("model nests too deeply to read") from exc
     return ensemble_from_dict(obj)

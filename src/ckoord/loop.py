@@ -328,10 +328,11 @@ class ControlLoop:
                         "acc": fit["acc"],
                     }
                 )
+            predictions = model.predict(np.stack([ob.features for ob in app_pods]))
             pod_verdicts: list[tuple[DetectionVerdict, PodObservation]] = []
-            for ob in app_pods:
+            for ob, prediction in zip(app_pods, predictions.tolist()):
                 record = self.pods[ob.pod_id]
-                record.predict(model.predict_row(ob.features))
+                record.predict(prediction)
                 delta = delta_cpi(record.predictions, self.predictor_cfg.delta_mode)
                 threshold = cpi_threshold(
                     record.cpi,

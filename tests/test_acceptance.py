@@ -24,7 +24,7 @@ from ckoord.cluster import (
     QosClass,
 )
 from ckoord.detector import UtilizationWeights, comprehensive_utilization, selection_threshold
-from ckoord.gbdt import TrainConfig, fit_tree, train_ensemble, regression_metrics, tree_predict_row
+from ckoord.gbdt import TrainConfig, fit_tree, train_ensemble, regression_metrics, tree_predict
 from ckoord.mitigator import (
     Evict,
     MitigationConfig,
@@ -93,7 +93,7 @@ def test_criterion_1_tree_oracle_equivalence():
             continue
         probes = [[rng.uniform(-6, 6) for _ in range(d)] for _ in range(16)]
         if all(
-            abs(ref_predict_row(ref, p) - tree_predict_row(impl, np.array(p))) <= 1e-9
+            abs(ref_predict_row(ref, p) - tree_predict(impl, np.array([p]))[0]) <= 1e-9
             for p in probes
         ):
             matched += 1

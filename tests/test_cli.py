@@ -447,6 +447,62 @@ def test_model_template_is_a_valid_model(small_trace, tmp_path):
     assert run_cli("predict", "--trace", str(small_trace), "--model", str(model)) == 0
 
 
+# raw JSON text of the version field; only the integer 1 is schema v1
+BAD_MODEL_VERSIONS = [("true", "True"), ("1.0", "1.0"), ("2", "2"), ('"1"', "'1'"), ("null", "None")]
+
+
+@pytest.mark.parametrize("bad, shown", BAD_MODEL_VERSIONS, ids=[bad for bad, _ in BAD_MODEL_VERSIONS])
+def test_model_with_a_bad_version_is_exit_2(small_trace, tmp_path, capsys, bad, shown):
+    model = tmp_path / "model.json"
+    model.write_text((MODEL_TEMPLATE % GOOD_MODEL_FIELDS).replace('"version": 1', f'"version": {bad}'))
+    capsys.readouterr()
+    assert run_cli("predict", "--trace", str(small_trace), "--model", str(model)) == 2
+    assert capsys.readouterr().err == f"error: unsupported model version {shown}\n"
+
+
+def test_model_with_the_wrong_feature_count_is_exit_2(small_trace, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(
+        (MODEL_TEMPLATE % GOOD_MODEL_FIELDS).replace('"feature_count": 9', '"feature_count": 5')
+    )
+    out = tmp_path / "pred.csv"
+    capsys.readouterr()
+    code = run_cli("predict", "--trace", str(small_trace), "--model", str(model), "--out", str(out))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {model}: model takes 5 features, the trace gives 9\n"
+    assert not out.exists()
+
+
+def nested_model(levels):
+    """A model whose one tree splits ``levels`` times down its left side."""
+    split = '{"feature": 0, "threshold": 0.5, "left": '
+    tree = split * levels + '{"weight": 0.25}' + ', "right": {"weight": -0.25}}' * levels
+    return (
+        '{"version": 1, "base_score": 0.5, "learning_rate": 0.1, "feature_count": 9,'
+        f' "trees": [{tree}]}}'
+    )
+
+
+def test_model_nested_too_deeply_is_exit_2(small_trace, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(nested_model(2000))
+    capsys.readouterr()
+    assert run_cli("predict", "--trace", str(small_trace), "--model", str(model)) == 2
+    assert capsys.readouterr().err == "error: model nests too deeply to read\n"
+
+
+def test_model_nested_900_levels_loads_and_predicts(small_trace, tmp_path):
+    model = tmp_path / "model.json"
+    model.write_text(nested_model(900))
+    out = tmp_path / "pred.csv"
+    assert run_cli("predict", "--trace", str(small_trace), "--model", str(model), "--out", str(out)) == 0
+    header, *rows = out.read_text().splitlines()
+    cpu = header.split(",").index("pod_cpu_util")
+    for row in rows:  # every split tests slot 0, so a row takes one side all the way down
+        cells = row.split(",")
+        assert float(cells[-1]) == (0.525 if float(cells[cpu]) < 0.5 else 0.475)
+
+
 @pytest.mark.parametrize(
     "fault",
     ["repeated_pod_row", "inf_cpi", "quoted_pod_id", "underscore_interval", "padded_float"],

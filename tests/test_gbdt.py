@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ckoord.gbdt import (
+    _BLOCK_CELLS,
     FEATURE_COUNT,
     Ensemble,
     ModelSchemaError,
@@ -21,6 +22,7 @@ from ckoord.gbdt import (
     tree_predict,
 )
 import fit_reference
+import predict_reference
 from gbdt_reference import (
     ref_ensemble_predict,
     ref_fit_tree,
@@ -150,6 +152,112 @@ def test_training_loss_non_increasing_across_rounds():
             current = float(np.sum((partial.predict(X) - y) ** 2))
             assert current <= last + 1e-9
             last = current
+
+
+# thresholds of hand-built trees, and probe values that fall on them
+PROBE_LEVELS = (-1.0, -0.5, 0.0, 0.5, 1.0)
+PROBE_SPECIALS = (np.inf, -np.inf, np.nan)
+
+
+def hand_built_tree(rng, feature_count, depth, p_split):
+    """A tree whose leftmost path splits ``depth`` times; every other node
+    below the depth limit splits with probability p_split."""
+    root = TreeNode()
+    stack = [(root, 0, True)]
+    while stack:
+        node, level, spine = stack.pop()
+        if level < depth and (spine or rng.random() < p_split):
+            node.feature = int(rng.integers(feature_count))
+            node.threshold = float(rng.choice(PROBE_LEVELS))
+            node.left, node.right = TreeNode(), TreeNode()
+            stack.append((node.left, level + 1, spine))
+            stack.append((node.right, level + 1, False))
+        else:
+            node.weight = float(rng.normal(scale=0.3))
+    return root
+
+
+@st.composite
+def prediction_cases(draw):
+    """An ensemble, a pool of probe rows and the pool indices of the rows to
+    predict together: 1 row, or one block of rows, one fewer or one more.
+
+    Half the ensembles are trained; the others are built by hand, from no
+    tree to 40, with mixed depths up to 12.  Probes mix values on the hand
+    thresholds, normal draws, infinities and NaN.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, FEATURE_COUNT))
+    if draw(st.booleans()):
+        n = draw(st.integers(4, 120))
+        X = rng.normal(size=(n, d))
+        cfg = TrainConfig(
+            learning_rate=draw(st.sampled_from([0.1, 0.3, 1.0])),
+            num_rounds=draw(st.integers(1, 30)),
+            max_depth=draw(st.integers(1, 4)),
+            min_samples_leaf=draw(st.integers(1, 3)),
+            base_score=draw(st.sampled_from([0.0, 0.7, -1.3])),
+        )
+        model = train_ensemble(X, 1.0 + X[:, 0] + rng.normal(size=n), cfg)
+    else:
+        depths = draw(st.lists(st.integers(0, 12), max_size=40))
+        p_split = draw(st.sampled_from([0.0, 0.3, 0.45]))
+        model = Ensemble(
+            base_score=draw(st.sampled_from([0.0, -0.0, 0.7, 1e-3])),
+            learning_rate=draw(st.sampled_from([0.0, 0.1, 0.37, 1.0])),
+            feature_count=d,
+            trees=[hand_built_tree(rng, d, depth, p_split) for depth in depths],
+        )
+    values = np.concatenate([PROBE_LEVELS, PROBE_SPECIALS, rng.normal(size=8)])
+    pool = rng.choice(values, size=(48, d))
+    block = max(1, _BLOCK_CELLS // max(1, len(model.trees)))
+    count = draw(st.sampled_from([1, block - 1, block, block + 1]))
+    return model, pool, rng.integers(pool.shape[0], size=count)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(prediction_cases())
+def test_packed_prediction_is_bit_identical_to_the_one_row_loop(case):
+    model, pool, rows = case
+    want = np.array([predict_reference.predict_row(model, x) for x in pool])
+    assert model.predict(pool[rows]).tobytes() == want[rows].tobytes()
+    for x, expected in zip(pool[:8], want):
+        assert np.float64(model.predict_row(x)).tobytes() == expected.tobytes()
+
+
+def test_prediction_repacks_when_the_trees_change():
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(60, 3))
+    model = train_ensemble(X, X[:, 0] + 0.1 * rng.normal(size=60), TrainConfig(num_rounds=6))
+    grown = Ensemble(base_score=0.2, learning_rate=0.1, feature_count=3)
+
+    def check():
+        want = [predict_reference.predict_row(grown, x) for x in X]
+        assert grown.predict(X).tolist() == want
+
+    check()
+    for tree in model.trees:  # appended between predictions
+        grown.trees.append(tree)
+        check()
+    grown.trees[2] = model.trees[0]
+    check()
+    grown.trees.pop()
+    check()
+    grown.trees = list(reversed(model.trees))
+    check()
+
+
+def test_nan_goes_right_and_infinities_follow_the_comparison():
+    tree = TreeNode(feature=0, threshold=0.5, left=TreeNode(weight=1.0), right=TreeNode(weight=2.0))
+    model = Ensemble(base_score=0.0, learning_rate=1.0, feature_count=1, trees=[tree])
+    probe = np.array([[np.nan], [-np.inf], [np.inf], [0.5], [0.25]])
+    assert model.predict(probe).tolist() == [2.0, 1.0, 2.0, 2.0, 1.0]
+
+
+def test_predict_rejects_a_tree_that_splits_outside_the_features():
+    tree = TreeNode(feature=3, threshold=0.0, left=TreeNode(), right=TreeNode())
+    with pytest.raises(ValueError, match="outside"):
+        Ensemble(feature_count=3, trees=[tree]).predict(np.zeros((2, 3)))
 
 
 def test_regularized_objective_non_increasing_at_full_step():

@@ -5,7 +5,7 @@ history c, a one-round full-step unregularized model, so the trained model
 predicts exactly c and a later CPI spike of +1 produces a delta of exactly 1.
 """
 
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 from ckoord.cluster import NodeMetrics, QosClass
 from ckoord.detector import DetectorConfig
-from ckoord.gbdt import TrainConfig
+from ckoord.gbdt import Ensemble, TrainConfig
 from ckoord.loop import HISTORY_RETENTION_WINDOWS, ControlLoop, NodeObservation, PodObservation, PodRecord
 from ckoord.mitigator import Evict, MitigationConfig, Severity
 from ckoord.predictor import PredictorConfig, ThresholdParams, delta_cpi
+from ckoord.scenario import default_config
+from ckoord.simulator import Simulator
 from ckoord.telemetry import TimeSeries
 from delta_reference import reference_delta_cpi
 
@@ -213,6 +215,29 @@ def test_history_thinning_caps_training_rows():
     # retention ring is 4 windows deep, so at most 8 rows survive
     assert X.shape == (8, 9)
     assert np.all(y == 1.0)
+
+
+def test_each_flagged_app_is_scored_in_one_predict_call(monkeypatch):
+    """Over the packaged scenario, Ensemble.predict runs once per verdict,
+    that is once per interval and flagged app with a model, and once per
+    training; no pod is predicted on its own."""
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(Ensemble, name)
+
+        def wrapper(self, X):
+            calls[name] += 1
+            return original(self, X)
+
+        return wrapper
+
+    for name in ("predict", "predict_row"):
+        monkeypatch.setattr(Ensemble, name, counting(name))
+    report = Simulator(default_config(), 1).run().report
+    trainings = sum(len(fits) for fits in report["models"].values())
+    assert 0 < trainings < report["verdicts_evaluated"]
+    assert calls == {"predict": report["verdicts_evaluated"] + trainings}
 
 
 # Each step records one CPI sample and then, while the app is flagged,
