@@ -59,7 +59,7 @@ from .predictor import (
     worst_verdict,
 )
 from .simulator import RunResult, Simulator, run_scenario
-from .telemetry import MetricSample, TimeSeries, rolling_mean, rolling_std
+from .telemetry import TimeSeries, rolling_mean, rolling_std
 
 __version__ = "0.1.0"
 
@@ -74,7 +74,6 @@ __all__ = [
     "FlaggedApps",
     "IntervalOutcome",
     "LoadFactorWeights",
-    "MetricSample",
     "MitigationConfig",
     "ModelCache",
     "NodeMetrics",

@@ -61,13 +61,15 @@ def comprehensive_utilization(m: NodeMetrics, w: UtilizationWeights) -> float:
     (sqrt), and the shared-pool term 2*C_sh - C_sh^2 rises steeply early:
     shared-pool contention is the leading interference signal.
     """
-    for name in ("mem_util", "cpu_total", "cpu_shared"):
-        value = getattr(m, name)
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name}={value} outside [0, 1]")
-    mem_term = m.mem_util / (1.0 + m.mem_util)
-    cpu_term = math.sqrt(m.cpu_total)
-    shared_term = 2.0 * m.cpu_shared - m.cpu_shared**2
+    mem, cpu, shared = m.mem_util, m.cpu_total, m.cpu_shared
+    if not (0.0 <= mem <= 1.0 and 0.0 <= cpu <= 1.0 and 0.0 <= shared <= 1.0):
+        for name in ("mem_util", "cpu_total", "cpu_shared"):
+            value = getattr(m, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name}={value} outside [0, 1]")
+    mem_term = mem / (1.0 + mem)
+    cpu_term = math.sqrt(cpu)
+    shared_term = 2.0 * shared - shared**2
     return w.alpha * mem_term + w.beta * cpu_term + w.gamma * shared_term
 
 
@@ -81,7 +83,7 @@ def selection_threshold(utilizations: list[float], k: float, deviation: str = "v
         raise ValueError("no utilization scores")
     n = len(utilizations)
     mean = sum(utilizations) / n
-    var = sum((u - mean) ** 2 for u in utilizations) / n
+    var = sum([(u - mean) ** 2 for u in utilizations]) / n
     if deviation == "variance":
         return mean + k * var
     if deviation == "std":

@@ -405,6 +405,11 @@ class Ensemble:
     learning_rate: float = 0.1
     feature_count: int = FEATURE_COUNT
     trees: list[TreeNode] = field(default_factory=list)
+    # predictions for the training rows, as train_ensemble left them; None
+    # for an ensemble it did not build
+    train_predictions: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
     _forest: _Forest | None = field(default=None, init=False, repr=False, compare=False)
 
     def _packed(self) -> _Forest:
@@ -474,6 +479,7 @@ def train_ensemble(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> Ensemble:
         tree = fit_tree(X, g, cfg, order=order)
         ensemble.trees.append(tree)
         preds += cfg.learning_rate * tree_predict(tree, X)
+    ensemble.train_predictions = preds
     return ensemble
 
 

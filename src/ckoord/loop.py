@@ -6,10 +6,12 @@ the live simulator or from a recorded trace, and emits verdicts and planned
 actions.  Whether actions are applied is the caller's business; replay
 records them, the simulator enforces them.
 
-Per-pod records (CPI series, feature history, prediction window), flagging
-state, model cache and node cooldowns all live here, and the loop drops the
-records of the pods it evicts, so that live and replay runs of the same data
-make identical decisions.
+Per-pod records (CPI series, feature history, prediction window, the pod's
+entry in the detector view), flagging state, model cache and node cooldowns
+all live here, and the loop drops the records of the pods it evicts, so that
+live and replay runs of the same data make identical decisions.  Each
+interval's observations are gone through once: recording, the view, the
+largest miss rate and the grouping by app all come from that one pass.
 """
 
 from __future__ import annotations
@@ -21,15 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import (
-    ClusterState,
-    NodeMetrics,
-    NodeState,
-    PodEntry,
-    PodMetrics,
-    PodSpec,
-    QosClass,
-)
+from .cluster import ClusterState, NodeMetrics, NodeState, PodEntry, PodSpec, QosClass
 from .detector import DetectorConfig, FlaggedApps, scan
 from .mitigator import (
     Evict,
@@ -68,7 +62,8 @@ class PodRecord:
     numbers; ``features`` holds the model input of each of its samples, so
     the two rings stay aligned.  ``predictions`` holds the current flagging
     episode's newest ``window`` pairs of (prediction, rolling mean of the CPI
-    when the prediction was made).
+    when the prediction was made).  ``entry`` is the pod's row in the
+    detector/mitigator view, kept up to date by ``view``.
     """
 
     def __init__(self, pod_id: str, window: int) -> None:
@@ -77,6 +72,7 @@ class PodRecord:
         self.cpi = TimeSeries(f"cpi:{pod_id}", capacity=retention)
         self.features: deque[np.ndarray] = deque(maxlen=retention)
         self.predictions: deque[tuple[float, float]] = deque(maxlen=window)
+        self.entry: PodEntry | None = None
 
     def record(self, interval: int, features: np.ndarray, cpi: float) -> None:
         self.cpi.record(interval, cpi)
@@ -84,6 +80,42 @@ class PodRecord:
 
     def predict(self, prediction: float) -> None:
         self.predictions.append((prediction, rolling_mean(self.cpi, self.window)))
+
+    def view(self, ob: PodObservation, miss: float) -> PodEntry:
+        """The pod's entry brought up to ``ob``, whose L3 miss rate is ``miss``.
+
+        The spec is rebuilt only when the pod's app, node, QoS or requests
+        change; the metrics are updated in place.
+        """
+        entry = self.entry
+        if entry is None:
+            entry = self.entry = PodEntry(_pod_spec(ob))
+        else:
+            spec = entry.spec
+            if (
+                spec.node_id != ob.node_id
+                or spec.app_id != ob.app_id
+                or spec.qos != ob.qos
+                or spec.cpu_request != ob.cpu_request
+                or spec.mem_request != ob.mem_request
+            ):
+                entry.spec = _pod_spec(ob)
+        metrics = entry.metrics
+        metrics.cpu_util = ob.cpu_cores
+        metrics.l3_miss_rate = miss
+        metrics.cpi_actual = ob.cpi
+        return entry
+
+
+def _pod_spec(ob: PodObservation) -> PodSpec:
+    return PodSpec(
+        pod_id=ob.pod_id,
+        app_id=ob.app_id,
+        node_id=ob.node_id,
+        qos=ob.qos,
+        cpu_request=ob.cpu_request,
+        mem_request=ob.mem_request,
+    )
 
 
 @dataclass(frozen=True)
@@ -215,16 +247,6 @@ class ControlLoop:
 
     # -- state builders -------------------------------------------------
 
-    def _record(self, interval: int, pods: list[PodObservation]) -> None:
-        for ob in pods:
-            record = self.pods.get(ob.pod_id)
-            if record is None:
-                record = self.pods[ob.pod_id] = PodRecord(ob.pod_id, self.predictor_cfg.window)
-            record.record(interval, ob.features, ob.cpi)
-            miss = float(ob.features[6])
-            if miss > self.n_max:
-                self.n_max = miss
-
     def _app_history(self, app_id: str, pods: list[PodObservation]) -> tuple[np.ndarray, np.ndarray]:
         app_pods = [ob for ob in pods if ob.app_id == app_id]
         rows: list[np.ndarray] = []
@@ -237,12 +259,12 @@ class ControlLoop:
             n = len(record.features)
             idx = np.linspace(0, n - 1, budget).round().astype(int) if n > budget else range(n)
             rows.extend(record.features[i] for i in idx)
-            targets.extend(record.cpi.samples[i].value for i in idx)
+            targets.extend(record.cpi.values[i] for i in idx)
         if not rows:
             return np.empty((0, FEATURE_COUNT)), np.empty(0)
         return np.stack(rows), np.array(targets)
 
-    def _detector_state(self, interval: int, pods, nodes) -> ClusterState:
+    def _node_view(self, interval: int, nodes: list[NodeObservation]) -> ClusterState:
         state = ClusterState(interval=interval)
         for node in nodes:
             state.nodes[node.node_id] = NodeState(
@@ -251,23 +273,6 @@ class ControlLoop:
                 mem_capacity=1.0,
                 metrics=node.metrics,
             )
-        for ob in pods:
-            spec = PodSpec(
-                pod_id=ob.pod_id,
-                app_id=ob.app_id,
-                node_id=ob.node_id,
-                qos=ob.qos,
-                cpu_request=ob.cpu_request,
-                mem_request=ob.mem_request,
-            )
-            metrics = PodMetrics(
-                cpu_util=ob.cpu_cores,
-                mem_util=0.0,
-                l3_miss_rate=float(ob.features[6]),
-                cpi_actual=ob.cpi,
-            )
-            state.pods[ob.pod_id] = PodEntry(spec, metrics)
-            state.nodes[ob.node_id].pod_ids.append(ob.pod_id)
         return state
 
     # -- the pass itself -------------------------------------------------
@@ -280,11 +285,25 @@ class ControlLoop:
         controllers_enabled: bool = True,
     ) -> IntervalOutcome:
         outcome = IntervalOutcome(interval=interval)
-        self._record(interval, pods)
-        if not controllers_enabled:
+        # one pass: record every pod and, with controllers on, bring its view
+        # entry up to date, list it on its node and group it by app
+        state = self._node_view(interval, nodes) if controllers_enabled else None
+        by_app: dict[str, list[tuple[PodObservation, PodRecord]]] = {}
+        for ob in pods:
+            record = self.pods.get(ob.pod_id)
+            if record is None:
+                record = self.pods[ob.pod_id] = PodRecord(ob.pod_id, self.predictor_cfg.window)
+            record.record(interval, ob.features, ob.cpi)
+            miss = float(ob.features[6])
+            if miss > self.n_max:
+                self.n_max = miss
+            if state is not None:
+                state.pods[ob.pod_id] = record.view(ob, miss)
+                state.nodes[ob.node_id].pod_ids.append(ob.pod_id)
+                by_app.setdefault(ob.app_id, []).append((ob, record))
+        if state is None:
             return outcome
 
-        state = self._detector_state(interval, pods, nodes)
         before = set(self.flagged.entries)
         scan(state, self.detector_cfg, self.flagged)
         after = set(self.flagged.entries)
@@ -294,30 +313,25 @@ class ControlLoop:
         for app_id in outcome.newly_unflagged:
             # episode over: next flag retrains and restarts prediction windows
             self.cache.invalidate(app_id)
-            for ob in pods:
-                if ob.app_id == app_id:
-                    self.pods[ob.pod_id].predictions.clear()
+            for _, record in by_app.get(app_id, ()):
+                record.predictions.clear()
         for app_id in outcome.newly_flagged:
             log.debug("interval %d: flagged %s", interval, app_id)
 
-        by_app: dict[str, list[PodObservation]] = {}
-        for ob in pods:
-            by_app.setdefault(ob.app_id, []).append(ob)
-
         for app_id in outcome.flagged_apps:
-            app_pods = sorted(by_app.get(app_id, []), key=lambda o: o.pod_id)
+            app_pods = sorted(by_app.get(app_id, ()), key=lambda pair: pair[0].pod_id)
             if not app_pods:
                 continue
             model = self.cache.models.get(app_id)
             if model is None:
                 # history is assembled only when the cache may train; the
                 # episode's later intervals reuse its model
-                X, y = self._app_history(app_id, app_pods)
+                X, y = self._app_history(app_id, [ob for ob, _ in app_pods])
                 model = self.cache.get_or_train(app_id, X, y)
                 if model is None:
                     outcome.deferred_apps.append(app_id)
                     continue
-                fit = regression_metrics(y, model.predict(X))
+                fit = regression_metrics(y, model.train_predictions)
                 self.models_trained.setdefault(app_id, []).append(
                     {
                         "interval": interval,
@@ -328,10 +342,9 @@ class ControlLoop:
                         "acc": fit["acc"],
                     }
                 )
-            predictions = model.predict(np.stack([ob.features for ob in app_pods]))
+            predictions = model.predict(np.stack([ob.features for ob, _ in app_pods]))
             pod_verdicts: list[tuple[DetectionVerdict, PodObservation]] = []
-            for ob, prediction in zip(app_pods, predictions.tolist()):
-                record = self.pods[ob.pod_id]
+            for (ob, record), prediction in zip(app_pods, predictions.tolist()):
                 record.predict(prediction)
                 delta = delta_cpi(record.predictions, self.predictor_cfg.delta_mode)
                 threshold = cpi_threshold(

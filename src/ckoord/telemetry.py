@@ -11,7 +11,6 @@ derived from it must be stable for windows as small as a single sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 DEFAULT_WINDOW = 60          # samples; 5 min at the 5 s cadence
 DEFAULT_RETENTION_FACTOR = 4  # ring keeps retention_factor * window samples
@@ -25,55 +24,51 @@ class EmptyWindowError(ValueError):
     """A rolling statistic was requested over an empty series."""
 
 
-@dataclass(frozen=True)
-class MetricSample:
-    timestamp: int  # seconds, interval-aligned, non-negative
-    value: float
-
-    def __post_init__(self) -> None:
-        if self.timestamp < 0:
-            raise ValueError(f"negative timestamp {self.timestamp}")
-        if not math.isfinite(self.value):
-            raise ValueError(f"non-finite sample value {self.value!r}")
-
-
-@dataclass
 class TimeSeries:
-    """Append-only ring of samples with strictly increasing timestamps."""
+    """Append-only ring of samples with strictly increasing timestamps.
 
-    name: str
-    capacity: int = DEFAULT_RETENTION_FACTOR * DEFAULT_WINDOW
-    samples: list[MetricSample] = field(default_factory=list)
+    The timestamps and values are two plain lists, oldest first; sample i is
+    ``(timestamps[i], values[i])``.
+    """
 
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
+    def __init__(
+        self, name: str, capacity: int = DEFAULT_RETENTION_FACTOR * DEFAULT_WINDOW
+    ) -> None:
+        if capacity < 1:
             raise ValueError("capacity must be at least 1")
+        self.name = name
+        self.capacity = capacity
+        self.timestamps: list[float] = []  # seconds, interval-aligned, non-negative
+        self.values: list[float] = []
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.values)
 
-    def append(self, sample: MetricSample) -> None:
-        if self.samples and sample.timestamp <= self.samples[-1].timestamp:
+    def record(self, timestamp: float, value: float) -> None:
+        if timestamp < 0:
+            raise ValueError(f"negative timestamp {timestamp}")
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite sample value {value!r}")
+        timestamps = self.timestamps
+        if timestamps and timestamp <= timestamps[-1]:
             raise OrderingError(
-                f"{self.name}: timestamp {sample.timestamp} does not advance "
-                f"past {self.samples[-1].timestamp}"
+                f"{self.name}: timestamp {timestamp} does not advance past {timestamps[-1]}"
             )
-        self.samples.append(sample)
-        if len(self.samples) > self.capacity:
-            # Ring behavior: evict oldest.  One append admits one sample, so a
-            # single pop keeps the invariant.
-            self.samples.pop(0)
-
-    def record(self, timestamp: int, value: float) -> None:
-        self.append(MetricSample(timestamp, value))
+        timestamps.append(timestamp)
+        self.values.append(value)
+        if len(timestamps) > self.capacity:
+            # Ring behavior: evict oldest.  One record admits one sample, so
+            # a single delete keeps the invariant.
+            del timestamps[0]
+            del self.values[0]
 
     def window_values(self, n: int) -> list[float]:
         """The min(n, len) most recent values, oldest first."""
         if n < 1:
             raise ValueError("window must be at least 1 sample")
-        if not self.samples:
+        if not self.values:
             raise EmptyWindowError(f"{self.name}: no samples")
-        return [s.value for s in self.samples[-n:]]
+        return self.values[-n:]
 
 
 def rolling_mean(series: TimeSeries, n: int) -> float:
@@ -85,6 +80,6 @@ def rolling_std(series: TimeSeries, n: int) -> float:
     """Population standard deviation over the trailing window."""
     values = series.window_values(n)
     mean = sum(values) / len(values)
-    var = sum((v - mean) ** 2 for v in values) / len(values)
+    var = sum([(v - mean) ** 2 for v in values]) / len(values)
     # var can round to a tiny negative for near-constant windows
     return math.sqrt(max(0.0, var))

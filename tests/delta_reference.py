@@ -21,7 +21,7 @@ def reference_delta_cpi(
             f"actual series has {len(actual)} samples, fewer than "
             f"{len(predictions)} predictions"
         )
-    values = [s.value for s in actual.samples]
+    values = actual.values
     diffs = []
     for j, pred in enumerate(predictions):
         end = len(values) - len(predictions) + j + 1  # series position of prediction j

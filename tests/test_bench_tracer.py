@@ -8,11 +8,14 @@ figures read zero.  This test resolves every ``LAYER_PATCHES`` entry the way
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from ckoord import gbdt
+from ckoord.simulator import Simulator
+from helpers import cfg_with
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -62,3 +65,58 @@ def test_train_ensemble_calls_fit_tree_through_the_patched_name():
         assert patches.restore() == []
     assert patches.absent == []
     assert calls == [(40, gbdt.FEATURE_COUNT)] * 3
+
+
+# 80 intervals with a window of 20 and a cpu_hog long enough to be acted on
+SHORT_RUN = (
+    "horizon=80",
+    "predictor.window=20",
+    'interference=[{"target_node": "node-02", "kind": "cpu_hog",'
+    ' "start_interval": 50, "duration": 30, "intensity": 1.0}]',
+)
+
+
+def test_loop_calls_every_traced_decision_step_through_its_patched_name():
+    """Each per-layer figure of the decision path counts real calls: scan
+    once per interval, and the delta, the threshold and its rolling std once
+    per scored pod.  An inlined call would read zero here, not just there."""
+    tracer = load_tracer()
+    calls = Counter()
+    scored = Counter()
+
+    def counting(name):
+        def make(fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        return make
+
+    def scoring(observe):
+        def wrapper(loop, interval, pods, nodes, *args, **kwargs):
+            outcome = observe(loop, interval, pods, nodes, *args, **kwargs)
+            apps = Counter(ob.app_id for ob in pods)
+            scored["pods"] += sum(apps[verdict.app_id] for verdict in outcome.verdicts)
+            scored["detected"] += sum(verdict.detected for verdict in outcome.verdicts)
+            return outcome
+
+        return wrapper
+
+    patches = tracer.Patches()
+    for name in ("scan", "delta_cpi", "cpi_threshold", "route", "plan"):
+        patches.replace("ckoord.loop", name, counting(name))
+    patches.replace("ckoord.predictor", "rolling_std", counting("rolling_std"))
+    patches.replace("ckoord.loop:ControlLoop", "observe", scoring)
+    try:
+        Simulator(cfg_with(*SHORT_RUN), 3).run()
+    finally:
+        assert patches.restore() == []
+    assert patches.absent == []
+    assert calls["scan"] == 80
+    assert scored["pods"] > 0
+    for name in ("delta_cpi", "cpi_threshold", "rolling_std"):
+        assert calls[name] == scored["pods"], name
+    assert calls["route"] == scored["detected"]
+    assert calls["plan"] >= 1

@@ -616,3 +616,25 @@ def test_default_config_drives_the_cli_end_to_end(tmp_path):
         == 0
     )
     assert json.loads((out / "report.json").read_text())["horizon"] == 2
+
+
+def test_simulate_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    """String hashing is salted per process; no artifact may follow it."""
+    src = str(Path(ckoord.__file__).resolve().parents[1])
+    digests = []
+    for hash_seed in ("0", "987654"):
+        out = tmp_path / f"hash{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ckoord.cli", "simulate", "--seed", "1", "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(
+            {
+                name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("report.json", "trace.csv", "actions.log")
+            }
+        )
+    assert digests[0] == digests[1]

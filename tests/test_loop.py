@@ -5,13 +5,16 @@ history c, a one-round full-step unregularized model, so the trained model
 predicts exactly c and a later CPI spike of +1 produces a delta of exactly 1.
 """
 
+import random
 from collections import Counter, deque
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ckoord import loop as loop_module
 from ckoord.cluster import NodeMetrics, QosClass
 from ckoord.detector import DetectorConfig
 from ckoord.gbdt import Ensemble, TrainConfig
@@ -20,8 +23,9 @@ from ckoord.mitigator import Evict, MitigationConfig, Severity
 from ckoord.predictor import PredictorConfig, ThresholdParams, delta_cpi
 from ckoord.scenario import default_config
 from ckoord.simulator import Simulator
-from ckoord.telemetry import TimeSeries
+from ckoord.telemetry import TimeSeries, rolling_mean, rolling_std
 from delta_reference import reference_delta_cpi
+import loop_reference
 
 WEB_FEATURES = np.array([0.5, 0.5, 0.9, 0.2, 0.9, 0.7, 1e6, 0.5, 0.5])
 BATCH_FEATURES = np.array([0.5, 0.5, 0.9, 0.7, 0.9, 0.2, 2e6, 0.5, 0.5])
@@ -193,7 +197,7 @@ def test_evicted_pod_returns_with_fresh_record():
 
     loop.observe(3, [web_pod(2.0), batch_pod()], nodes(), controllers_enabled=False)
     record = loop.pods["batch-0"]
-    assert [s.value for s in record.cpi.samples] == [1.0]
+    assert record.cpi.values == [1.0]
     assert len(record.features) == 1
     assert not record.predictions
 
@@ -219,8 +223,9 @@ def test_history_thinning_caps_training_rows():
 
 def test_each_flagged_app_is_scored_in_one_predict_call(monkeypatch):
     """Over the packaged scenario, Ensemble.predict runs once per verdict,
-    that is once per interval and flagged app with a model, and once per
-    training; no pod is predicted on its own."""
+    that is once per interval and flagged app with a model; a training's
+    fit metrics come from the trainer's own predictions, and no pod is
+    predicted on its own."""
     calls = Counter()
 
     def counting(name):
@@ -237,7 +242,7 @@ def test_each_flagged_app_is_scored_in_one_predict_call(monkeypatch):
     report = Simulator(default_config(), 1).run().report
     trainings = sum(len(fits) for fits in report["models"].values())
     assert 0 < trainings < report["verdicts_evaluated"]
-    assert calls == {"predict": report["verdicts_evaluated"] + trainings}
+    assert calls == {"predict": report["verdicts_evaluated"]}
 
 
 # Each step records one CPI sample and then, while the app is flagged,
@@ -278,3 +283,167 @@ def test_stored_means_match_recomputed_delta(window, steps):
                 expected = reference_delta_cpi(list(predictions), series, window, mode)
                 assert delta_cpi(record.predictions, mode) == expected
         was_flagged = flagged
+
+
+# -- the live detector view and CPI rings against the rebuilt reference -----
+
+REF_NODES = ("node-00", "node-01", "node-02")
+REF_POD_QOS = (QosClass.BE, QosClass.LS, QosClass.BE, QosClass.LSR, QosClass.SYSTEM)
+
+# Before each interval a pod may change one field of its spec.
+spec_change = st.one_of(
+    st.none(),
+    st.none(),
+    st.none(),
+    st.tuples(st.just("node_id"), st.sampled_from(REF_NODES)),
+    st.tuples(st.just("cpu_request"), st.sampled_from((0.5, 1.0, 2.0))),
+    st.tuples(st.just("mem_request"), st.sampled_from((1.0, 2.0**30))),
+    st.tuples(st.just("qos"), st.sampled_from(list(QosClass))),
+    st.tuples(st.just("app_id"), st.sampled_from(("web", "batch"))),
+)
+# (observed, spec change, measured CPI) for each of five pods, the hot node
+# (3 for none) and the order the pods are observed in
+interval_steps = st.lists(
+    st.tuples(
+        st.lists(
+            st.tuples(st.sampled_from((True, True, True, False)), spec_change, st.floats(0.2, 4.0)),
+            min_size=5,
+            max_size=5,
+        ),
+        st.integers(0, 3),
+        st.permutations(range(5)),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def reference_loop(window):
+    return ControlLoop(
+        detector_cfg=DetectorConfig(k=0.5, hysteresis_intervals=2),
+        predictor_cfg=PredictorConfig(
+            window=window,
+            params=ThresholdParams(k1=0.5, k2=0.1),
+            min_history_windows=1,
+            train=TrainConfig(
+                learning_rate=1.0, lam=0.0, max_depth=2, num_rounds=1, min_samples_leaf=1
+            ),
+        ),
+        mitigator_cfg=MitigationConfig(cooldown_intervals=0),
+    )
+
+
+def drive_against_reference(window, steps):
+    """Run the steps through a loop, checking at every interval that the view
+    scan gets equals a fresh build and that every record's CPI ring holds the
+    reference ring's samples and gives its rolling bits.  Returns counts of
+    what the steps exercised."""
+    loop = reference_loop(window)
+    real_scan = loop_module.scan
+    specs = {
+        f"p{i}": {
+            "app_id": ("web", "batch")[i % 2],
+            "node_id": REF_NODES[i % 3],
+            "qos": REF_POD_QOS[i],
+            "cpu_request": 1.0,
+            "mem_request": 2.0**30,
+        }
+        for i in range(5)
+    }
+    rings: dict[str, loop_reference.TimeSeries] = {}
+    evicted: set[str] = set()
+    seen = Counter()
+    current = {}
+
+    def checking_scan(state, cfg, flagged):
+        expected = loop_reference.detector_state(state.interval, current["pods"], current["nodes"])
+        assert state == expected
+        assert list(state.pods) == list(expected.pods)
+        seen["views"] += 1
+        return real_scan(state, cfg, flagged)
+
+    with mock.patch.object(loop_module, "scan", checking_scan):
+        for interval, (pod_steps, hot, order) in enumerate(steps):
+            pods = []
+            for i in order:
+                observed, change, cpi = pod_steps[i]
+                spec = specs[f"p{i}"]
+                if change is not None and spec[change[0]] != change[1]:
+                    spec[change[0]] = change[1]
+                    seen["spec changes"] += 1
+                if observed:
+                    pods.append(
+                        PodObservation(
+                            pod_id=f"p{i}",
+                            features=np.array([cpi / 4, 0.5, 0.9, 0.2, 0.9, 0.7, cpi * 1e5, 0.5, 0.5]),
+                            cpi=cpi,
+                            cpu_cores=cpi,
+                            **spec,
+                        )
+                    )
+            current["pods"] = pods
+            current["nodes"] = [
+                NodeObservation(node_id, 4.0, HOT if j == hot else COLD)
+                for j, node_id in enumerate(REF_NODES)
+            ]
+            outcome = loop.observe(interval, pods, current["nodes"])
+
+            for ob in pods:
+                ring = rings.get(ob.pod_id)
+                if ring is None:
+                    if ob.pod_id in evicted:
+                        evicted.discard(ob.pod_id)
+                        seen["returns"] += 1
+                    capacity = HISTORY_RETENTION_WINDOWS * window
+                    ring = rings[ob.pod_id] = loop_reference.TimeSeries(ob.pod_id, capacity)
+                if len(ring) == ring.capacity:
+                    seen["ring wraps"] += 1
+                ring.record(interval, ob.cpi)
+            for planned in outcome.actions:
+                if isinstance(planned.action, Evict):
+                    for pod_id in planned.action.pod_ids:
+                        del rings[pod_id]
+                        evicted.add(pod_id)
+                        seen["evictions"] += 1
+
+            assert loop.pods.keys() == rings.keys()
+            for pod_id, record in loop.pods.items():
+                ring = rings[pod_id]
+                assert record.cpi.timestamps == [s.timestamp for s in ring.samples]
+                assert record.cpi.values == [s.value for s in ring.samples]
+                assert len(record.features) == len(ring)
+                for n in (1, window, len(ring) + 1):
+                    assert rolling_mean(record.cpi, n).hex() == loop_reference.rolling_mean(ring, n).hex()
+                    assert rolling_std(record.cpi, n).hex() == loop_reference.rolling_std(ring, n).hex()
+    assert seen["views"] == len(steps)
+    return seen
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(window=st.integers(1, 3), steps=interval_steps)
+def test_live_view_and_cpi_rings_match_the_rebuilt_reference(window, steps):
+    drive_against_reference(window, steps)
+
+
+def test_reference_drive_covers_evictions_returns_moves_and_wraps():
+    """One fixed stream reaches every case the property is meant to cover."""
+    rng = random.Random(5)
+    changes = [
+        ("node_id", "node-01"), ("node_id", "node-02"), ("cpu_request", 2.0),
+        ("mem_request", 1.0), ("qos", QosClass.BE), ("app_id", "web"),
+    ]
+    steps = [
+        (
+            [
+                (rng.random() < 0.8, rng.choice(changes) if rng.random() < 0.1 else None,
+                 rng.uniform(0.2, 4.0))
+                for _ in range(5)
+            ],
+            rng.randrange(4),
+            rng.sample(range(5), 5),
+        )
+        for _ in range(40)
+    ]
+    seen = drive_against_reference(2, steps)
+    for case in ("spec changes", "evictions", "returns", "ring wraps"):
+        assert seen[case] > 0, case

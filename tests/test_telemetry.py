@@ -4,7 +4,6 @@ import pytest
 
 from ckoord.telemetry import (
     EmptyWindowError,
-    MetricSample,
     OrderingError,
     TimeSeries,
     rolling_mean,
@@ -21,16 +20,17 @@ def series_of(values, capacity=240):
 
 def test_append_base_case():
     s = TimeSeries("t")
-    s.append(MetricSample(0, 1.0))
+    s.record(0, 1.0)
     assert len(s) == 1
-    assert s.samples[-1].value == 1.0
+    assert (s.timestamps, s.values) == ([0], [1.0])
 
 
 def test_append_ring_evicts_oldest():
     s = series_of([1.0, 2.0, 3.0], capacity=3)
     s.record(15, 4.0)
     assert len(s) == 3
-    assert [x.value for x in s.samples] == [2.0, 3.0, 4.0]
+    assert s.values == [2.0, 3.0, 4.0]
+    assert s.timestamps == [5, 10, 15]
 
 
 def test_append_same_timestamp_rejected():
@@ -48,12 +48,14 @@ def test_append_backwards_timestamp_rejected():
 
 
 def test_sample_validation():
+    s = TimeSeries("t")
     with pytest.raises(ValueError):
-        MetricSample(-1, 0.0)
+        s.record(-1, 0.0)
     with pytest.raises(ValueError):
-        MetricSample(0, math.nan)
+        s.record(0, math.nan)
     with pytest.raises(ValueError):
-        MetricSample(0, math.inf)
+        s.record(0, math.inf)
+    assert len(s) == 0  # a rejected sample leaves no trace
 
 
 def test_rolling_mean_constant():
