@@ -34,7 +34,7 @@ from .gbdt import (
     regression_metrics,
     train_ensemble,
 )
-from .loop import ControlLoop, IntervalOutcome, NodeObservation, PodObservation
+from .loop import ControlLoop, IntervalOutcome
 from .mitigator import (
     Evict,
     MitigationConfig,
@@ -77,12 +77,10 @@ __all__ = [
     "MitigationConfig",
     "ModelCache",
     "NodeMetrics",
-    "NodeObservation",
     "NodeState",
     "NoOp",
     "PodEntry",
     "PodMetrics",
-    "PodObservation",
     "PodSpec",
     "PredictorConfig",
     "QosClass",

@@ -14,7 +14,6 @@ import os
 import sys
 
 from . import __version__
-from .cluster import NodeMetrics, QosClass
 from .gbdt import (
     ModelSchemaError,
     TrainConfig,
@@ -23,7 +22,7 @@ from .gbdt import (
     regression_metrics,
     train_ensemble,
 )
-from .loop import ControlLoop, DecisionLog, NodeObservation, PodObservation
+from .loop import ControlLoop, DecisionLog
 from .scenario import (
     ConfigError,
     Scenario,
@@ -38,14 +37,17 @@ from .trace import (
     atomic_open,
     feature_matrix,
     format_value,
+    read_nodes,
     read_trace,
-    row_features,
     rows_by_interval,
+    write_nodes,
     write_rows,
     write_trace,
 )
 
 log = logging.getLogger("ckoord")
+
+NODES_FILE = "nodes.csv"  # written beside trace.csv; replay reads it from there
 
 
 def _write_text_atomic(path: str, text: str) -> None:
@@ -68,9 +70,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         result.report["overrides"] = sorted(args.set)
     report_path = os.path.join(args.out, "report.json")
     trace_path = os.path.join(args.out, "trace.csv")
+    nodes_path = os.path.join(args.out, NODES_FILE)
     actions_path = os.path.join(args.out, "actions.log")
     _write_text_atomic(report_path, report_to_json(result.report))
     write_trace(trace_path, result.trace_rows)
+    write_nodes(nodes_path, result.node_rows)
     _write_text_atomic(actions_path, "".join(line + "\n" for line in result.action_log))
     report = result.report
     print(
@@ -80,6 +84,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     print(f"report: {report_path}")
     print(f"trace: {trace_path}")
+    print(f"nodes: {nodes_path}")
     print(f"actions: {actions_path}")
     return 0
 
@@ -151,61 +156,51 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _replay_observations(
-    rows: list, scenario: Scenario, known_nodes: set[str]
-) -> tuple[list[PodObservation], list[NodeObservation]]:
-    pod_obs: list[PodObservation] = []
-    node_rows: dict[str, object] = {}
-    for row in rows:
-        profile = scenario.apps.get(row.app_id)
-        if profile is None:
-            raise ConfigError(f"trace app {row.app_id!r} not present in scenario config")
-        if row.node_id not in known_nodes:
-            raise ConfigError(f"trace node {row.node_id!r} not present in scenario config")
-        pod_obs.append(
-            PodObservation(
-                pod_id=row.pod_id,
-                app_id=row.app_id,
-                node_id=row.node_id,
-                qos=QosClass(row.qos),
-                features=row_features(row),
-                cpi=row.cpi,
-                cpu_cores=row.pod_cpu_util * profile.cpu_request,
-                cpu_request=profile.cpu_request,
-                mem_request=profile.mem_request,
+def _recorded(trace: str, scenario: Scenario):
+    """A trace's pod rows by interval, and the node rows beside it grouped by
+    interval, each group holding every scenario node once."""
+    rows = read_trace(trace)
+    path = os.path.join(os.path.dirname(trace), NODES_FILE)
+    if not os.path.isfile(path):
+        raise TraceFormatError(
+            f"{path}: no such file; replay needs the node rows simulate writes beside the trace"
+        )
+    try:
+        node_rows = read_nodes(path)
+    except TraceFormatError as exc:
+        raise TraceFormatError(f"{path}: {exc}") from None
+    known = set(scenario.node_ids)
+    for line, row in enumerate(node_rows, start=2):
+        if row.node_id not in known:
+            raise TraceFormatError(
+                f"{path}: line {line}: node {row.node_id!r} is not a node of the scenario config"
             )
-        )
-        node_rows[row.node_id] = row
-    node_obs = [
-        NodeObservation(
-            node_id=node_id,
-            cpu_capacity=scenario.cpu_capacity,
-            metrics=NodeMetrics(
-                cpu_total=row.node_cpu_total,
-                cpu_offline=row.node_cpu_offline,
-                cpu_online=row.node_cpu_online,
-                cpu_shared=row.node_cpu_shared,
-                mem_util=row.node_mem_util,
-            ),
-        )
-        for node_id, row in sorted(node_rows.items())
-    ]
-    return pod_obs, node_obs
+    nodes = rows_by_interval(node_rows)
+    for interval, group in nodes:
+        if len(group) != len(known):  # the reader rejects a repeated node
+            absent = min(known - {row.node_id for row in group})
+            raise TraceFormatError(f"{path}: interval {interval} has no row for node {absent}")
+    recorded = {interval for interval, _ in nodes}
+    for line, row in enumerate(rows, start=2):
+        if row.app_id not in scenario.apps:
+            raise ConfigError(f"trace app {row.app_id!r} not present in scenario config")
+        if row.node_id not in known:
+            raise ConfigError(f"trace node {row.node_id!r} not present in scenario config")
+        if row.interval not in recorded:
+            raise TraceFormatError(
+                f"{trace}: line {line}: interval {row.interval} has no node rows in {NODES_FILE}"
+            )
+    return dict(rows_by_interval(rows)), nodes
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     scenario = validate_config(_load_scenario(args))
-    rows = read_trace(args.trace)
-    if not rows:
-        raise TraceFormatError(f"{args.trace}: no data rows")
-    loop = ControlLoop(scenario.detector, scenario.predictor, scenario.mitigator)
-    known_nodes = set(scenario.node_ids)
+    pods, nodes = _recorded(args.trace, scenario)
+    loop = ControlLoop(scenario)
     decisions = DecisionLog()
-    intervals = 0
-    for interval, group in rows_by_interval(rows):
-        pod_obs, node_obs = _replay_observations(group, scenario, known_nodes)
-        decisions.add(loop.observe(interval, pod_obs, node_obs, True))
-        intervals += 1
+    for interval, node_rows in nodes:
+        decisions.add(loop.observe(interval, pods.get(interval, []), node_rows, True))
+    intervals = len(nodes)
     replay_report = {
         "schema_version": 1,
         "trace": os.path.basename(args.trace),

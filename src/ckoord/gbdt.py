@@ -62,7 +62,7 @@ import numpy as np
 
 # Frozen feature layout for CPI models, the only list of the slots.  Index
 # positions are part of the on-disk model contract; never reorder.  Each name
-# is a trace.TraceRow field, and trace.row_features reads the slots by name.
+# is a trace.TraceRow field, and trace.feature_matrix reads the slots by name.
 FEATURE_NAMES = (
     "pod_cpu_util",      # 0: pod CPU as a fraction of its request, clamped [0, 2]
     "pod_mem_util",      # 1: pod memory as a fraction of its request, clamped [0, 2]

@@ -1,17 +1,15 @@
 """Per-interval controller: scan -> predict -> plan mitigation.
 
-The loop is deliberately source-agnostic: it consumes per-interval
-observations (one per pod, plus node utilization views) that can come from
-the live simulator or from a recorded trace, and emits verdicts and planned
-actions.  Whether actions are applied is the caller's business; replay
-records them, the simulator enforces them.
-
-Per-pod records (CPI series, feature history, prediction window, the pod's
-entry in the detector view), flagging state, model cache and node cooldowns
-all live here, and the loop drops the records of the pods it evicts, so that
-live and replay runs of the same data make identical decisions.  Each
-interval's observations are gone through once: recording, the view, the
-largest miss rate and the grouping by app all come from that one pass.
+The loop observes trace rows: each interval, one ``TraceRow`` per pod and
+one ``NodeRow`` per node, the records ``trace.csv`` and ``nodes.csv`` hold.
+The simulator hands them over live and replay reads them back, so the two
+make identical decisions by construction.  What the rows do not carry, app
+requests and node capacities, is read from the scenario once.  The loop
+emits verdicts and planned actions; replay records them, the simulator
+enforces them.  Per-pod records, the node view, flagging state, the model
+cache and node cooldowns live here; the records of evicted pods are dropped.
+Each interval's rows are gone through once, and feature matrices are built
+only where a model trains or predicts.
 """
 
 from __future__ import annotations
@@ -23,23 +21,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import ClusterState, NodeMetrics, NodeState, PodEntry, PodSpec, QosClass
-from .detector import DetectorConfig, FlaggedApps, scan
+from .cluster import ClusterState, NodeState, PodEntry, PodSpec, QosClass
+from .detector import FlaggedApps, scan
 from .mitigator import (
     Evict,
     MitigationAction,
-    MitigationConfig,
     NoOp,
     Severity,
     Suppress,
     plan,
     route,
 )
-from .gbdt import FEATURE_COUNT, regression_metrics
+from .gbdt import regression_metrics
 from .predictor import (
     DetectionVerdict,
     ModelCache,
-    PredictorConfig,
     classify,
     cpi_threshold,
     delta_cpi,
@@ -47,20 +43,24 @@ from .predictor import (
     verdict_rank,
     worst_verdict,
 )
+from .scenario import AppProfile, Scenario
 from .telemetry import TimeSeries, rolling_mean
+from .trace import NodeRow, TraceRow, feature_matrix
 
 log = logging.getLogger("ckoord.loop")
 
-HISTORY_RETENTION_WINDOWS = 4   # per-pod CPI and feature rings
+HISTORY_RETENTION_WINDOWS = 4   # per-pod CPI and row rings
 MAX_TRAIN_ROWS = 1200           # thin older history beyond this many rows
+
+_QOS = {q.value: q for q in QosClass}
 
 
 class PodRecord:
     """What the loop remembers about one pod.
 
     ``cpi`` is the only copy of the measured CPI, stamped with interval
-    numbers; ``features`` holds the model input of each of its samples, so
-    the two rings stay aligned.  ``predictions`` holds the current flagging
+    numbers; ``rows`` holds the trace row of each of its samples, so the two
+    rings stay aligned.  ``predictions`` holds the current flagging
     episode's newest ``window`` pairs of (prediction, rolling mean of the CPI
     when the prediction was made).  ``entry`` is the pod's row in the
     detector/mitigator view, kept up to date by ``view``.
@@ -70,72 +70,42 @@ class PodRecord:
         retention = HISTORY_RETENTION_WINDOWS * window
         self.window = window
         self.cpi = TimeSeries(f"cpi:{pod_id}", capacity=retention)
-        self.features: deque[np.ndarray] = deque(maxlen=retention)
+        self.rows: deque[TraceRow] = deque(maxlen=retention)
         self.predictions: deque[tuple[float, float]] = deque(maxlen=window)
         self.entry: PodEntry | None = None
 
-    def record(self, interval: int, features: np.ndarray, cpi: float) -> None:
-        self.cpi.record(interval, cpi)
-        self.features.append(features)
+    def record(self, interval: int, row: TraceRow) -> None:
+        self.cpi.record(interval, row.cpi)
+        self.rows.append(row)
 
     def predict(self, prediction: float) -> None:
         self.predictions.append((prediction, rolling_mean(self.cpi, self.window)))
 
-    def view(self, ob: PodObservation, miss: float) -> PodEntry:
-        """The pod's entry brought up to ``ob``, whose L3 miss rate is ``miss``.
-
-        The spec is rebuilt only when the pod's app, node, QoS or requests
-        change; the metrics are updated in place.
-        """
+    def view(self, row: TraceRow, apps: dict[str, AppProfile]) -> PodEntry:
+        """The pod's entry brought up to ``row``, with its app's requests.  The
+        spec is rebuilt only when the pod's app, node or QoS change."""
         entry = self.entry
-        if entry is None:
-            entry = self.entry = PodEntry(_pod_spec(ob))
-        else:
-            spec = entry.spec
-            if (
-                spec.node_id != ob.node_id
-                or spec.app_id != ob.app_id
-                or spec.qos != ob.qos
-                or spec.cpu_request != ob.cpu_request
-                or spec.mem_request != ob.mem_request
-            ):
-                entry.spec = _pod_spec(ob)
+        spec = None if entry is None else entry.spec
+        qos = _QOS[row.qos]
+        if (
+            spec is None
+            or spec.node_id != row.node_id
+            or spec.app_id != row.app_id
+            or spec.qos is not qos
+        ):
+            app = apps[row.app_id]
+            spec = PodSpec(
+                row.pod_id, row.app_id, row.node_id, qos, app.cpu_request, app.mem_request
+            )
+            if entry is None:
+                entry = self.entry = PodEntry(spec)
+            else:
+                entry.spec = spec
         metrics = entry.metrics
-        metrics.cpu_util = ob.cpu_cores
-        metrics.l3_miss_rate = miss
-        metrics.cpi_actual = ob.cpi
+        metrics.cpu_util = row.pod_cpu_cores
+        metrics.l3_miss_rate = row.l3_miss_rate
+        metrics.cpi_actual = row.cpi
         return entry
-
-
-def _pod_spec(ob: PodObservation) -> PodSpec:
-    return PodSpec(
-        pod_id=ob.pod_id,
-        app_id=ob.app_id,
-        node_id=ob.node_id,
-        qos=ob.qos,
-        cpu_request=ob.cpu_request,
-        mem_request=ob.mem_request,
-    )
-
-
-@dataclass(frozen=True)
-class PodObservation:
-    pod_id: str
-    app_id: str
-    node_id: str
-    qos: QosClass
-    features: np.ndarray  # frozen 9-slot layout
-    cpi: float
-    cpu_cores: float      # absolute cores, for mitigation sizing
-    cpu_request: float
-    mem_request: float
-
-
-@dataclass(frozen=True)
-class NodeObservation:
-    node_id: str
-    cpu_capacity: float
-    metrics: NodeMetrics
 
 
 @dataclass(frozen=True)
@@ -229,50 +199,54 @@ class DecisionLog:
 
 
 class ControlLoop:
-    def __init__(
-        self,
-        detector_cfg: DetectorConfig,
-        predictor_cfg: PredictorConfig,
-        mitigator_cfg: MitigationConfig,
-    ) -> None:
-        self.detector_cfg = detector_cfg
-        self.predictor_cfg = predictor_cfg
-        self.mitigator_cfg = mitigator_cfg
+    def __init__(self, scenario: Scenario) -> None:
+        self.detector_cfg = scenario.detector
+        self.predictor_cfg = scenario.predictor
+        self.mitigator_cfg = scenario.mitigator
+        self.apps = scenario.apps  # each app's requests
+        # the detector/mitigator view: one node per scenario node, kept for
+        # the run and refreshed from each interval's node rows
+        self.state = ClusterState(
+            nodes={
+                node_id: NodeState(node_id, scenario.cpu_capacity, scenario.mem_capacity)
+                for node_id in scenario.node_ids
+            }
+        )
         self.flagged = FlaggedApps()
-        self.cache = ModelCache(predictor_cfg)
+        self.cache = ModelCache(scenario.predictor)
         self.pods: dict[str, PodRecord] = {}
         self.last_action: dict[str, int] = {}        # node_id -> interval
         self.n_max = 0.0
         self.models_trained: dict[str, list[dict]] = {}
 
-    # -- state builders -------------------------------------------------
-
-    def _app_history(self, app_id: str, pods: list[PodObservation]) -> tuple[np.ndarray, np.ndarray]:
-        app_pods = [ob for ob in pods if ob.app_id == app_id]
-        rows: list[np.ndarray] = []
-        targets: list[float] = []
+    def _app_history(self, records: list[PodRecord]) -> tuple[np.ndarray, np.ndarray]:
+        """Feature rows and CPI targets of one app's pods, thinned per pod."""
+        rows: list[TraceRow] = []
         # thin per pod, endpoints included: each pod's newest row must survive
         # or a model trained at flag time never sees the onset
-        budget = max(2, MAX_TRAIN_ROWS // max(1, len(app_pods)))
-        for ob in app_pods:
-            record = self.pods[ob.pod_id]
-            n = len(record.features)
+        budget = max(2, MAX_TRAIN_ROWS // len(records))
+        for record in records:
+            n = len(record.rows)
             idx = np.linspace(0, n - 1, budget).round().astype(int) if n > budget else range(n)
-            rows.extend(record.features[i] for i in idx)
-            targets.extend(record.cpi.values[i] for i in idx)
-        if not rows:
-            return np.empty((0, FEATURE_COUNT)), np.empty(0)
-        return np.stack(rows), np.array(targets)
+            rows.extend(record.rows[i] for i in idx)
+        return feature_matrix(rows)
 
-    def _node_view(self, interval: int, nodes: list[NodeObservation]) -> ClusterState:
-        state = ClusterState(interval=interval)
-        for node in nodes:
-            state.nodes[node.node_id] = NodeState(
-                node_id=node.node_id,
-                cpu_capacity=node.cpu_capacity,
-                mem_capacity=1.0,
-                metrics=node.metrics,
-            )
+    def _refresh_nodes(self, interval: int, node_rows: list[NodeRow]) -> ClusterState:
+        state = self.state
+        nodes = state.nodes
+        if len(node_rows) != len(nodes):
+            raise ValueError(f"interval {interval}: {len(node_rows)} node rows, {len(nodes)} nodes")
+        state.interval = interval
+        state.pods.clear()
+        for row in node_rows:
+            node = nodes[row.node_id]
+            m = node.metrics
+            m.cpu_total = row.node_cpu_total
+            m.cpu_offline = row.node_cpu_offline
+            m.cpu_online = row.node_cpu_online
+            m.cpu_shared = row.node_cpu_shared
+            m.mem_util = row.node_mem_util
+            node.pod_ids.clear()
         return state
 
     # -- the pass itself -------------------------------------------------
@@ -280,27 +254,29 @@ class ControlLoop:
     def observe(
         self,
         interval: int,
-        pods: list[PodObservation],
-        nodes: list[NodeObservation],
+        pod_rows: list[TraceRow],
+        node_rows: list[NodeRow],
         controllers_enabled: bool = True,
     ) -> IntervalOutcome:
+        """One interval: ``pod_rows`` has a row per pod, ``node_rows`` one per
+        scenario node."""
         outcome = IntervalOutcome(interval=interval)
         # one pass: record every pod and, with controllers on, bring its view
         # entry up to date, list it on its node and group it by app
-        state = self._node_view(interval, nodes) if controllers_enabled else None
-        by_app: dict[str, list[tuple[PodObservation, PodRecord]]] = {}
-        for ob in pods:
-            record = self.pods.get(ob.pod_id)
+        state = self._refresh_nodes(interval, node_rows) if controllers_enabled else None
+        by_app: dict[str, list[tuple[TraceRow, PodRecord]]] = {}
+        apps = self.apps
+        for row in pod_rows:
+            record = self.pods.get(row.pod_id)
             if record is None:
-                record = self.pods[ob.pod_id] = PodRecord(ob.pod_id, self.predictor_cfg.window)
-            record.record(interval, ob.features, ob.cpi)
-            miss = float(ob.features[6])
-            if miss > self.n_max:
-                self.n_max = miss
+                record = self.pods[row.pod_id] = PodRecord(row.pod_id, self.predictor_cfg.window)
+            record.record(interval, row)
+            if row.l3_miss_rate > self.n_max:
+                self.n_max = row.l3_miss_rate
             if state is not None:
-                state.pods[ob.pod_id] = record.view(ob, miss)
-                state.nodes[ob.node_id].pod_ids.append(ob.pod_id)
-                by_app.setdefault(ob.app_id, []).append((ob, record))
+                state.pods[row.pod_id] = record.view(row, apps)
+                state.nodes[row.node_id].pod_ids.append(row.pod_id)
+                by_app.setdefault(row.app_id, []).append((row, record))
         if state is None:
             return outcome
 
@@ -326,7 +302,7 @@ class ControlLoop:
             if model is None:
                 # history is assembled only when the cache may train; the
                 # episode's later intervals reuse its model
-                X, y = self._app_history(app_id, [ob for ob, _ in app_pods])
+                X, y = self._app_history([record for _, record in app_pods])
                 model = self.cache.get_or_train(app_id, X, y)
                 if model is None:
                     outcome.deferred_apps.append(app_id)
@@ -342,27 +318,30 @@ class ControlLoop:
                         "acc": fit["acc"],
                     }
                 )
-            predictions = model.predict(np.stack([ob.features for ob, _ in app_pods]))
-            pod_verdicts: list[tuple[DetectionVerdict, PodObservation]] = []
-            for (ob, record), prediction in zip(app_pods, predictions.tolist()):
+            X, _ = feature_matrix([row for row, _ in app_pods])
+            predictions = model.predict(X)
+            pod_verdicts: list[tuple[DetectionVerdict, TraceRow]] = []
+            for (row, record), prediction, features in zip(
+                app_pods, predictions.tolist(), X.tolist()
+            ):
                 record.predict(prediction)
                 delta = delta_cpi(record.predictions, self.predictor_cfg.delta_mode)
                 threshold = cpi_threshold(
                     record.cpi,
                     self.predictor_cfg.window,
                     self.predictor_cfg.params,
-                    load_factor(ob.features, self.n_max, self.predictor_cfg.load_weights),
+                    load_factor(features, self.n_max, self.predictor_cfg.load_weights),
                 )
-                pod_verdicts.append((classify(delta, threshold, app_id), ob))
+                pod_verdicts.append((classify(delta, threshold, app_id), row))
             verdict = worst_verdict([v for v, _ in pod_verdicts])
             outcome.verdicts.append(verdict)
             if not verdict.detected:
                 continue
-            worst_ob = max(pod_verdicts, key=lambda pair: verdict_rank(pair[0]))[1]
+            worst_row = max(pod_verdicts, key=lambda pair: verdict_rank(pair[0]))[1]
             severity = route(verdict, self.mitigator_cfg)
             if severity is Severity.NONE:
                 continue
-            node_id = worst_ob.node_id
+            node_id = worst_row.node_id
             last = self.last_action.get(node_id)
             if last is not None and interval - last <= self.mitigator_cfg.cooldown_intervals:
                 continue  # node still cooling down

@@ -84,7 +84,7 @@ class DetectionVerdict:
 
 
 def load_factor(
-    features: np.ndarray, n_max: float, weights: LoadFactorWeights | None = None
+    features: Sequence[float], n_max: float, weights: LoadFactorWeights | None = None
 ) -> float:
     """Weighted saturation of a pod from its model input; always in [0, 1].
 

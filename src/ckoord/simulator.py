@@ -3,8 +3,9 @@
 Discrete fixed-length intervals; per interval the engine generates demand,
 injects any active interference, allocates node CPU across QoS classes,
 derives the ground-truth CPI and latency samples from calibration constants
-(all of which live in the scenario config), then hands observations to the
-control loop and enforces whatever it planned.
+(all of which live in the scenario config), then hands the interval's trace
+rows, one per pod and one per node, to the control loop and enforces
+whatever it planned.  The rows it hands over are the rows it records.
 
 Determinism: one root seed; each (stream kind, pod) pair derives its own
 generator, consumed in pod-id order once per interval the pod is present.
@@ -25,11 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cluster import ClusterState, NodeState, PodEntry, PodSpec, QosClass
-from .loop import ControlLoop, DecisionLog, NodeObservation, PlannedAction, PodObservation
+from .loop import ControlLoop, DecisionLog, PlannedAction
 from .mitigator import Evict, Suppress
 from .mitigator import apply as apply_action
 from .scenario import AppProfile, TruthParams, validate_config
-from .trace import RATIO_MAX, TraceRow, row_features
+from .trace import RATIO_MAX, NodeRow, TraceRow
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -200,6 +201,7 @@ def nearest_rank(ordered: list[float], k: float) -> float:
 class RunResult:
     report: dict
     trace_rows: list[TraceRow]
+    node_rows: list[NodeRow]
     action_log: list[str] = field(default_factory=list)
 
 
@@ -208,7 +210,7 @@ class Simulator:
         self.scenario = scenario = validate_config(cfg)
         self.cfg = cfg  # echoed into the report
         self.seed = int(seed)
-        self.loop = ControlLoop(scenario.detector, scenario.predictor, scenario.mitigator)
+        self.loop = ControlLoop(scenario)
 
         self.state = self._initial_state()
         self._streams: dict[tuple[str, str], np.random.Generator] = {}
@@ -289,11 +291,11 @@ class Simulator:
             count += 1
         return count
 
-    def step(self, interval: int) -> tuple[list[PodObservation], list[NodeObservation], dict]:
-        """Advance one interval; returns observations plus interval stats.
+    def step(self, interval: int) -> tuple[list[TraceRow], list[NodeRow], dict]:
+        """Advance one interval; returns its pod rows, node rows and stats.
 
-        stats["trace_rows"] holds one TraceRow per pod observation, in the
-        same order; each observation's features are read from its row.
+        There is one pod row per pod, in node order and then pod-id order,
+        and one node row per node, hosting pods or not, in node-id order.
         """
         state = self.state
         state.interval = interval
@@ -345,6 +347,7 @@ class Simulator:
         mem_coupling = scenario.workload.mem_demand_coupling
         used_cores_sys = 0.0
         used_mem_sys = 0.0
+        node_rows: list[NodeRow] = []
         for node, placed, hog in zip(nodes, members, hog_cores):
             effect = effects.get(node.node_id)
             be_used = ls_used = sys_used = mem_used = 0.0
@@ -373,6 +376,10 @@ class Simulator:
             m.cpu_online = min(1.0, (ls_used + sys_used) / node.cpu_capacity)
             m.cpu_shared = min(1.0, (be_used + hog) / node.cpu_capacity)
             m.mem_util = min(1.0, (mem_used + hog_mem) / node.mem_capacity)
+            node_rows.append(
+                NodeRow(interval, node.node_id, m.cpu_total, m.cpu_offline, m.cpu_online,
+                        m.cpu_shared, m.mem_util)
+            )
             used_cores_sys += be_used + ls_used + sys_used + hog
             used_mem_sys += mem_used + hog_mem
 
@@ -389,7 +396,6 @@ class Simulator:
         system.cpu_total_sys = min(1.0, used_cores_sys / total_capacity)
         system.mem_total_sys = min(1.0, used_mem_sys / total_mem_capacity)
 
-        pod_obs: list[PodObservation] = []
         rows: list[TraceRow] = []
         for node, placed in zip(nodes, members):
             node_id = node.node_id
@@ -404,52 +410,22 @@ class Simulator:
                     profile.cpi_base, m.cpu_total, metrics.l3_miss_rate, boost, truth, rng
                 )
                 metrics.cpi_actual = cpi
-                row = TraceRow(
-                    interval=interval,
-                    node_id=node_id,
-                    pod_id=pid,
-                    app_id=spec.app_id,
-                    qos=spec.qos.value,
-                    pod_cpu_util=min(RATIO_MAX, metrics.cpu_util / spec.cpu_request),
-                    pod_mem_util=min(RATIO_MAX, metrics.mem_util / spec.mem_request),
-                    node_cpu_total=m.cpu_total,
-                    node_cpu_offline=m.cpu_offline,
-                    node_cpu_online=m.cpu_online,
-                    node_cpu_shared=m.cpu_shared,
-                    node_mem_util=m.mem_util,
-                    sys_cpu_total=system.cpu_total_sys,
-                    sys_mem_total=system.mem_total_sys,
-                    l3_miss_rate=metrics.l3_miss_rate,
-                    cpi=cpi,
-                )
-                rows.append(row)
-                pod_obs.append(
-                    PodObservation(
-                        pod_id=pid,
-                        app_id=spec.app_id,
-                        node_id=node_id,
-                        qos=spec.qos,
-                        features=row_features(row),
-                        cpi=cpi,
-                        cpu_cores=metrics.cpu_util,
-                        cpu_request=spec.cpu_request,
-                        mem_request=spec.mem_request,
+                rows.append(  # in column order
+                    TraceRow(
+                        interval, node_id, pid, spec.app_id, spec.qos.value,
+                        min(RATIO_MAX, metrics.cpu_util / spec.cpu_request),
+                        min(RATIO_MAX, metrics.mem_util / spec.mem_request),
+                        m.cpu_total, m.cpu_offline, m.cpu_online, m.cpu_shared, m.mem_util,
+                        system.cpu_total_sys, system.mem_total_sys,
+                        metrics.l3_miss_rate, cpi, metrics.cpu_util,
                     )
                 )
-
-        node_obs = [
-            NodeObservation(
-                node_id=node.node_id, cpu_capacity=node.cpu_capacity, metrics=node.metrics
-            )
-            for node in nodes
-        ]
         stats = {
             "rescheduled": rescheduled,
             "interference_active": bool(effects),
             "potential": potential_all,
-            "trace_rows": rows,
         }
-        return pod_obs, node_obs, stats
+        return rows, node_rows, stats
 
     def _enforce(self, interval: int, actions: list[PlannedAction]) -> tuple[int, int]:
         evicted = suppressed = 0
@@ -487,6 +463,7 @@ class Simulator:
             app: {"normal": [], "interference": []} for app in profiles
         }
         trace_rows: list[TraceRow] = []
+        node_rows: list[NodeRow] = []
         decisions = DecisionLog()
         interval_records: list[dict] = []
         injection_starts = sorted(inj.start_interval for inj in scenario.injections)
@@ -497,34 +474,37 @@ class Simulator:
         phase_counts = {"normal": 0, "interference": 0}
 
         for interval in range(scenario.horizon):
-            pod_obs, node_obs, stats = self.step(interval)
+            pod_rows, interval_nodes, stats = self.step(interval)
             reschedules += stats["rescheduled"]
             phase = "interference" if stats["interference_active"] else "normal"
             phase_counts[phase] += 1
             potential = stats["potential"]
             rps = self._last_rps
 
-            for ob in pod_obs:
-                profile = profiles[ob.app_id]
+            for row in pod_rows:
+                profile = profiles[row.app_id]
                 if profile.latency_base_ms > 0:
                     rho = utilization_rho(
-                        rps[ob.pod_id], profile.cpu_per_request, potential[ob.pod_id], wl.rho_max
+                        rps[row.pod_id], profile.cpu_per_request, potential[row.pod_id], wl.rho_max
                     )
                     samples = latency_model(
                         profile.latency_base_ms,
-                        ob.cpi,
+                        row.cpi,
                         profile.cpi_base,
                         rho,
                         wl.latency_cpi_exponent,
                         wl.latency_jitter_sigma,
                         wl.batches_per_interval,
-                        self._rng("latency", ob.pod_id),
+                        self._rng("latency", row.pod_id),
                     )
-                    latency[ob.app_id][phase].extend(samples.tolist())
-                cpi_sum[ob.app_id][phase].append(ob.cpi)
-            trace_rows.extend(stats["trace_rows"])
+                    latency[row.app_id][phase].extend(samples.tolist())
+                cpi_sum[row.app_id][phase].append(row.cpi)
+            trace_rows.extend(pod_rows)
+            node_rows.extend(interval_nodes)
 
-            outcome = self.loop.observe(interval, pod_obs, node_obs, scenario.controllers_enabled)
+            outcome = self.loop.observe(
+                interval, pod_rows, interval_nodes, scenario.controllers_enabled
+            )
             decisions.add(outcome)
             if scenario.controllers_enabled:
                 step_evicted, step_suppressed = self._enforce(interval, outcome.actions)
@@ -597,7 +577,10 @@ class Simulator:
             ],
         }
         return RunResult(
-            report=report, trace_rows=trace_rows, action_log=decisions.action_lines()
+            report=report,
+            trace_rows=trace_rows,
+            node_rows=node_rows,
+            action_log=decisions.action_lines(),
         )
 
 

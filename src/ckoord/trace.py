@@ -1,12 +1,14 @@
-"""Per-interval, per-pod metric traces as CSV.
+"""The loop's observations as CSV: one row per pod and one per node per interval.
 
-The column order is TraceRow's field order and is frozen; downstream
-tooling indexes it positionally.
-pod_cpu_util and pod_mem_util hold request-normalized ratios clamped to
-[0, 2] (the trace carries no request sizes, so the normalized form is the
-only self-contained one); node_* and sys_* columns are fractions in [0, 1].
-Floats are written with 9 significant digits, which makes write -> read ->
-write byte-stable.
+A run writes ``trace.csv``, one TraceRow per pod per interval, and beside it
+``nodes.csv``, one NodeRow per node per interval, empty nodes included.  The
+control loop observes these rows, live and in replay, so a recording holds
+every input the loop read.  Each file's columns are its row type's fields,
+in a frozen order.  pod_cpu_util and pod_mem_util are request-normalized
+ratios clamped to [0, 2]; pod_cpu_cores is the pod's unclamped use in cores;
+node_* and sys_* are fractions in [0, 1].  Floats are written with ``%r``,
+the shortest text that reads back as the same double, so reading loses
+nothing and write -> read -> write is byte-stable.
 Ids (node_id, pod_id, app_id) are written unquoted, so none may contain a
 character that CSV would quote: a comma, a double quote, CR or LF.  The
 scenario validator, the reader and the writer each reject such an id.
@@ -18,6 +20,7 @@ import csv
 import math
 import os
 import re
+import sys
 import tempfile
 from contextlib import contextmanager
 from operator import attrgetter
@@ -30,18 +33,6 @@ from .cluster import QosClass
 from .gbdt import FEATURE_NAMES
 
 QOS_VALUES = tuple(q.value for q in QosClass)
-
-RATIO_MAX = 2.0  # request-normalized pod ratios saturate here
-_RATIO_COLUMNS = ("pod_cpu_util", "pod_mem_util")  # clamped [0, RATIO_MAX]
-_FRACTION_COLUMNS = (
-    "node_cpu_total",
-    "node_cpu_offline",
-    "node_cpu_online",
-    "node_cpu_shared",
-    "node_mem_util",
-    "sys_cpu_total",
-    "sys_mem_total",
-)
 
 
 class TraceFormatError(ValueError):
@@ -67,20 +58,59 @@ class TraceRow(NamedTuple):
     sys_mem_total: float
     l3_miss_rate: float
     cpi: float
+    pod_cpu_cores: float
 
 
+class NodeRow(NamedTuple):
+    """One node in one interval; every node has one every interval."""
+
+    interval: int
+    node_id: str
+    node_cpu_total: float
+    node_cpu_offline: float
+    node_cpu_online: float
+    node_cpu_shared: float
+    node_mem_util: float
+
+
+RATIO_MAX = 2.0  # request-normalized pod ratios saturate here
+_MAX = sys.float_info.max
+# The least and the largest value of each float column; [0, _MAX] if not here.
+_BOUNDS = {
+    **dict.fromkeys(("pod_cpu_util", "pod_mem_util"), (0.0, RATIO_MAX)),
+    **dict.fromkeys((*NodeRow._fields[2:], "sys_cpu_total", "sys_mem_total"), (0.0, 1.0)),
+    "cpi": (math.ulp(0.0), _MAX),  # positive
+}
+
+
+class _Layout(NamedTuple):
+    """How one row type is written and read."""
+
+    row_type: type
+    header: str
+    key: str           # the id that may not repeat within an interval
+    first_float: int   # columns 1 .. first_float-1 are ids, written raw
+    template: str      # one line: what csv.writer writes for the row
+    low: tuple         # per float column, its _BOUNDS
+    high: tuple
+
+
+def _layout(row_type: type, key: str, ids: int) -> _Layout:
+    fields = row_type._fields
+    template = "%d," + "%s," * ids + ",".join(["%r"] * (len(fields) - 1 - ids)) + "\n"
+    low, high = zip(*(_BOUNDS.get(name, (0.0, _MAX)) for name in fields[1 + ids :]))
+    return _Layout(row_type, ",".join(fields), key, 1 + ids, template, low, high)
+
+
+_TRACE = _layout(TraceRow, "pod_id", 4)
+_NODES = _layout(NodeRow, "node_id", 1)
 TRACE_COLUMNS = TraceRow._fields
-TRACE_HEADER = ",".join(TRACE_COLUMNS)
-_FLOAT_FIELDS = TRACE_COLUMNS[5:]  # every column after qos
-_TEXT_COLUMNS = TRACE_COLUMNS[1:5]  # node_id, pod_id, app_id, qos: written raw
+TRACE_HEADER = _TRACE.header
 _ID_FORBIDDEN = (",", '"', "\r", "\n")  # what csv would quote
 # int() and float() also read 1_0, " 0.8" and non-ASCII digits; a trace may not.
 _NOT_PLAIN = re.compile(r"[^!-~]|_")
 # Model inputs are read by name, so the slot order lives in FEATURE_NAMES only.
 _features_of = attrgetter(*FEATURE_NAMES)
-# One line per row: what csv.writer writes for a row whose strings need no
-# quoting, with each float at 9 significant digits.
-_ROW_TEMPLATE = "%d,%s,%s,%s,%s," + ",".join(["%.9g"] * len(_FLOAT_FIELDS)) + "\n"
 
 
 def format_value(value: float) -> str:
@@ -95,41 +125,37 @@ def id_fault(name: str, value: str) -> str | None:
     return None
 
 
-def _check_text(values: tuple[str, ...], checked: set[tuple[str, ...]]) -> None:
-    """ValueError unless each of node_id, pod_id, app_id, qos needs no quoting.
+def _check_text(names: tuple[str, ...], values: tuple[str, ...], checked: set) -> None:
+    """ValueError unless each id (and qos) needs no quoting.
 
     ``checked`` remembers the tuples already found clean, so each distinct
     one is checked once.
     """
     if values not in checked:
-        for name, value in zip(_TEXT_COLUMNS, values):
+        for name, value in zip(names, values):
             fault = id_fault(name, value)
             if fault is not None:
                 raise ValueError(fault)
         checked.add(values)
 
 
-def _validate_row(row: TraceRow, line: int) -> None:
-    for name in _FLOAT_FIELDS:
-        v = getattr(row, name)
+def _validate_row(row: tuple, line: int, layout: _Layout) -> None:
+    values = row[layout.first_float :]
+    names = row._fields[layout.first_float :]
+    for name, v in zip(names, values):
         if not math.isfinite(v):
             raise TraceFormatError(f"line {line}: {name}={v} is not finite")
     if row.interval < 0:
         raise TraceFormatError(f"line {line}: negative interval {row.interval}")
-    if row.qos not in QOS_VALUES:
+    if isinstance(row, TraceRow) and row.qos not in QOS_VALUES:
         raise TraceFormatError(f"line {line}: unknown qos {row.qos!r}")
-    if row.cpi <= 0:
-        raise TraceFormatError(f"line {line}: cpi must be positive, got {row.cpi}")
-    if row.l3_miss_rate < 0:
-        raise TraceFormatError(f"line {line}: negative l3_miss_rate")
-    for name in _RATIO_COLUMNS:
-        v = getattr(row, name)
-        if not 0.0 <= v <= RATIO_MAX:
-            raise TraceFormatError(f"line {line}: {name}={v} outside [0, {RATIO_MAX:g}]")
-    for name in _FRACTION_COLUMNS:
-        v = getattr(row, name)
-        if not 0.0 <= v <= 1.0:
-            raise TraceFormatError(f"line {line}: {name}={v} outside [0, 1]")
+    for name, v, low, high in zip(names, values, layout.low, layout.high):
+        if not low <= v <= high:
+            if name == "cpi":
+                raise TraceFormatError(f"line {line}: cpi must be positive, got {v}")
+            if high == _MAX:
+                raise TraceFormatError(f"line {line}: negative {name}")
+            raise TraceFormatError(f"line {line}: {name}={v} outside [0, {high:g}]")
 
 
 @contextmanager
@@ -151,96 +177,114 @@ def atomic_open(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
-def write_rows(
-    handle: TextIO, rows: Iterable[TraceRow], cpi_pred: Iterable[float] | None = None
-) -> None:
-    """Write the header and one line per row; ``cpi_pred`` adds a last column.
-
-    Raises ValueError for an id or qos that csv would quote.
-    """
+def _write(handle: TextIO, records: Iterable[tuple], layout: _Layout, header: str) -> None:
+    """The header, then one templated line per record; ValueError for an id
+    or qos that csv would quote."""
     write = handle.write
-    template = _ROW_TEMPLATE
-    records: Iterable[tuple] = rows
-    if cpi_pred is None:
-        write(TRACE_HEADER + "\n")
-    else:
-        write(TRACE_HEADER + ",cpi_pred\n")
-        template = template[:-1] + ",%.9g\n"
-        records = (row + (pred,) for row, pred in zip(rows, cpi_pred))
+    template = layout.template
+    names = layout.row_type._fields[1 : layout.first_float]
+    ids = slice(1, layout.first_float)
+    write(header + "\n")
     checked: set[tuple] = set()
     for values in records:
-        _check_text(values[1:5], checked)
+        _check_text(names, values[ids], checked)
         write(template % values)
 
 
+def write_rows(
+    handle: TextIO, rows: Iterable[TraceRow], cpi_pred: Iterable[float] | None = None
+) -> None:
+    """The header and one line per pod row; ``cpi_pred`` adds a last column.
+    ValueError for an id or qos that csv would quote."""
+    if cpi_pred is None:
+        _write(handle, rows, _TRACE, TRACE_HEADER)
+    else:
+        layout = _TRACE._replace(template=_TRACE.template[:-1] + ",%r\n")
+        records = (row + (pred,) for row, pred in zip(rows, cpi_pred))
+        _write(handle, records, layout, TRACE_HEADER + ",cpi_pred")
+
+
 def write_trace(path: str | Path, rows: Iterable[TraceRow]) -> None:
-    """Write rows atomically, one formatted line at a time."""
+    """Write pod rows atomically, one formatted line at a time."""
     with atomic_open(path) as fh:
-        write_rows(fh, rows)
+        _write(fh, rows, _TRACE, _TRACE.header)
 
 
-def read_trace(path: str | Path) -> list[TraceRow]:
-    rows: list[TraceRow] = []
+def write_nodes(path: str | Path, rows: Iterable[NodeRow]) -> None:
+    """Write node rows atomically, one formatted line at a time."""
+    with atomic_open(path) as fh:
+        _write(fh, rows, _NODES, _NODES.header)
+
+
+def _read(path: str | Path, layout: _Layout) -> list:
+    """The checked rows of a file; TraceFormatError names the first bad line."""
+    fields = layout.row_type._fields
+    first = layout.first_float
+    names = fields[1:first]
+    key = fields.index(layout.key)
+    noun = layout.key.removesuffix("_id")
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TraceFormatError("line 1: empty trace file") from None
-        if tuple(header) != TRACE_COLUMNS:
+        header = next(reader, None)
+        if header is None:
+            raise TraceFormatError("line 1: empty trace file")
+        if tuple(header) != fields:
             raise TraceFormatError(
-                f"line 1: bad header; expected {TRACE_HEADER!r}, got {','.join(header)!r}"
+                f"line 1: bad header; expected {layout.header!r}, got {','.join(header)!r}"
             )
         previous_interval = None
-        interval_pods: set[str] = set()  # pod ids seen in previous_interval
+        interval_keys: set[str] = set()  # keys seen in previous_interval
         clean_text: set[tuple[str, ...]] = set()
         for line, record in enumerate(reader, start=2):
-            if len(record) != len(TRACE_COLUMNS):
+            if len(record) != len(fields):
                 raise TraceFormatError(
-                    f"line {line}: expected {len(TRACE_COLUMNS)} fields, got {len(record)}"
+                    f"line {line}: expected {len(fields)} fields, got {len(record)}"
                 )
-            if _NOT_PLAIN.search(record[0] + "".join(record[5:])):
-                bad = next(i for i in (0, *range(5, len(record))) if _NOT_PLAIN.search(record[i]))
+            if _NOT_PLAIN.search(record[0] + "".join(record[first:])):
+                numeric = (0, *range(first, len(fields)))
+                bad = next(i for i in numeric if _NOT_PLAIN.search(record[i]))
                 raise TraceFormatError(
-                    f"line {line}: {TRACE_COLUMNS[bad]}={record[bad]!r} is not a plain number"
+                    f"line {line}: {fields[bad]}={record[bad]!r} is not a plain number"
                 )
-            text = tuple(record[1:5])
+            text = tuple(record[1:first])
             try:
-                _check_text(text, clean_text)
-                row = TraceRow(int(record[0]), *text, *map(float, record[5:]))
+                _check_text(names, text, clean_text)
+                row = layout.row_type(int(record[0]), *text, *map(float, record[first:]))
             except ValueError as exc:
                 raise TraceFormatError(f"line {line}: {exc}") from exc
-            _validate_row(row, line)
+            _validate_row(row, line, layout)
             if previous_interval is not None and row.interval < previous_interval:
-                raise TraceFormatError(
-                    f"line {line}: interval {row.interval} goes backwards"
-                )
+                raise TraceFormatError(f"line {line}: interval {row.interval} goes backwards")
             if row.interval != previous_interval:
                 previous_interval = row.interval
-                interval_pods.clear()
-            if row.pod_id in interval_pods:
+                interval_keys.clear()
+            if row[key] in interval_keys:
                 raise TraceFormatError(
-                    f"line {line}: pod {row.pod_id} repeats in interval {row.interval}"
+                    f"line {line}: {noun} {row[key]} repeats in interval {row.interval}"
                 )
-            interval_pods.add(row.pod_id)
+            interval_keys.add(row[key])
             rows.append(row)
     return rows
 
 
-def rows_by_interval(rows: list[TraceRow]) -> list[tuple[int, list[TraceRow]]]:
+def read_trace(path: str | Path) -> list[TraceRow]:
+    return _read(path, _TRACE)
+
+
+def read_nodes(path: str | Path) -> list[NodeRow]:
+    return _read(path, _NODES)
+
+
+def rows_by_interval(rows: list) -> list[tuple[int, list]]:
     """Group consecutive rows by interval, preserving order."""
-    grouped: list[tuple[int, list[TraceRow]]] = []
+    grouped: list[tuple[int, list]] = []
     for row in rows:
         if grouped and grouped[-1][0] == row.interval:
             grouped[-1][1].append(row)
         else:
             grouped.append((row.interval, [row]))
     return grouped
-
-
-def row_features(row: TraceRow) -> np.ndarray:
-    """The model input of one row, in the FEATURE_NAMES slot order."""
-    return np.array(_features_of(row), dtype=np.float64)
 
 
 def feature_matrix(rows: list[TraceRow]):

@@ -2,9 +2,10 @@
 
 This is the loop's state as it was kept before each pod record owned its
 detector entry and before the CPI ring stored plain floats: a fresh
-``ClusterState`` built from the interval's observations, one new spec,
-metrics and entry per pod, and a ring of one validated, frozen sample per
-measurement.  Kept only as an oracle.
+``ClusterState`` built from the interval's trace rows and the scenario's
+requests and capacities, one new spec, metrics and entry per pod, and a
+ring of one validated, frozen sample per measurement.  Kept only as an
+oracle.
 """
 
 from __future__ import annotations
@@ -12,36 +13,43 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ckoord.cluster import ClusterState, NodeState, PodEntry, PodMetrics, PodSpec
+from ckoord.cluster import ClusterState, NodeMetrics, NodeState, PodEntry, PodMetrics, PodSpec, QosClass
 from ckoord.telemetry import DEFAULT_RETENTION_FACTOR, DEFAULT_WINDOW, EmptyWindowError, OrderingError
 
 
-def detector_state(interval: int, pods, nodes) -> ClusterState:
+def detector_state(interval: int, pod_rows, node_rows, scenario) -> ClusterState:
     state = ClusterState(interval=interval)
-    for node in nodes:
-        state.nodes[node.node_id] = NodeState(
-            node_id=node.node_id,
-            cpu_capacity=node.cpu_capacity,
-            mem_capacity=1.0,
-            metrics=node.metrics,
+    for row in node_rows:
+        state.nodes[row.node_id] = NodeState(
+            node_id=row.node_id,
+            cpu_capacity=scenario.cpu_capacity,
+            mem_capacity=scenario.mem_capacity,
+            metrics=NodeMetrics(
+                cpu_total=row.node_cpu_total,
+                cpu_offline=row.node_cpu_offline,
+                cpu_online=row.node_cpu_online,
+                cpu_shared=row.node_cpu_shared,
+                mem_util=row.node_mem_util,
+            ),
         )
-    for ob in pods:
+    for row in pod_rows:
+        profile = scenario.apps[row.app_id]
         spec = PodSpec(
-            pod_id=ob.pod_id,
-            app_id=ob.app_id,
-            node_id=ob.node_id,
-            qos=ob.qos,
-            cpu_request=ob.cpu_request,
-            mem_request=ob.mem_request,
+            pod_id=row.pod_id,
+            app_id=row.app_id,
+            node_id=row.node_id,
+            qos=QosClass(row.qos),
+            cpu_request=profile.cpu_request,
+            mem_request=profile.mem_request,
         )
         metrics = PodMetrics(
-            cpu_util=ob.cpu_cores,
+            cpu_util=row.pod_cpu_cores,
             mem_util=0.0,
-            l3_miss_rate=float(ob.features[6]),
-            cpi_actual=ob.cpi,
+            l3_miss_rate=row.l3_miss_rate,
+            cpi_actual=row.cpi,
         )
-        state.pods[ob.pod_id] = PodEntry(spec, metrics)
-        state.nodes[ob.node_id].pod_ids.append(ob.pod_id)
+        state.pods[row.pod_id] = PodEntry(spec, metrics)
+        state.nodes[row.node_id].pod_ids.append(row.pod_id)
     return state
 
 

@@ -95,9 +95,9 @@ def test_loop_calls_every_traced_decision_step_through_its_patched_name():
         return make
 
     def scoring(observe):
-        def wrapper(loop, interval, pods, nodes, *args, **kwargs):
-            outcome = observe(loop, interval, pods, nodes, *args, **kwargs)
-            apps = Counter(ob.app_id for ob in pods)
+        def wrapper(loop, interval, pod_rows, node_rows, *args, **kwargs):
+            outcome = observe(loop, interval, pod_rows, node_rows, *args, **kwargs)
+            apps = Counter(row.app_id for row in pod_rows)
             scored["pods"] += sum(apps[verdict.app_id] for verdict in outcome.verdicts)
             scored["detected"] += sum(verdict.detected for verdict in outcome.verdicts)
             return outcome

@@ -11,7 +11,8 @@ import pytest
 import ckoord
 from ckoord.cli import main
 from ckoord.scenario import default_config
-from helpers import cfg_with
+from ckoord.trace import TRACE_COLUMNS
+from helpers import OLD_TRACE, cfg_with
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -42,13 +43,15 @@ def test_simulate_writes_all_artifacts(tmp_path, capsys):
     assert run_cli("simulate", "--config", cfg, "--seed", "3", "--out", str(out)) == 0
     stdout = capsys.readouterr().out
     assert "simulated 20 intervals seed=3" in stdout
-    for name in ("report.json", "trace.csv", "actions.log"):
+    for name in ("report.json", "trace.csv", "nodes.csv", "actions.log"):
         assert (out / name).is_file(), name
     report = json.loads((out / "report.json").read_text())
     assert report["seed"] == 3
     assert report["horizon"] == 20
     trace_lines = (out / "trace.csv").read_text().splitlines()
     assert len(trace_lines) == 1 + 20 * 12  # header + horizon x pods
+    node_lines = (out / "nodes.csv").read_text().splitlines()
+    assert len(node_lines) == 1 + 20 * 4  # header + horizon x nodes
 
 
 def test_simulate_same_seed_is_byte_identical(tmp_path):
@@ -57,6 +60,7 @@ def test_simulate_same_seed_is_byte_identical(tmp_path):
         assert run_cli("simulate", "--config", cfg, "--seed", "7", "--out", str(tmp_path / name)) == 0
     assert (tmp_path / "a/report.json").read_bytes() == (tmp_path / "b/report.json").read_bytes()
     assert (tmp_path / "a/trace.csv").read_bytes() == (tmp_path / "b/trace.csv").read_bytes()
+    assert (tmp_path / "a/nodes.csv").read_bytes() == (tmp_path / "b/nodes.csv").read_bytes()
 
 
 def test_simulate_echoes_overrides_into_report(tmp_path):
@@ -81,15 +85,18 @@ def test_simulate_echoes_overrides_into_report(tmp_path):
     assert report["horizon"] == 5
 
 
-# sha256 of each artifact, recorded before the trace writer and the
-# simulator's interval passes were rewritten for speed; any change to the
-# bytes of a run, wanted or not, shows here first.
+# sha256 of each artifact; any change to the bytes of a run, wanted or not,
+# shows here first.  report.json and actions.log were recorded before the
+# trace writer and the simulator's interval passes were rewritten for speed;
+# trace.csv and nodes.csv when the trace began to hold exact floats, the
+# pod_cpu_cores column and a row per node.
 PINNED_RUNS = {
     "seed1": (
         ("--seed", "1"),
         {
             "report.json": "ed0d65ebdb8757afdabd4e4c1e93171a4c8e66f215b5a64c4b318dcdf2efd5c7",
-            "trace.csv": "61277a26aea7e00483527afa294d5ac40924b08d44502fb7b71551ce543662ba",
+            "trace.csv": "7c85a38b7eb0af3d6d7629f68a61830483eced87f7397d3b2fb6adbd3f88b401",
+            "nodes.csv": "87f93d43810abbe0d5c4129c57277346d9fb86b3e2a64208bac664b1f60e7e7b",
             "actions.log": "fcef53eac6f7aeb65007a48ddfec537aadb29994d3d758f6139400f37d9027c4",
         },
     ),
@@ -97,7 +104,8 @@ PINNED_RUNS = {
         ("--seed", "7", "--set", "controllers.enabled=false"),
         {
             "report.json": "7c243f9a1b4ee8194f28ebe5d90ebc59a2d2f4ec630c6c873928a654d6cfeca2",
-            "trace.csv": "2cf87cc367bdd24979db36878b6e52e97f8a3247ef568211e53bc3176566c500",
+            "trace.csv": "8d87e0cf909ed27c97adf0c49e1335af23169c3001d5915fe734e62f9bd90d79",
+            "nodes.csv": "030764d7b320d41e9a2bf502eb303b22147455b0528a8cdbfcb41d6415a4541b",
             "actions.log": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         },
     ),
@@ -249,7 +257,7 @@ def test_predict_appends_prediction_column(tmp_path, capsys):
     lines = out_path.read_text().splitlines()
     assert lines[0].endswith(",cpi_pred")
     assert len(lines) == 1 + 240
-    assert len(lines[1].split(",")) == 17
+    assert len(lines[1].split(",")) == 18
 
     # stdout mode produces the same table
     capsys.readouterr()
@@ -268,12 +276,29 @@ EVICTION_HEAVY = (
 )
 
 
-def without_cap(action):
-    return {k: v for k, v in action.items() if k != "cpu_restriction"}
+# The criterion-7 shape: 8 nodes, window 20, a mem_pressure injection.
+CRITERION_7_SHAPE = (
+    "topology.node_count=8",
+    "apps.0.replicas=8",
+    "apps.1.replicas=8",
+    "apps.2.replicas=8",
+    "apps.0.demand_noise_std=0.02",
+    "apps.1.demand_noise_std=0.02",
+    "apps.2.demand_noise_std=0.02",
+    "detector.k=2.5",
+    "predictor.window=20",
+    "workload.batches_per_interval=2",
+    "workload.period_intervals=120",
+    "horizon=60",
+    'interference=[{"target_node": "node-03", "kind": "mem_pressure",'
+    ' "start_interval": 50, "duration": 30, "intensity": 0.8}]',
+)
 
 
 # The live detection counts pin the live run, so that live and replay
-# cannot agree by both keeping an evicted pod's history.
+# cannot agree by both keeping an evicted pod's history, or by both scoring
+# too few nodes.  With 12 nodes, 2 host no pod: before nodes.csv, replay saw
+# no row of theirs, scored 10 nodes and detected where the live run did not.
 @pytest.mark.parametrize(
     "seed, overrides, live_detections",
     [
@@ -281,37 +306,37 @@ def without_cap(action):
         (1, EVICTION_HEAVY + ("controllers.reschedule_delay_intervals=0",), 37),
         (2, EVICTION_HEAVY + ("controllers.reschedule_delay_intervals=0",), 39),
         (1, EVICTION_HEAVY + ("controllers.reschedule_delay_intervals=3",), 65),
+        (1, ("topology.node_count=12",), 0),
+        (2, ("topology.node_count=12",), 0),
+        (1, CRITERION_7_SHAPE, 3),
     ],
-    ids=["default-seed1", "evictions-seed1-delay0", "evictions-seed2-delay0", "evictions-seed1-delay3"],
+    ids=["default-seed1", "evictions-seed1-delay0", "evictions-seed2-delay0",
+         "evictions-seed1-delay3", "empty-nodes-seed1", "empty-nodes-seed2", "criterion-7-shape"],
 )
 def test_replay_matches_live_detections(tmp_path, capsys, seed, overrides, live_detections):
     sets = [arg for override in overrides for arg in ("--set", override)]
     out = tmp_path / "live"
     assert run_cli("simulate", "--seed", str(seed), *sets, "--out", str(out)) == 0
     live = json.loads((out / "report.json").read_text())
-    live_pairs = sorted((d["interval"], d["app_id"]) for d in live["detections"])
-    assert len(live_pairs) == live_detections
+    assert len(live["detections"]) == live_detections
+    if overrides[:1] == EVICTION_HEAVY[:1]:
+        assert any(a["type"] == "evict" for a in live["actions"])
+    elif live_detections:
+        assert live["actions"], "expected the scenario to plan actions"
 
     replay_dir = tmp_path / "replay"
     replay_argv = ("replay", "--trace", str(out / "trace.csv"), *sets, "--out", str(replay_dir))
     assert run_cli(*replay_argv) == 0
     replayed = json.loads((replay_dir / "replay.json").read_text())
-    replay_pairs = sorted((d["interval"], d["app_id"]) for d in replayed["detections"])
-    assert replay_pairs == live_pairs
+    # the trace holds every input the live loop read, so every record and
+    # every float in it is the live one
+    live_detections = [
+        {k: v for k, v in d.items() if k != "lag_intervals"} for d in live["detections"]
+    ]
+    assert replayed["detections"] == live_detections
     assert replayed["flag_events"] == live["flag_events"]
-    assert live["actions"], "expected the scenario to plan actions"
-    if overrides:
-        assert any(a["type"] == "evict" for a in live["actions"])
-        # the trace rounds features to 9 significant digits, so suppression
-        # caps sized from them may differ in their last digits
-        assert [without_cap(a) for a in replayed["actions"]] == [
-            without_cap(a) for a in live["actions"]
-        ]
-        caps = [a["cpu_restriction"] for a in live["actions"] if a["type"] == "suppress"]
-        replay_caps = [a["cpu_restriction"] for a in replayed["actions"] if a["type"] == "suppress"]
-        assert replay_caps == pytest.approx(caps, rel=1e-6)
-    else:
-        assert replayed["actions"] == live["actions"]
+    assert replayed["actions"] == live["actions"]
+    assert replayed["models"] == live["models"]
     assert replayed["trace"] == "trace.csv"
     assert replayed["intervals"] == live["horizon"]
 
@@ -319,6 +344,109 @@ def test_replay_matches_live_detections(tmp_path, capsys, seed, overrides, live_
     first = (replay_dir / "replay.json").read_bytes()
     assert run_cli(*replay_argv) == 0
     assert (replay_dir / "replay.json").read_bytes() == first
+
+
+def small_run(tmp_path):
+    """A small run's trace, nodes.csv and config: 4 nodes, 20 intervals."""
+    trace = simulate_small(tmp_path)
+    return trace, trace.parent / "nodes.csv", str(tmp_path / "scenario.json")
+
+
+def edit_lines(path, edit):
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def replay_error(trace, cfg, capsys):
+    capsys.readouterr()
+    assert run_cli("replay", "--trace", str(trace), "--config", cfg) == 2
+    return capsys.readouterr().err
+
+
+def test_replay_without_nodes_csv_is_exit_2_naming_it(tmp_path, capsys):
+    trace, nodes, cfg = small_run(tmp_path)
+    nodes.unlink()
+    assert replay_error(trace, cfg, capsys) == (
+        f"error: {nodes}: no such file; replay needs the node rows simulate writes"
+        " beside the trace\n"
+    )
+
+
+def test_replay_rejects_a_node_the_config_does_not_have(tmp_path, capsys):
+    trace, nodes, cfg = small_run(tmp_path)
+    edit_lines(nodes, lambda lines: lines.__setitem__(3, lines[3].replace("node-02", "node-09")))
+    assert replay_error(trace, cfg, capsys) == (
+        f"error: {nodes}: line 4: node 'node-09' is not a node of the scenario config\n"
+    )
+
+
+def test_replay_rejects_an_interval_missing_a_config_node(tmp_path, capsys):
+    trace, nodes, cfg = small_run(tmp_path)
+    edit_lines(nodes, lambda lines: lines.pop(3 + 4 * 5))  # node-02 of interval 5
+    assert replay_error(trace, cfg, capsys) == (
+        f"error: {nodes}: interval 5 has no row for node node-02\n"
+    )
+
+
+def test_replay_rejects_a_node_repeated_within_an_interval(tmp_path, capsys):
+    trace, nodes, cfg = small_run(tmp_path)
+    edit_lines(nodes, lambda lines: lines.insert(3, lines[2]))
+    assert replay_error(trace, cfg, capsys) == (
+        f"error: {nodes}: line 4: node node-01 repeats in interval 0\n"
+    )
+
+
+def test_replay_rejects_a_trace_interval_without_node_rows(tmp_path, capsys):
+    trace, nodes, cfg = small_run(tmp_path)
+
+    def drop_interval_7(lines):
+        lines[:] = [line for line in lines if not line.startswith("7,")]
+
+    edit_lines(nodes, drop_interval_7)
+    line = 2 + 7 * 12  # interval 7's first of 12 pod rows
+    assert replay_error(trace, cfg, capsys) == (
+        f"error: {trace}: line {line}: interval 7 has no node rows in nodes.csv\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("inf", "node_cpu_offline=inf is not finite"),
+     ("nan", "node_cpu_offline=nan is not finite"),
+     ("1.5", "node_cpu_offline=1.5 outside [0, 1]"),
+     ("-0.25", "node_cpu_offline=-0.25 outside [0, 1]")],
+    ids=["inf", "nan", "above-one", "negative"],
+)
+def test_replay_rejects_a_bad_node_value(tmp_path, capsys, text, message):
+    trace, nodes, cfg = small_run(tmp_path)
+
+    def spoil(lines):
+        record = lines[5].split(",")
+        record[3] = text
+        lines[5] = ",".join(record)
+
+    edit_lines(nodes, spoil)
+    assert replay_error(trace, cfg, capsys) == f"error: {nodes}: line 6: {message}\n"
+
+
+def test_old_trace_is_exit_2_with_bad_header(small_trace, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    assert run_cli("train", "--trace", str(small_trace), "--model-out", str(model), "--window", "5") == 0
+    old = tmp_path / "trace.csv"
+    old.write_text(OLD_TRACE)
+    (tmp_path / "nodes.csv").write_text((small_trace.parent / "nodes.csv").read_text())
+    capsys.readouterr()
+    for argv in (
+        ("replay", "--trace", str(old)),
+        ("train", "--trace", str(old), "--model-out", str(tmp_path / "m2.json"), "--window", "5"),
+        ("predict", "--trace", str(old), "--model", str(model)),
+    ):
+        assert run_cli(*argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: bad header; expected "), argv[0]
+        assert "pod_cpu_cores" in err, argv[0]
+    assert not (tmp_path / "m2.json").exists()
 
 
 def write_report_dir(tmp_path, name, p50, p90, evictions):
@@ -532,7 +660,7 @@ def test_malformed_trace_is_exit_2_with_its_line(tmp_path, capsys, fault):
         expected = f"line 3: pod_cpu_util={record[5]!r} is not a plain number"
     else:
         record = lines[2].split(",")
-        record[-1] = "inf"
+        record[TRACE_COLUMNS.index("cpi")] = "inf"
         lines[2] = ",".join(record)
         expected = "line 3: cpi=inf is not finite"
     trace.write_text("\n".join(lines) + "\n")
@@ -634,7 +762,7 @@ def test_simulate_bytes_do_not_depend_on_the_hash_seed(tmp_path):
         digests.append(
             {
                 name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                for name in ("report.json", "trace.csv", "actions.log")
+                for name in ("report.json", "trace.csv", "nodes.csv", "actions.log")
             }
         )
     assert digests[0] == digests[1]

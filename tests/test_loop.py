@@ -1,8 +1,10 @@
-"""End-to-end controller pass over hand-built observations.
+"""End-to-end controller pass over hand-built trace rows.
 
 The construction keeps every number exact: constant features, constant CPI
 history c, a one-round full-step unregularized model, so the trained model
 predicts exactly c and a later CPI spike of +1 produces a delta of exactly 1.
+The loop stamps samples with the interval it is given, so the hand-built rows
+all carry interval 0.
 """
 
 import random
@@ -15,72 +17,73 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ckoord import loop as loop_module
-from ckoord.cluster import NodeMetrics, QosClass
+from ckoord.cluster import QosClass
 from ckoord.detector import DetectorConfig
-from ckoord.gbdt import Ensemble, TrainConfig
-from ckoord.loop import HISTORY_RETENTION_WINDOWS, ControlLoop, NodeObservation, PodObservation, PodRecord
+from ckoord.gbdt import FEATURE_NAMES, Ensemble, TrainConfig
+from ckoord.loop import HISTORY_RETENTION_WINDOWS, ControlLoop, PodRecord
 from ckoord.mitigator import Evict, MitigationConfig, Severity
 from ckoord.predictor import PredictorConfig, ThresholdParams, delta_cpi
 from ckoord.scenario import default_config
 from ckoord.simulator import Simulator
 from ckoord.telemetry import TimeSeries, rolling_mean, rolling_std
+from ckoord.trace import NodeRow, TraceRow
 from delta_reference import reference_delta_cpi
+from helpers import loop_scenario
 import loop_reference
 
-WEB_FEATURES = np.array([0.5, 0.5, 0.9, 0.2, 0.9, 0.7, 1e6, 0.5, 0.5])
-BATCH_FEATURES = np.array([0.5, 0.5, 0.9, 0.7, 0.9, 0.2, 2e6, 0.5, 0.5])
+# model inputs by FEATURE_NAMES slot
+WEB_FEATURES = dict(zip(FEATURE_NAMES, (0.5, 0.5, 0.9, 0.2, 0.9, 0.7, 1e6, 0.5, 0.5)))
+BATCH_FEATURES = dict(zip(FEATURE_NAMES, (0.5, 0.5, 0.9, 0.7, 0.9, 0.2, 2e6, 0.5, 0.5)))
 
-HOT = NodeMetrics(cpu_total=0.9, cpu_offline=0.4, cpu_online=0.5, cpu_shared=0.9, mem_util=0.9)
-COLD = NodeMetrics(cpu_total=0.1, cpu_offline=0.0, cpu_online=0.1, cpu_shared=0.1, mem_util=0.1)
+# node_cpu_total, node_cpu_offline, node_cpu_online, node_cpu_shared, node_mem_util
+HOT = (0.9, 0.4, 0.5, 0.9, 0.9)
+COLD = (0.1, 0.0, 0.1, 0.1, 0.1)
 
 
 def nodes(hot="node-01"):
     return [
-        NodeObservation(f"node-0{i}", 4.0, HOT if f"node-0{i}" == hot else COLD)
-        for i in range(4)
+        NodeRow(0, f"node-0{i}", *(HOT if f"node-0{i}" == hot else COLD)) for i in range(4)
     ]
 
 
-def web_pod(cpi=1.0, pod_id="web-0", node_id="node-01"):
-    return PodObservation(
-        pod_id=pod_id,
-        app_id="web",
+def pod_row(pod_id, app_id, node_id, qos, features, cpi, cores):
+    return TraceRow(
+        interval=0,
         node_id=node_id,
-        qos=QosClass.LS,
-        features=WEB_FEATURES,
+        pod_id=pod_id,
+        app_id=app_id,
+        qos=qos,
+        node_mem_util=0.5,
         cpi=cpi,
-        cpu_cores=0.8,
-        cpu_request=1.0,
-        mem_request=2**30,
+        pod_cpu_cores=cores,
+        **features,
     )
+
+
+def web_pod(cpi=1.0, pod_id="web-0", node_id="node-01"):
+    return pod_row(pod_id, "web", node_id, "LS", WEB_FEATURES, cpi, 0.8)
 
 
 def batch_pod(cpi=1.0):
-    return PodObservation(
-        pod_id="batch-0",
-        app_id="batch",
-        node_id="node-01",
-        qos=QosClass.BE,
-        features=BATCH_FEATURES,
-        cpi=cpi,
-        cpu_cores=2.0,  # over the 0.25 * 4.0 eviction bar
-        cpu_request=1.0,
-        mem_request=2**30,
-    )
+    # 2 cores is over the 0.25 * 4.0 eviction bar
+    return pod_row("batch-0", "batch", "node-01", "BE", BATCH_FEATURES, cpi, 2.0)
 
 
 def exact_loop(hysteresis=12):
     return ControlLoop(
-        detector_cfg=DetectorConfig(k=3.0, deviation="variance", hysteresis_intervals=hysteresis),
-        predictor_cfg=PredictorConfig(
-            window=1,
-            params=ThresholdParams(k1=0.0, k2=0.1),
-            min_history_windows=2,
-            train=TrainConfig(
-                learning_rate=1.0, lam=0.0, max_depth=1, num_rounds=1, min_samples_leaf=1
+        loop_scenario(
+            detector=DetectorConfig(k=3.0, deviation="variance", hysteresis_intervals=hysteresis),
+            predictor=PredictorConfig(
+                window=1,
+                params=ThresholdParams(k1=0.0, k2=0.1),
+                min_history_windows=2,
+                train=TrainConfig(
+                    learning_rate=1.0, lam=0.0, max_depth=1, num_rounds=1, min_samples_leaf=1
+                ),
             ),
-        ),
-        mitigator_cfg=MitigationConfig(),  # boundary 5/3, cooldown 2
+            mitigator=MitigationConfig(),  # boundary 5/3, cooldown 2
+            node_count=4,
+        )
     )
 
 
@@ -179,8 +182,15 @@ def test_disabled_controllers_only_record():
     assert out.verdicts == [] and out.actions == [] and out.flagged_apps == []
     assert list(loop.pods) == ["web-0"]
     assert len(loop.pods["web-0"].cpi) == 1
-    assert len(loop.pods["web-0"].features) == 1
+    assert len(loop.pods["web-0"].rows) == 1
     assert not loop.pods["web-0"].predictions
+
+
+def test_observe_needs_a_row_for_every_scenario_node():
+    # a node left out would keep its last interval's metrics and pods
+    loop = exact_loop()
+    with pytest.raises(ValueError, match="interval 0: 3 node rows, 4 nodes"):
+        loop.observe(0, [web_pod(1.0)], nodes()[1:])
 
 
 def test_evicted_pod_returns_with_fresh_record():
@@ -198,24 +208,27 @@ def test_evicted_pod_returns_with_fresh_record():
     loop.observe(3, [web_pod(2.0), batch_pod()], nodes(), controllers_enabled=False)
     record = loop.pods["batch-0"]
     assert record.cpi.values == [1.0]
-    assert len(record.features) == 1
+    assert len(record.rows) == 1
     assert not record.predictions
 
 
 def test_history_thinning_caps_training_rows():
     loop = ControlLoop(
-        detector_cfg=DetectorConfig(k=3.0),
-        predictor_cfg=PredictorConfig(
-            window=2,
-            min_history_windows=1,
-            train=TrainConfig(num_rounds=1, max_depth=1, min_samples_leaf=1),
-        ),
-        mitigator_cfg=MitigationConfig(),
+        loop_scenario(
+            detector=DetectorConfig(k=3.0),
+            predictor=PredictorConfig(
+                window=2,
+                min_history_windows=1,
+                train=TrainConfig(num_rounds=1, max_depth=1, min_samples_leaf=1),
+            ),
+            mitigator=MitigationConfig(),
+            node_count=4,
+        )
     )
     # never flagged (cold cluster): only the recording path runs
     for i in range(50):
         loop.observe(i, [web_pod(1.0)], nodes(hot="none"))
-    X, y = loop._app_history("web", [web_pod(1.0)])
+    X, y = loop._app_history([loop.pods["web-0"]])
     # retention ring is 4 windows deep, so at most 8 rows survive
     assert X.shape == (8, 9)
     assert np.all(y == 1.0)
@@ -271,7 +284,7 @@ def test_stored_means_match_recomputed_delta(window, steps):
     predictions: deque[float] = deque(maxlen=window)
     was_flagged = False
     for interval, (flagged, cpi, prediction) in enumerate(steps):
-        record.record(interval, WEB_FEATURES, cpi)
+        record.record(interval, web_pod(cpi))
         series.record(interval * 5, cpi)
         if was_flagged and not flagged:
             record.predictions.clear()
@@ -288,7 +301,8 @@ def test_stored_means_match_recomputed_delta(window, steps):
 # -- the live detector view and CPI rings against the rebuilt reference -----
 
 REF_NODES = ("node-00", "node-01", "node-02")
-REF_POD_QOS = (QosClass.BE, QosClass.LS, QosClass.BE, QosClass.LSR, QosClass.SYSTEM)
+REF_POD_QOS = ("BE", "LS", "BE", "LSR", "SYSTEM")
+QOS_VALUES = [q.value for q in QosClass]
 
 # Before each interval a pod may change one field of its spec.
 spec_change = st.one_of(
@@ -296,9 +310,7 @@ spec_change = st.one_of(
     st.none(),
     st.none(),
     st.tuples(st.just("node_id"), st.sampled_from(REF_NODES)),
-    st.tuples(st.just("cpu_request"), st.sampled_from((0.5, 1.0, 2.0))),
-    st.tuples(st.just("mem_request"), st.sampled_from((1.0, 2.0**30))),
-    st.tuples(st.just("qos"), st.sampled_from(list(QosClass))),
+    st.tuples(st.just("qos"), st.sampled_from(QOS_VALUES)),
     st.tuples(st.just("app_id"), st.sampled_from(("web", "batch"))),
 )
 # (observed, spec change, measured CPI) for each of five pods, the hot node
@@ -318,10 +330,10 @@ interval_steps = st.lists(
 )
 
 
-def reference_loop(window):
-    return ControlLoop(
-        detector_cfg=DetectorConfig(k=0.5, hysteresis_intervals=2),
-        predictor_cfg=PredictorConfig(
+def reference_scenario(window):
+    return loop_scenario(
+        detector=DetectorConfig(k=0.5, hysteresis_intervals=2),
+        predictor=PredictorConfig(
             window=window,
             params=ThresholdParams(k1=0.5, k2=0.1),
             min_history_windows=1,
@@ -329,7 +341,8 @@ def reference_loop(window):
                 learning_rate=1.0, lam=0.0, max_depth=2, num_rounds=1, min_samples_leaf=1
             ),
         ),
-        mitigator_cfg=MitigationConfig(cooldown_intervals=0),
+        mitigator=MitigationConfig(cooldown_intervals=0),
+        node_count=len(REF_NODES),
     )
 
 
@@ -338,15 +351,14 @@ def drive_against_reference(window, steps):
     scan gets equals a fresh build and that every record's CPI ring holds the
     reference ring's samples and gives its rolling bits.  Returns counts of
     what the steps exercised."""
-    loop = reference_loop(window)
+    scenario = reference_scenario(window)
+    loop = ControlLoop(scenario)
     real_scan = loop_module.scan
     specs = {
         f"p{i}": {
             "app_id": ("web", "batch")[i % 2],
             "node_id": REF_NODES[i % 3],
             "qos": REF_POD_QOS[i],
-            "cpu_request": 1.0,
-            "mem_request": 2.0**30,
         }
         for i in range(5)
     }
@@ -356,7 +368,9 @@ def drive_against_reference(window, steps):
     current = {}
 
     def checking_scan(state, cfg, flagged):
-        expected = loop_reference.detector_state(state.interval, current["pods"], current["nodes"])
+        expected = loop_reference.detector_state(
+            state.interval, current["pods"], current["nodes"], scenario
+        )
         assert state == expected
         assert list(state.pods) == list(expected.pods)
         seen["views"] += 1
@@ -372,18 +386,16 @@ def drive_against_reference(window, steps):
                     spec[change[0]] = change[1]
                     seen["spec changes"] += 1
                 if observed:
+                    features = (cpi / 4, 0.5, 0.9, 0.2, 0.9, 0.7, cpi * 1e5, 0.5, 0.5)
                     pods.append(
-                        PodObservation(
-                            pod_id=f"p{i}",
-                            features=np.array([cpi / 4, 0.5, 0.9, 0.2, 0.9, 0.7, cpi * 1e5, 0.5, 0.5]),
-                            cpi=cpi,
-                            cpu_cores=cpi,
-                            **spec,
-                        )
+                        pod_row(
+                            f"p{i}", spec["app_id"], spec["node_id"], spec["qos"],
+                            dict(zip(FEATURE_NAMES, features)), cpi, cpi,
+                        )._replace(interval=interval)
                     )
             current["pods"] = pods
             current["nodes"] = [
-                NodeObservation(node_id, 4.0, HOT if j == hot else COLD)
+                NodeRow(interval, node_id, *(HOT if j == hot else COLD))
                 for j, node_id in enumerate(REF_NODES)
             ]
             outcome = loop.observe(interval, pods, current["nodes"])
@@ -411,7 +423,7 @@ def drive_against_reference(window, steps):
                 ring = rings[pod_id]
                 assert record.cpi.timestamps == [s.timestamp for s in ring.samples]
                 assert record.cpi.values == [s.value for s in ring.samples]
-                assert len(record.features) == len(ring)
+                assert len(record.rows) == len(ring)
                 for n in (1, window, len(ring) + 1):
                     assert rolling_mean(record.cpi, n).hex() == loop_reference.rolling_mean(ring, n).hex()
                     assert rolling_std(record.cpi, n).hex() == loop_reference.rolling_std(ring, n).hex()
@@ -429,8 +441,7 @@ def test_reference_drive_covers_evictions_returns_moves_and_wraps():
     """One fixed stream reaches every case the property is meant to cover."""
     rng = random.Random(5)
     changes = [
-        ("node_id", "node-01"), ("node_id", "node-02"), ("cpu_request", 2.0),
-        ("mem_request", 1.0), ("qos", QosClass.BE), ("app_id", "web"),
+        ("node_id", "node-01"), ("node_id", "node-02"), ("qos", "BE"), ("app_id", "web"),
     ]
     steps = [
         (

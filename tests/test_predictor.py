@@ -17,7 +17,7 @@ from ckoord.predictor import (
     worst_verdict,
 )
 from ckoord.telemetry import TimeSeries
-from ckoord.trace import TraceRow, row_features
+from ckoord.trace import TraceRow, feature_matrix
 
 
 def features_of(cpu_ratio=0.0, mem_ratio=0.0, miss=0.0):
@@ -82,8 +82,10 @@ def test_feature_vector_layout():
         sys_mem_total=0.5,
         l3_miss_rate=1e6,
         cpi=1.0,
+        pod_cpu_cores=1.0,
     )
-    vec = row_features(row)
+    X, _ = feature_matrix([row])
+    vec = X[0]
     assert vec.shape == (9,)
     assert vec.dtype == np.float64
     expected = [1.0, 1.0, 0.5, 0.1, 0.3, 0.2, 1e6, 0.4, 0.5]

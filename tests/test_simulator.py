@@ -290,11 +290,11 @@ def test_be_cap_is_enforced_on_allocation():
     sim = Simulator(cfg, seed=7)
     for node in sim.state.nodes.values():
         node.be_cpu_cap = 0.3
-    pods, _, _ = sim.step(0)
+    rows, _, _ = sim.step(0)
     by_node: dict[str, float] = {}
-    for ob in pods:
-        if ob.qos.best_effort:
-            by_node[ob.node_id] = by_node.get(ob.node_id, 0.0) + ob.cpu_cores
+    for row in rows:
+        if row.qos == "BE":
+            by_node[row.node_id] = by_node.get(row.node_id, 0.0) + row.pod_cpu_cores
     assert by_node, "expected best-effort pods"
     for node_id, total in by_node.items():
         assert total <= 0.3 + 1e-6, f"{node_id} BE usage {total}"
@@ -303,15 +303,33 @@ def test_be_cap_is_enforced_on_allocation():
 def test_step_clamps_request_ratios_in_row_and_features():
     # batch wants ~0.9 cores against a 0.2-core request, a ratio of about 4.5
     sim = Simulator(small_cfg("apps.2.cpu_request=0.2"), seed=1)
-    pods, _, stats = sim.step(0)
-    rows = stats["trace_rows"]
-    assert [row.pod_id for row in rows] == [ob.pod_id for ob in pods]
-    batch = [(ob, row) for ob, row in zip(pods, rows) if ob.app_id == "batch"]
+    rows, _, _ = sim.step(0)
+    batch = [row for row in rows if row.app_id == "batch"]
     assert batch, "expected batch pods"
-    for ob, row in batch:
-        assert ob.cpu_cores > 2.0 * ob.cpu_request
-        assert ob.features[0] == row.pod_cpu_util == 2.0
-        assert ob.features[1] == row.pod_mem_util < 2.0
+    for row in batch:
+        # the model's ratio saturates; the cores mitigation sizes from do not
+        assert row.pod_cpu_cores > 2.0 * 0.2
+        assert row.pod_cpu_util == 2.0
+        assert row.pod_mem_util < 2.0
+
+
+def test_step_returns_a_node_row_for_every_node_even_an_empty_one():
+    # 12 nodes and 4 replicas per app: nodes 04..11 host no pod
+    sim = Simulator(small_cfg("topology.node_count=12"), seed=1)
+    rows, node_rows, _ = sim.step(0)
+    assert [row.node_id for row in node_rows] == [f"node-{i:02d}" for i in range(12)]
+    assert {row.node_id for row in rows} == {f"node-{i:02d}" for i in range(4)}
+    assert all(row.interval == 0 for row in node_rows)
+    # plain floats, which the trace writes with repr; a numpy scalar's repr
+    # would not read back
+    assert {type(v) for row in rows for v in row[5:]} == {float}
+    assert {type(v) for row in node_rows for v in row[2:]} == {float}
+    for row in node_rows:
+        metrics = sim.state.nodes[row.node_id].metrics
+        assert row[2:] == (
+            metrics.cpu_total, metrics.cpu_offline, metrics.cpu_online,
+            metrics.cpu_shared, metrics.mem_util,
+        )
 
 
 def test_invalid_config_rejected_at_construction():

@@ -12,15 +12,19 @@ from hypothesis import strategies as st
 from ckoord.trace import (
     TRACE_COLUMNS,
     TRACE_HEADER,
+    NodeRow,
     TraceFormatError,
     TraceRow,
     feature_matrix,
     format_value,
+    read_nodes,
     read_trace,
     rows_by_interval,
+    write_nodes,
     write_rows,
     write_trace,
 )
+from helpers import OLD_TRACE
 from trace_reference import reference_write
 
 
@@ -42,6 +46,7 @@ def make_row(interval=0, pod_id="web-0", cpi=1.25, **over):
         sys_mem_total=0.45,
         l3_miss_rate=2.5e6,
         cpi=cpi,
+        pod_cpu_cores=3.5,
     )
     base.update(over)
     return TraceRow(**base)
@@ -51,9 +56,20 @@ def test_header_is_frozen():
     assert TRACE_HEADER == (
         "interval,node_id,pod_id,app_id,qos,pod_cpu_util,pod_mem_util,"
         "node_cpu_total,node_cpu_offline,node_cpu_online,node_cpu_shared,"
-        "node_mem_util,sys_cpu_total,sys_mem_total,l3_miss_rate,cpi"
+        "node_mem_util,sys_cpu_total,sys_mem_total,l3_miss_rate,cpi,pod_cpu_cores"
     )
-    assert len(TRACE_COLUMNS) == 16
+    assert len(TRACE_COLUMNS) == 17
+    assert ",".join(NodeRow._fields) == (
+        "interval,node_id,node_cpu_total,node_cpu_offline,node_cpu_online,"
+        "node_cpu_shared,node_mem_util"
+    )
+
+
+def test_read_rejects_a_trace_without_pod_cpu_cores(tmp_path):
+    path = tmp_path / "old.csv"
+    path.write_text(OLD_TRACE)
+    with pytest.raises(TraceFormatError, match="^line 1: bad header; expected"):
+        read_trace(path)
 
 
 def test_write_read_write_is_byte_stable(tmp_path):
@@ -91,9 +107,7 @@ def test_read_rejects_wrong_header(tmp_path):
 
 
 def body_line(**over):
-    return ",".join(
-        format_value(v) if isinstance(v, float) else str(v) for v in make_row(**over)
-    )
+    return ",".join(repr(v) if isinstance(v, float) else str(v) for v in make_row(**over))
 
 
 def write_body(tmp_path, *lines):
@@ -339,3 +353,75 @@ def test_template_writer_matches_csv_writer_reference(rows, preds):
     write_rows(ours_text, rows, preds)
     reference_write(theirs_text, rows, preds)
     assert ours_text.getvalue() == theirs_text.getvalue()
+
+
+# Shortest-repr spellings the writer emits: exponents both ways, signed zero,
+# the ends of the range.  "e-05" and "e+16" hold "-" and "+", which the
+# reader's plain-number rule must accept.
+REPR_FORMS = [0.0, -0.0, 1e-05, 1.5e-07, 5e-324, 0.1, 1.0, 2.0, 1e16, 1.7976931348623157e308]
+
+
+def in_range(low, high=None, exclude_min=False):
+    """Finite floats in [low, high], or (low, high] with ``exclude_min``."""
+    forms = [
+        v for v in REPR_FORMS
+        if (v > low if exclude_min else v >= low) and (high is None or v <= high)
+    ]
+    drawn = st.floats(low, high, exclude_min=exclude_min, allow_nan=False, allow_infinity=False)
+    return st.one_of(drawn, st.sampled_from(forms))
+
+
+TRACE_FLOATS = {
+    "pod_cpu_util": in_range(0.0, 2.0),
+    "pod_mem_util": in_range(0.0, 2.0),
+    "l3_miss_rate": in_range(0.0),
+    "cpi": in_range(0.0, exclude_min=True),
+    "pod_cpu_cores": in_range(0.0),
+}
+VALID_TRACE_ROWS = st.builds(
+    TraceRow,
+    interval=st.integers(0, 2**70),
+    node_id=IDS,
+    pod_id=IDS,
+    app_id=IDS,
+    qos=st.sampled_from(["BE", "LS", "LSR", "SYSTEM"]),
+    **{name: TRACE_FLOATS.get(name, in_range(0.0, 1.0)) for name in TRACE_COLUMNS[5:]},
+)
+VALID_NODE_ROWS = st.builds(
+    NodeRow,
+    interval=st.integers(0, 2**70),
+    node_id=IDS,
+    **{name: in_range(0.0, 1.0) for name in NodeRow._fields[2:]},
+)
+
+
+def in_file_order(rows, key):
+    """Intervals non-decreasing, each key once per interval."""
+    unique = {(row.interval, getattr(row, key)): row for row in rows}
+    return [unique[k] for k in sorted(unique, key=lambda k: k[0])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    trace_rows=st.lists(VALID_TRACE_ROWS, max_size=8),
+    node_rows=st.lists(VALID_NODE_ROWS, max_size=8),
+)
+def test_write_read_write_is_byte_stable_for_both_files(trace_rows, node_rows):
+    """Every float reads back as the same double, so the second write gives
+    the first one's bytes, and the template writer gives the oracle's."""
+    trace_rows = in_file_order(trace_rows, "pod_id")
+    node_rows = in_file_order(node_rows, "node_id")
+    with tempfile.TemporaryDirectory() as tmp:
+        for rows, write, read, row_type in (
+            (trace_rows, write_trace, read_trace, TraceRow),
+            (node_rows, write_nodes, read_nodes, NodeRow),
+        ):
+            first, second = Path(tmp, "first.csv"), Path(tmp, "second.csv")
+            write(first, rows)
+            back = read(first)
+            assert [tuple(map(repr, row)) for row in back] == [tuple(map(repr, row)) for row in rows]
+            write(second, back)
+            assert first.read_bytes() == second.read_bytes()
+            oracle = io.StringIO()
+            reference_write(oracle, rows, row_type=row_type)
+            assert first.read_text(encoding="utf-8") == oracle.getvalue()
