@@ -9,6 +9,11 @@ ratios clamped to [0, 2]; pod_cpu_cores is the pod's unclamped use in cores;
 node_* and sys_* are fractions in [0, 1].  Floats are written with ``%r``,
 the shortest text that reads back as the same double, so reading loses
 nothing and write -> read -> write is byte-stable.
+A pod row's seven node_* and sys_* columns are its node's and the
+system's: the simulator hands every row on a node the same float objects,
+so the writer formats them once per node and reuses that text for as long
+as the next row holds the *identical* objects.  It keys on identity, not
+equality, because 0.0 == -0.0 but they print differently.
 Ids (node_id, pod_id, app_id) are written unquoted, so none may contain a
 character that CSV would quote: a comma, a double quote, CR or LF.  The
 scenario validator, the reader and the writer each reject such an id.
@@ -23,7 +28,7 @@ import re
 import sys
 import tempfile
 from contextlib import contextmanager
-from operator import attrgetter
+from operator import attrgetter, is_
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
@@ -90,20 +95,29 @@ class _Layout(NamedTuple):
     header: str
     key: str           # the id that may not repeat within an interval
     first_float: int   # columns 1 .. first_float-1 are ids, written raw
-    template: str      # one line: what csv.writer writes for the row
+    shared: slice      # columns consecutive rows may share, formatted once
+    head: str          # templates of the columns before, in and after
+    span: str          # ``shared``: together, what csv.writer writes
+    tail: str
     low: tuple         # per float column, its _BOUNDS
     high: tuple
 
 
-def _layout(row_type: type, key: str, ids: int) -> _Layout:
+def _layout(row_type: type, key: str, ids: int, shared: slice) -> _Layout:
     fields = row_type._fields
-    template = "%d," + "%s," * ids + ",".join(["%r"] * (len(fields) - 1 - ids)) + "\n"
+    cells = ["%d", *["%s"] * ids, *["%r"] * (len(fields) - 1 - ids)]
+    head, span, tail = (
+        "".join(cell + "," for cell in cells[part]) for part in
+        (slice(shared.start), shared, slice(shared.stop, None))
+    )
     low, high = zip(*(_BOUNDS.get(name, (0.0, _MAX)) for name in fields[1 + ids :]))
-    return _Layout(row_type, ",".join(fields), key, 1 + ids, template, low, high)
+    return _Layout(
+        row_type, ",".join(fields), key, 1 + ids, shared, head, span, tail[:-1] + "\n", low, high
+    )
 
 
-_TRACE = _layout(TraceRow, "pod_id", 4)
-_NODES = _layout(NodeRow, "node_id", 1)
+_TRACE = _layout(TraceRow, "pod_id", 4, slice(7, 14))  # node_cpu_total .. sys_mem_total
+_NODES = _layout(NodeRow, "node_id", 1, slice(2, 2))   # nothing shared
 TRACE_COLUMNS = TraceRow._fields
 TRACE_HEADER = _TRACE.header
 _ID_FORBIDDEN = (",", '"', "\r", "\n")  # what csv would quote
@@ -179,16 +193,27 @@ def atomic_open(path: str | Path) -> Iterator[TextIO]:
 
 def _write(handle: TextIO, records: Iterable[tuple], layout: _Layout, header: str) -> None:
     """The header, then one templated line per record; ValueError for an id
-    or qos that csv would quote."""
+    or qos that csv would quote.
+
+    The text of the shared span is kept while the next record holds the
+    identical objects there (``is``, not ``==``: 0.0 == -0.0).
+    """
     write = handle.write
-    template = layout.template
+    head, span, tail = layout.head, layout.span, layout.tail
     names = layout.row_type._fields[1 : layout.first_float]
     ids = slice(1, layout.first_float)
+    shared = layout.shared
+    before, after = slice(shared.start), slice(shared.stop, None)
     write(header + "\n")
     checked: set[tuple] = set()
+    held: tuple = (object(),) * (shared.stop - shared.start)  # matches no record
+    text = ""
     for values in records:
         _check_text(names, values[ids], checked)
-        write(template % values)
+        objects = values[shared]
+        if not all(map(is_, objects, held)):
+            held, text = objects, span % objects
+        write(head % values[before] + text + tail % values[after])
 
 
 def write_rows(
@@ -199,7 +224,7 @@ def write_rows(
     if cpi_pred is None:
         _write(handle, rows, _TRACE, TRACE_HEADER)
     else:
-        layout = _TRACE._replace(template=_TRACE.template[:-1] + ",%r\n")
+        layout = _TRACE._replace(tail=_TRACE.tail[:-1] + ",%r\n")
         records = (row + (pred,) for row, pred in zip(rows, cpi_pred))
         _write(handle, records, layout, TRACE_HEADER + ",cpi_pred")
 

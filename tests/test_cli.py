@@ -85,6 +85,16 @@ def test_simulate_echoes_overrides_into_report(tmp_path):
     assert report["horizon"] == 5
 
 
+# A cpu_hog on node-02 long enough for several evictions; with a short
+# reschedule delay the evicted pods return while the app is still flagged.
+EVICTION_HEAVY = (
+    "horizon=200",
+    "predictor.window=20",
+    'interference=[{"target_node": "node-02", "kind": "cpu_hog",'
+    ' "start_interval": 100, "duration": 40, "intensity": 1.0}]',
+)
+
+
 # sha256 of each artifact; any change to the bytes of a run, wanted or not,
 # shows here first.  report.json and actions.log were recorded before the
 # trace writer and the simulator's interval passes were rewritten for speed;
@@ -107,6 +117,50 @@ PINNED_RUNS = {
             "trace.csv": "8d87e0cf909ed27c97adf0c49e1335af23169c3001d5915fe734e62f9bd90d79",
             "nodes.csv": "030764d7b320d41e9a2bf502eb303b22147455b0528a8cdbfcb41d6415a4541b",
             "actions.log": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        },
+    ),
+    # Each run below reaches a summation or power rule of the simulator that
+    # the two above do not: a node holding 8 or more pods (dense-nodes), a
+    # demand noise draw and its square (noisy-demand), pods that leave and
+    # return (eviction-heavy), and the SYSTEM and LSR classes (lsr-system).
+    "dense-nodes": (
+        ("--seed", "1", "--set", "topology.node_count=2",
+         "--set", "interference.0.target_node=node-01"),
+        {
+            "report.json": "aa3f2db464c5722b02a2b5d84ddbc1ca2b9e5ffa037fb9674327d546505ae45a",
+            "trace.csv": "3116762f02e6a150bf4836a2da5befac96d56332193dd45bc7800d0bc00f6442",
+            "nodes.csv": "fb3eb0ec2c1fbcc65172ba0edb8c8db00ed7dfbe3c99debb9f1ad227cc95a3f4",
+            "actions.log": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        },
+    ),
+    "noisy-demand": (
+        ("--seed", "4", "--set", "apps.0.demand_noise_std=0.05",
+         "--set", "apps.2.demand_noise_std=0.02"),
+        {
+            "report.json": "338127ecca117f1851f402cbc8e9532d590d33e39ea7a0094576ea85db228db8",
+            "trace.csv": "6ef69fa2b29b9ee72b56a3d85cebf071c838316fc8d55737e4ef81815ab9c9a8",
+            "nodes.csv": "33460bb75500ebc8b1e165c294cb75b9715b7cc5e057743b78016625e1f98bfa",
+            "actions.log": "35d40b8e57ce73289487d5c5e5d58a3b755abcde1edec2ea2374ec6f62533dbb",
+        },
+    ),
+    "eviction-heavy": (
+        ("--seed", "1",
+         *(arg for s in EVICTION_HEAVY for arg in ("--set", s)),
+         "--set", "controllers.reschedule_delay_intervals=0"),
+        {
+            "report.json": "b580da4fd0b11c6e9e549c801bfefdf2a6cedd2210cc91de1760540d0eba8c0f",
+            "trace.csv": "31aef9138117076e4a8da49165af6dbc8b0852e6f94b5adc5ea443b1a008e587",
+            "nodes.csv": "8e9320bed228b51dbe8c15c43241d8649d83d775f6e75b0bf901fbbad1230946",
+            "actions.log": "7bebe98b99930d11c9f77811da179ca307fec64143d7d4059d5b3ad0714c6547",
+        },
+    ),
+    "lsr-system": (
+        ("--seed", "1", "--set", 'apps.0.qos="LSR"', "--set", 'apps.1.qos="SYSTEM"'),
+        {
+            "report.json": "582fb92f6b7bdad051675da0b1caf9b9c094ef772c7214939fe08e9df3de5d5e",
+            "trace.csv": "626f1a875e7e0b095c26e1e7e179a255e1df861220684063672912e6de1e0e8f",
+            "nodes.csv": "6ee26b33e11cd2cf96533c7d1860e251fd6fcf20ade47f36215c0d6391aa4e72",
+            "actions.log": "fcef53eac6f7aeb65007a48ddfec537aadb29994d3d758f6139400f37d9027c4",
         },
     ),
 }
@@ -264,16 +318,6 @@ def test_predict_appends_prediction_column(tmp_path, capsys):
     assert run_cli("predict", "--trace", str(trace), "--model", str(model_path)) == 0
     stdout_lines = capsys.readouterr().out.splitlines()
     assert stdout_lines[: len(lines)] == lines
-
-
-# A cpu_hog on node-02 long enough for several evictions; with a short
-# reschedule delay the evicted pods return while the app is still flagged.
-EVICTION_HEAVY = (
-    "horizon=200",
-    "predictor.window=20",
-    'interference=[{"target_node": "node-02", "kind": "cpu_hog",'
-    ' "start_interval": 100, "duration": 40, "intensity": 1.0}]',
-)
 
 
 # The criterion-7 shape: 8 nodes, window 20, a mem_pressure injection.

@@ -1,17 +1,24 @@
+import hashlib
 import json
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import alloc_reference
 from ckoord.cluster import QosClass
+from ckoord.loop import PlannedAction
+from ckoord.mitigator import Evict, Severity
 from ckoord.scenario import AppProfile, TruthParams
 from ckoord.simulator import (
+    BLOCK_INTERVALS,
     Simulator,
     _percentile_block,
+    _Stream,
     allocate_cpu,
     diurnal_demand,
     ground_truth_cpi,
@@ -58,8 +65,8 @@ def profile(**over):
 
 def test_demand_peak_to_trough_ratio():
     p = profile(diurnal_amplitude=0.5)
-    peak = diurnal_demand(p, 1, 4, None)    # sin at quarter period is 1
-    trough = diurnal_demand(p, 3, 4, None)  # sin at three quarters is -1
+    peak = diurnal_demand([p], 1, 4)[0]    # sin at quarter period is 1
+    trough = diurnal_demand([p], 3, 4)[0]  # sin at three quarters is -1
     assert peak == pytest.approx(150.0)
     assert trough == pytest.approx(50.0)
     assert peak / trough == pytest.approx(3.0)
@@ -68,68 +75,80 @@ def test_demand_peak_to_trough_ratio():
 def test_demand_never_negative():
     p = profile(diurnal_amplitude=1.0, base_rps=10.0)
     for t in range(16):
-        assert diurnal_demand(p, t, 7, None) >= 0.0
+        assert diurnal_demand([p], t, 7)[0] >= 0.0
 
 
 def test_demand_phase_offset_shifts_the_curve():
     p0 = profile(phase_offset=0.0)
     p_shift = profile(phase_offset=0.25)
-    assert diurnal_demand(p_shift, 0, 4, None) == pytest.approx(
-        diurnal_demand(p0, 1, 4, None)
+    assert diurnal_demand([p_shift, p0], 0, 4)[0] == pytest.approx(
+        diurnal_demand([p_shift, p0], 1, 4)[1]
     )
 
 
+def cpi(cpi_base, node_cpu_total, miss_rate, boost):
+    one = np.ones(1)
+    return ground_truth_cpi(
+        cpi_base * one, node_cpu_total**2 * one, miss_rate * one, boost * one, TRUTH
+    )[0]
+
+
 def test_cpi_idle_is_base():
-    got = ground_truth_cpi(1.0, 0.0, 0.0, 0.0, TRUTH, None)
-    assert got == pytest.approx(1.0)
+    assert cpi(1.0, 0.0, 0.0, 0.0) == pytest.approx(1.0)
 
 
 def test_cpi_contention_is_quadratic():
-    half = ground_truth_cpi(1.0, 0.5, 0.0, 0.0, TRUTH, None)
-    full = ground_truth_cpi(1.0, 1.0, 0.0, 0.0, TRUTH, None)
-    assert half == pytest.approx(1.0 + 0.8 * 0.25)
-    assert full == pytest.approx(1.8)
+    assert cpi(1.0, 0.5, 0.0, 0.0) == pytest.approx(1.0 + 0.8 * 0.25)
+    assert cpi(1.0, 1.0, 0.0, 0.0) == pytest.approx(1.8)
 
 
 def test_cpi_cache_term_normalized_by_scale():
-    got = ground_truth_cpi(1.0, 0.0, 1e7, 0.0, TRUTH, None)
-    assert got == pytest.approx(1.0 + 0.6 * 0.5)
+    assert cpi(1.0, 0.0, 1e7, 0.0) == pytest.approx(1.0 + 0.6 * 0.5)
 
 
 def test_cpi_floor_clamps_negative_boost():
-    got = ground_truth_cpi(2.0, 0.0, 0.0, -5.0, TRUTH, None)
-    assert got == pytest.approx(0.05 * 2.0)
+    assert cpi(2.0, 0.0, 0.0, -5.0) == pytest.approx(0.05 * 2.0)
+
+
+def test_cpi_noise_scales_each_pod():
+    zero = np.zeros(2)
+    got = ground_truth_cpi(np.ones(2), zero, zero, zero, replace(TRUTH, cpi_noise_std=0.5),
+                           np.array([1.0, -1.0]))
+    assert got.tolist() == [1.5, 0.5]
 
 
 def test_rho_basic_and_capped():
-    assert utilization_rho(100.0, 0.01, 2.0, 0.99) == pytest.approx(0.5)
-    assert utilization_rho(1000.0, 0.01, 2.0, 0.99) == pytest.approx(0.99)
-    assert utilization_rho(0.0, 0.01, 2.0, 0.99) == 0.0
-    assert utilization_rho(100.0, 0.01, 0.0, 0.99) == 0.99
+    # wants of 100 and 1000 requests/s at 0.01 cores each, then none, then no allocation
+    want = np.array([1.0, 10.0, 0.0, 1.0])
+    rho = utilization_rho(want, np.array([2.0, 2.0, 2.0, 0.0]), 0.99)
+    assert rho.tolist() == pytest.approx([0.5, 0.99, 0.0, 0.99])
+
+
+def latency(cpi_act, rho, jitter=None, batches=1):
+    one = np.ones(1)
+    return latency_model(8.0 * one, cpi_act * one, one, rho * one, 2.0, jitter, batches)
 
 
 def test_latency_scales_with_queueing_and_cpi():
-    base = latency_model(8.0, 1.0, 1.0, 0.0, 2.0)
-    assert base == pytest.approx([8.0])
-    half_rho = latency_model(8.0, 1.0, 1.0, 0.5, 2.0)
-    assert half_rho == pytest.approx([16.0])
-    dbl_cpi = latency_model(8.0, 2.0, 1.0, 0.0, 2.0)
-    assert dbl_cpi == pytest.approx([32.0])  # quadratic CPI exponent
+    assert latency(1.0, 0.0)[0] == pytest.approx([8.0])
+    assert latency(1.0, 0.5)[0] == pytest.approx([16.0])
+    assert latency(2.0, 0.0)[0] == pytest.approx([32.0])  # quadratic CPI exponent
 
 
 def test_latency_rejects_saturated_rho():
     with pytest.raises(ValueError):
-        latency_model(8.0, 1.0, 1.0, 1.0, 2.0)
+        latency(1.0, 1.0)
     with pytest.raises(ValueError):
-        latency_model(8.0, 1.0, 1.0, -0.1, 2.0)
+        latency(1.0, -0.1)
 
 
 def test_latency_batches_and_jitter():
-    rng = np.random.default_rng(3)
-    out = latency_model(8.0, 1.0, 1.0, 0.0, 2.0, jitter_sigma=0.5, batches=6, rng=rng)
-    assert out.shape == (6,)
+    jitter = np.exp(0.5 * np.random.default_rng(3).standard_normal((1, 6)))
+    out = latency(1.0, 0.0, jitter, 6)
+    assert out.shape == (1, 6)
     assert np.all(out > 0)
-    assert len(set(np.round(out, 9))) > 1
+    assert len(set(np.round(out[0], 9))) > 1
+    assert latency(1.0, 0.0, None, 6).tolist() == [[8.0] * 6]
 
 
 def test_percentiles_nearest_rank():
@@ -174,6 +193,29 @@ def test_percentile_block_reads_three_ranks_of_unsorted_samples(samples):
 QOS_W = {"BE": 1.0, "LS": 3.0, "LSR": 4.0, "SYSTEM": 5.0}
 
 
+def allocation_matrices(nodes):
+    """The array allocator's inputs for nodes given as (pods, avail, be_cap),
+    pods as the oracle takes them: (pod_id, qos, want, request) in slot order."""
+    width = max([1] + [len(pods) for pods, _, _ in nodes])
+    want, weight = np.zeros((2, len(nodes), width))
+    best_effort = np.zeros((len(nodes), width), dtype=bool)
+    for k, (pods, _, _) in enumerate(nodes):
+        for slot, (_, qos, cores, request) in enumerate(pods):
+            want[k, slot] = cores
+            weight[k, slot] = QOS_W[qos.value] * request
+            best_effort[k, slot] = qos is QosClass.BE
+    avail = np.array([avail for _, avail, _ in nodes])
+    caps = np.array([np.nan if cap is None else cap for _, _, cap in nodes])
+    return want, weight, best_effort, avail, caps
+
+
+def allocate_one(pods, avail, be_cap):
+    """One node through the array allocator, as {pod_id: cores} for usage and potential."""
+    usage, potential = allocate_cpu(*allocation_matrices([(pods, avail, be_cap)]))
+    ids = [pid for pid, _, _, _ in pods]
+    return dict(zip(ids, usage[0].tolist())), dict(zip(ids, potential[0].tolist()))
+
+
 def test_allocation_conserves_capacity():
     rng = random.Random(17)
     for _ in range(60):
@@ -183,7 +225,7 @@ def test_allocation_conserves_capacity():
             pods.append((f"p-{i}", qos, rng.uniform(0, 3), rng.uniform(0.5, 2)))
         avail = rng.uniform(0.5, 8)
         be_cap = rng.choice([None, rng.uniform(0, 2)])
-        usage, potential = allocate_cpu(pods, avail, be_cap, QOS_W)
+        usage, potential = allocate_one(pods, avail, be_cap)
         assert sum(usage.values()) <= avail + 1e-9
         for pid, _, want, _ in pods:
             assert 0.0 <= usage[pid] <= want + 1e-12
@@ -200,7 +242,7 @@ def test_allocation_satisfies_everyone_when_uncontended():
         ("a", QosClass.LS, 1.0, 1.0),
         ("b", QosClass.BE, 0.5, 1.0),
     ]
-    usage, _ = allocate_cpu(pods, 8.0, None, QOS_W)
+    usage, _ = allocate_one(pods, 8.0, None)
     assert usage["a"] == pytest.approx(1.0)
     assert usage["b"] == pytest.approx(0.5)
 
@@ -210,10 +252,102 @@ def test_allocation_favors_latency_critical_under_pressure():
         ("ls-0", QosClass.LS, 4.0, 1.0),
         ("be-0", QosClass.BE, 4.0, 1.0),
     ]
-    usage, _ = allocate_cpu(pods, 4.0, None, QOS_W)
+    usage, _ = allocate_one(pods, 4.0, None)
     assert usage["ls-0"] > usage["be-0"]
     assert usage["ls-0"] == pytest.approx(3.0)
     assert usage["be-0"] == pytest.approx(1.0)
+
+
+_cores = st.one_of(st.just(0.0), st.floats(0.0, 4.0))
+_node = st.tuples(
+    st.lists(
+        st.tuples(st.sampled_from(list(QosClass)), _cores, st.floats(1e-3, 3.0)),
+        max_size=20,
+    ),
+    st.one_of(st.just(0.0), st.floats(-2.0, 0.0), st.floats(0.0, 12.0)),  # avail
+    st.one_of(st.none(), st.just(0.0), st.floats(0.0, 0.5), st.floats(0.5, 20.0)),  # BE cap
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_node, min_size=1, max_size=6))
+def test_array_allocation_matches_the_scalar_oracle_bit_for_bit(nodes):
+    nodes = [
+        ([(f"p-{i:02d}", *pod) for i, pod in enumerate(pods)], avail, cap)
+        for pods, avail, cap in nodes
+    ]
+    usage, potential = allocate_cpu(*allocation_matrices(nodes))
+    for k, (pods, avail, cap) in enumerate(nodes):
+        want_usage, want_potential = alloc_reference.allocate_cpu(pods, avail, cap, QOS_W)
+        n = len(pods)
+        # float.hex tells -0.0 from 0.0, which == does not
+        assert [v.hex() for v in usage[k, :n].tolist()] == [
+            v.hex() for v in want_usage.values()
+        ]
+        assert [v.hex() for v in potential[k, :n].tolist()] == [
+            v.hex() for v in want_potential.values()
+        ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.tuples(st.integers(1, 40), st.integers(0, 40)),
+                                          max_size=30))
+def test_stream_reads_the_scalar_sequence_in_any_blocks(seed, reads):
+    stream = _Stream(np.random.default_rng(seed))
+    scalar = np.random.default_rng(seed)
+    for size, used in reads:
+        used = min(size, used)
+        seen = stream.peek(size)
+        assert seen.size == size
+        assert seen[:used].tolist() == [scalar.standard_normal() for _ in range(used)]
+        stream.advance(used)
+        assert stream.held.size < 2 * max(size for size, _ in reads)
+
+
+def _reference_stream(seed, kind, pod_id):
+    """The generator a (kind, pod) stream derives, drawn one scalar at a time."""
+    digest = hashlib.sha256(f"{kind}:{pod_id}".encode()).digest()
+    return np.random.default_rng(
+        np.random.SeedSequence([seed, int.from_bytes(digest[:8], "big")])
+    )
+
+
+def test_an_evicted_pod_resumes_its_draws_where_it_stopped():
+    # 100-core nodes, so that every pod gets exactly the cores its demand wants
+    seed, delay, evicted_at = 5, 3, 5
+    cfg = small_cfg(
+        "topology.cpu_capacity=100",
+        "apps.2.demand_noise_std=0.1",
+        f"controllers.reschedule_delay_intervals={delay}",
+    )
+    sim = Simulator(cfg, seed=seed)
+    batch = sim.scenario.apps["batch"]
+    horizon = 3 * BLOCK_INTERVALS + 7
+    present: dict[str, list[tuple[int, float]]] = {}
+    for interval in range(horizon):
+        rows, _, _ = sim.step(interval)
+        for row in rows:
+            if row.app_id == "batch":
+                present.setdefault(row.pod_id, []).append((interval, row.pod_cpu_cores))
+        if interval == evicted_at:
+            node_id = sim.state.pods["batch-1"].spec.node_id
+            action = Evict(node_id, ("batch-1",))
+            sim._enforce(interval, [PlannedAction(interval, "batch", node_id,
+                                                  Severity.SEVERE, action)])
+    absent = set(range(evicted_at + 1, evicted_at + delay))
+    assert [t for t, _ in present["batch-1"]] == [t for t in range(horizon) if t not in absent]
+    period = sim.scenario.workload.period_intervals
+    for pod_id, seen in present.items():
+        draws = _reference_stream(seed, "demand", pod_id)
+        for interval, cores in seen:
+            demand = diurnal_demand([batch], interval, period)[0]
+            demand = max(0.0, demand * (1.0 + 0.1 * draws.standard_normal()))
+            assert cores == demand * batch.cpu_per_request, (pod_id, interval)
+    # read ahead by a block at most: the buffers do not grow with the horizon
+    batches = sim.scenario.workload.batches_per_interval
+    for (kind, _), stream in sim._streams.items():
+        width = batches if kind == "latency" else 1
+        assert stream.held.size < 2 * BLOCK_INTERVALS * width
 
 
 def small_cfg(*overrides):

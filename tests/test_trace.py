@@ -425,3 +425,67 @@ def test_write_read_write_is_byte_stable_for_both_files(trace_rows, node_rows):
             oracle = io.StringIO()
             reference_write(oracle, rows, row_type=row_type)
             assert first.read_text(encoding="utf-8") == oracle.getvalue()
+
+
+SHARED = TRACE_COLUMNS[7:14]  # node_cpu_total .. sys_mem_total: one node's values
+
+
+def rows_sharing(groups):
+    """Pod rows whose node and system columns are each group's float objects,
+    a group's rows holding the identical objects, as the simulator hands them."""
+    return [
+        make_row(pod_id=f"p-{i}-{j}", **dict(zip(SHARED, shared)))
+        for i, (shared, count) in enumerate(groups)
+        for j in range(count)
+    ]
+
+
+def assert_writers_match_the_oracle(rows):
+    preds = [0.5 * i for i in range(len(rows))]
+    for ours, theirs in (
+        (lambda out: write_rows(out, rows), lambda out: reference_write(out, rows)),
+        (lambda out: write_rows(out, rows, preds), lambda out: reference_write(out, rows, preds)),
+    ):
+        ours_text, theirs_text = io.StringIO(), io.StringIO()
+        ours(ours_text)
+        theirs(theirs_text)
+        assert ours_text.getvalue() == theirs_text.getvalue()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "trace.csv")
+        write_trace(path, rows)
+        oracle = io.StringIO()
+        reference_write(oracle, rows)
+        assert path.read_text(encoding="utf-8") == oracle.getvalue()
+
+
+def test_shared_columns_are_reused_only_for_identical_objects():
+    """Rows on one node hold its floats, so their text is made once; equal
+    but distinct floats get their own.  A cache keyed on == would print the
+    0.0 rows' text for the -0.0 ones, since 0.0 == -0.0."""
+    node = [0.25, 0.5, 0.125, 0.75, 0.375, 0.5, 0.0625]
+    zero, negative_zero = [0.0] * 7, [-0.0] * 7
+    rows = rows_sharing([
+        (node, 3),
+        (zero, 2),
+        (negative_zero, 2),
+        (zero[:6] + [-0.0], 1),  # one column differs
+        (list(zero), 1),          # the same objects again, in another list
+        ([float(v) for v in ("0.25", "0.5", "0.125", "0.75", "0.375", "0.5", "0.0625")], 1),
+        (node, 1),
+    ])
+    assert rows[2][7] is rows[0][7] and rows[3][7] == rows[5][7]
+    assert_writers_match_the_oracle(rows)
+    text = io.StringIO()
+    write_rows(text, rows)
+    assert [line.split(",")[7] for line in text.getvalue().splitlines()[1:]] == (
+        ["0.25"] * 3 + ["0.0"] * 2 + ["-0.0"] * 2 + ["0.0", "0.0", "0.25", "0.25"]
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(
+    st.tuples(st.lists(in_range(0.0, 1.0), min_size=7, max_size=7), st.integers(1, 3)),
+    max_size=6,
+))
+def test_rows_sharing_node_objects_match_the_oracle(groups):
+    assert_writers_match_the_oracle(rows_sharing(groups))
