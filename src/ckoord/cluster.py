@@ -98,18 +98,6 @@ class ClusterState:
     pods: dict[str, PodEntry] = field(default_factory=dict)
     system: SystemMetrics = field(default_factory=SystemMetrics)
 
-    def pods_on(self, node_id: str) -> list[PodEntry]:
-        node = self.nodes[node_id]
-        return [self.pods[pid] for pid in node.pod_ids]
-
-    def apps_on(self, node_id: str) -> set[str]:
-        return {entry.spec.app_id for entry in self.pods_on(node_id)}
-
-    def nodes_hosting(self, app_id: str) -> list[str]:
-        """Sorted node ids currently hosting the application's pods."""
-        found = {e.spec.node_id for e in self.pods.values() if e.spec.app_id == app_id}
-        return sorted(found)
-
 
 def _check_fraction(violations: list[str], where: str, name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .cluster import ClusterState, NodeMetrics
+from .trace import NodeRow, TraceRow
 
 WEIGHT_SLACK = 1e-9
 
@@ -54,17 +54,17 @@ class DetectorConfig:
         return self.node_weights.get(node_id, self.default_weights)
 
 
-def comprehensive_utilization(m: NodeMetrics, w: UtilizationWeights) -> float:
-    """Blend memory, CPU, and shared-pool pressure into one [0, 1] score.
+def comprehensive_utilization(
+    mem: float, cpu: float, shared: float, w: UtilizationWeights
+) -> float:
+    """Blend a node's memory, CPU, and shared-pool fractions into one [0, 1] score.
 
     The memory term saturates (M / (1 + M)), the CPU term is concave
     (sqrt), and the shared-pool term 2*C_sh - C_sh^2 rises steeply early:
     shared-pool contention is the leading interference signal.
     """
-    mem, cpu, shared = m.mem_util, m.cpu_total, m.cpu_shared
     if not (0.0 <= mem <= 1.0 and 0.0 <= cpu <= 1.0 and 0.0 <= shared <= 1.0):
-        for name in ("mem_util", "cpu_total", "cpu_shared"):
-            value = getattr(m, name)
+        for name, value in (("mem_util", mem), ("cpu_total", cpu), ("cpu_shared", shared)):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name}={value} outside [0, 1]")
     mem_term = mem / (1.0 + mem)
@@ -111,42 +111,54 @@ class FlaggedApps:
         return sorted(self.entries)
 
 
-def scan(state: ClusterState, cfg: DetectorConfig, flagged: FlaggedApps) -> FlaggedApps:
-    """One detection pass over the cluster; mutates and returns ``flagged``.
+def scan(
+    interval: int,
+    node_rows: list[NodeRow],
+    pod_rows: list[TraceRow],
+    cfg: DetectorConfig,
+    flagged: FlaggedApps,
+) -> FlaggedApps:
+    """One detection pass over an interval's rows; mutates and returns ``flagged``.
 
-    Nodes strictly above the selection threshold contribute their hosted
+    ``node_rows`` holds each node once, in any order: nodes are scored in
+    node-id order.  ``pod_rows`` say which apps each node hosts.  Nodes
+    strictly above the selection threshold contribute their hosted
     applications; already-flagged applications are only dropped after
     hysteresis_intervals consecutive scans with all hosting nodes at or
     under threshold.
     """
-    node_ids = sorted(state.nodes)
-    if not node_ids:
+    if not node_rows:
         raise ValueError("cluster has no nodes")
     scores = {
-        node_id: comprehensive_utilization(state.nodes[node_id].metrics, cfg.weights_for(node_id))
-        for node_id in node_ids
+        row.node_id: comprehensive_utilization(
+            row.node_mem_util, row.node_cpu_total, row.node_cpu_shared,
+            cfg.weights_for(row.node_id),
+        )
+        for row in sorted(node_rows, key=lambda row: row.node_id)
     }
-    threshold = selection_threshold([scores[n] for n in node_ids], cfg.k, cfg.deviation)
+    threshold = selection_threshold(list(scores.values()), cfg.k, cfg.deviation)
+    hot = {node_id for node_id, score in scores.items() if score > threshold}
 
-    hot_nodes = {n for n in node_ids if scores[n] > threshold}
-    for node_id in sorted(hot_nodes):
-        for app_id in sorted(state.apps_on(node_id)):
-            entry = flagged.entries.get(app_id)
-            if entry is None:
-                flagged.entries[app_id] = FlaggedEntry(
-                    flagged_at_interval=state.interval, node_ids={node_id}
-                )
-            else:
-                entry.node_ids.add(node_id)
+    hosting: dict[str, set[str]] = {}
+    for row in pod_rows:
+        hosting.setdefault(row.app_id, set()).add(row.node_id)
+    for app_id, nodes in hosting.items():
+        on_hot = nodes & hot
+        if not on_hot:
+            continue
+        entry = flagged.entries.get(app_id)
+        if entry is None:
+            flagged.entries[app_id] = FlaggedEntry(flagged_at_interval=interval, node_ids=on_hot)
+        else:
+            entry.node_ids |= on_hot
 
     for app_id in flagged.app_ids():
         entry = flagged.entries[app_id]
-        hosting = state.nodes_hosting(app_id)
-        if not hosting or all(scores.get(n, 0.0) <= threshold for n in hosting):
+        if hosting.get(app_id, set()) & hot:
+            entry.stable_intervals = 0
+        else:
             entry.stable_intervals += 1
             if entry.stable_intervals >= cfg.hysteresis_intervals:
                 del flagged.entries[app_id]
-        else:
-            entry.stable_intervals = 0
 
     return flagged

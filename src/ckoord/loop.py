@@ -3,25 +3,26 @@
 The loop observes trace rows: each interval, one ``TraceRow`` per pod and
 one ``NodeRow`` per node, the records ``trace.csv`` and ``nodes.csv`` hold.
 The simulator hands them over live and replay reads them back, so the two
-make identical decisions by construction.  What the rows do not carry, app
-requests and node capacities, is read from the scenario once.  The loop
-emits verdicts and planned actions; replay records them, the simulator
-enforces them.  Per-pod records, the node view, flagging state, the model
-cache and node cooldowns live here; the records of evicted pods are dropped.
-Each interval's rows are gone through once, and feature matrices are built
-only where a model trains or predicts.
+make identical decisions by construction.  The detector and the mitigator
+decide on those rows directly.  What the rows do not carry, the node
+capacity and the node set each interval's node rows must cover, is read
+from the scenario once.  The loop emits verdicts and planned actions;
+replay records them, the simulator enforces them.
+Per-pod records, flagging state, the model cache and node cooldowns live
+here; the records of evicted pods are dropped.  Each interval's rows are
+gone through once, and feature matrices are built only where a model trains
+or predicts.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import ClusterState, NodeState, PodEntry, PodSpec, QosClass
 from .detector import FlaggedApps, scan
 from .mitigator import (
     Evict,
@@ -43,7 +44,7 @@ from .predictor import (
     verdict_rank,
     worst_verdict,
 )
-from .scenario import AppProfile, Scenario
+from .scenario import Scenario
 from .telemetry import TimeSeries, rolling_mean
 from .trace import NodeRow, TraceRow, feature_matrix
 
@@ -51,8 +52,6 @@ log = logging.getLogger("ckoord.loop")
 
 HISTORY_RETENTION_WINDOWS = 4   # per-pod CPI and row rings
 MAX_TRAIN_ROWS = 1200           # thin older history beyond this many rows
-
-_QOS = {q.value: q for q in QosClass}
 
 
 class PodRecord:
@@ -62,8 +61,7 @@ class PodRecord:
     numbers; ``rows`` holds the trace row of each of its samples, so the two
     rings stay aligned.  ``predictions`` holds the current flagging
     episode's newest ``window`` pairs of (prediction, rolling mean of the CPI
-    when the prediction was made).  ``entry`` is the pod's row in the
-    detector/mitigator view, kept up to date by ``view``.
+    when the prediction was made).
     """
 
     def __init__(self, pod_id: str, window: int) -> None:
@@ -72,7 +70,6 @@ class PodRecord:
         self.cpi = TimeSeries(f"cpi:{pod_id}", capacity=retention)
         self.rows: deque[TraceRow] = deque(maxlen=retention)
         self.predictions: deque[tuple[float, float]] = deque(maxlen=window)
-        self.entry: PodEntry | None = None
 
     def record(self, interval: int, row: TraceRow) -> None:
         self.cpi.record(interval, row.cpi)
@@ -80,32 +77,6 @@ class PodRecord:
 
     def predict(self, prediction: float) -> None:
         self.predictions.append((prediction, rolling_mean(self.cpi, self.window)))
-
-    def view(self, row: TraceRow, apps: dict[str, AppProfile]) -> PodEntry:
-        """The pod's entry brought up to ``row``, with its app's requests.  The
-        spec is rebuilt only when the pod's app, node or QoS change."""
-        entry = self.entry
-        spec = None if entry is None else entry.spec
-        qos = _QOS[row.qos]
-        if (
-            spec is None
-            or spec.node_id != row.node_id
-            or spec.app_id != row.app_id
-            or spec.qos is not qos
-        ):
-            app = apps[row.app_id]
-            spec = PodSpec(
-                row.pod_id, row.app_id, row.node_id, qos, app.cpu_request, app.mem_request
-            )
-            if entry is None:
-                entry = self.entry = PodEntry(spec)
-            else:
-                entry.spec = spec
-        metrics = entry.metrics
-        metrics.cpu_util = row.pod_cpu_cores
-        metrics.l3_miss_rate = row.l3_miss_rate
-        metrics.cpi_actual = row.cpi
-        return entry
 
 
 @dataclass(frozen=True)
@@ -203,15 +174,8 @@ class ControlLoop:
         self.detector_cfg = scenario.detector
         self.predictor_cfg = scenario.predictor
         self.mitigator_cfg = scenario.mitigator
-        self.apps = scenario.apps  # each app's requests
-        # the detector/mitigator view: one node per scenario node, kept for
-        # the run and refreshed from each interval's node rows
-        self.state = ClusterState(
-            nodes={
-                node_id: NodeState(node_id, scenario.cpu_capacity, scenario.mem_capacity)
-                for node_id in scenario.node_ids
-            }
-        )
+        self.node_ids = frozenset(scenario.node_ids)
+        self.cpu_capacity = scenario.cpu_capacity  # of every node, in cores
         self.flagged = FlaggedApps()
         self.cache = ModelCache(scenario.predictor)
         self.pods: dict[str, PodRecord] = {}
@@ -231,23 +195,27 @@ class ControlLoop:
             rows.extend(record.rows[i] for i in idx)
         return feature_matrix(rows)
 
-    def _refresh_nodes(self, interval: int, node_rows: list[NodeRow]) -> ClusterState:
-        state = self.state
-        nodes = state.nodes
+    def _group_by_node(
+        self, interval: int, node_rows: list[NodeRow]
+    ) -> dict[str, list[TraceRow]]:
+        """An empty pod list per node, once the node rows are found to name
+        each scenario node once."""
+        by_node: dict[str, list[TraceRow]] = {row.node_id: [] for row in node_rows}
+        nodes = self.node_ids
         if len(node_rows) != len(nodes):
             raise ValueError(f"interval {interval}: {len(node_rows)} node rows, {len(nodes)} nodes")
-        state.interval = interval
-        state.pods.clear()
-        for row in node_rows:
-            node = nodes[row.node_id]
-            m = node.metrics
-            m.cpu_total = row.node_cpu_total
-            m.cpu_offline = row.node_cpu_offline
-            m.cpu_online = row.node_cpu_online
-            m.cpu_shared = row.node_cpu_shared
-            m.mem_util = row.node_mem_util
-            node.pod_ids.clear()
-        return state
+        if by_node.keys() != nodes:
+            unknown = sorted(by_node.keys() - nodes)
+            if unknown:
+                raise ValueError(f"interval {interval}: node row for unknown node {unknown[0]}")
+            rows = Counter(row.node_id for row in node_rows)
+            repeated = min(node_id for node_id, n in rows.items() if n > 1)
+            missing = min(nodes - by_node.keys())
+            raise ValueError(
+                f"interval {interval}: {rows[repeated]} node rows for {repeated},"
+                f" none for {missing}"
+            )
+        return by_node
 
     # -- the pass itself -------------------------------------------------
 
@@ -259,13 +227,13 @@ class ControlLoop:
         controllers_enabled: bool = True,
     ) -> IntervalOutcome:
         """One interval: ``pod_rows`` has a row per pod, ``node_rows`` one per
-        scenario node."""
+        scenario node.  With controllers off nothing is recorded or decided."""
         outcome = IntervalOutcome(interval=interval)
-        # one pass: record every pod and, with controllers on, bring its view
-        # entry up to date, list it on its node and group it by app
-        state = self._refresh_nodes(interval, node_rows) if controllers_enabled else None
+        if not controllers_enabled:
+            return outcome  # nothing decides, so nothing is recorded
+        # one pass: record every pod, and group its row by node and by app
+        by_node = self._group_by_node(interval, node_rows)
         by_app: dict[str, list[tuple[TraceRow, PodRecord]]] = {}
-        apps = self.apps
         for row in pod_rows:
             record = self.pods.get(row.pod_id)
             if record is None:
@@ -273,15 +241,11 @@ class ControlLoop:
             record.record(interval, row)
             if row.l3_miss_rate > self.n_max:
                 self.n_max = row.l3_miss_rate
-            if state is not None:
-                state.pods[row.pod_id] = record.view(row, apps)
-                state.nodes[row.node_id].pod_ids.append(row.pod_id)
-                by_app.setdefault(row.app_id, []).append((row, record))
-        if state is None:
-            return outcome
+            by_node[row.node_id].append(row)
+            by_app.setdefault(row.app_id, []).append((row, record))
 
         before = set(self.flagged.entries)
-        scan(state, self.detector_cfg, self.flagged)
+        scan(interval, node_rows, pod_rows, self.detector_cfg, self.flagged)
         after = set(self.flagged.entries)
         outcome.newly_flagged = sorted(after - before)
         outcome.newly_unflagged = sorted(before - after)
@@ -345,7 +309,9 @@ class ControlLoop:
             last = self.last_action.get(node_id)
             if last is not None and interval - last <= self.mitigator_cfg.cooldown_intervals:
                 continue  # node still cooling down
-            action = plan(state, node_id, severity, self.mitigator_cfg)
+            action = plan(
+                by_node[node_id], self.cpu_capacity, node_id, severity, self.mitigator_cfg
+            )
             if not isinstance(action, NoOp):
                 self.last_action[node_id] = interval
                 log.info(

@@ -13,8 +13,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .cluster import ClusterState
+from .cluster import ClusterState, QosClass
 from .predictor import DetectionVerdict
+from .trace import TraceRow
+
+_BEST_EFFORT = QosClass.BE.value
+_LATENCY_CRITICAL = frozenset(q.value for q in QosClass if q.latency_critical)
 
 
 class Severity(Enum):
@@ -73,58 +77,69 @@ def route(verdict: DetectionVerdict, cfg: MitigationConfig) -> Severity:
     return Severity.NONE
 
 
-def cpu_suppress(state: ClusterState, node_id: str, cfg: MitigationConfig) -> MitigationAction:
+def cpu_suppress(
+    pods: list[TraceRow], capacity: float, node_id: str, cfg: MitigationConfig
+) -> MitigationAction:
     """Cap aggregate best-effort CPU to what latency-critical load leaves over.
 
     restriction = max(0, capacity - (LS/LSR usage + reserve)); the simulator
     apportions the cap to individual BE pods proportionally to current usage
     when it enforces the action on the next interval.
     """
-    node = state.nodes[node_id]
     ls_used = 0.0
     has_be = False
-    for entry in state.pods_on(node_id):
-        if entry.spec.qos.latency_critical:
-            ls_used += entry.metrics.cpu_util
-        elif entry.spec.qos.best_effort:
+    for pod in pods:
+        if pod.qos in _LATENCY_CRITICAL:
+            ls_used += pod.pod_cpu_cores
+        elif pod.qos == _BEST_EFFORT:
             has_be = True
     if not has_be:
         return NoOp(node_id)
-    reserve = cfg.cpu_reserve_fraction * node.cpu_capacity
-    restriction = max(0.0, node.cpu_capacity - (ls_used + reserve))
+    reserve = cfg.cpu_reserve_fraction * capacity
+    restriction = max(0.0, capacity - (ls_used + reserve))
     return Suppress(node_id, restriction)
 
 
-def evict_candidates(state: ClusterState, node_id: str, cfg: MitigationConfig) -> MitigationAction:
+def evict_candidates(
+    pods: list[TraceRow], capacity: float, node_id: str, cfg: MitigationConfig
+) -> MitigationAction:
     """Pick best-effort pods to evict from one node.
 
     Primary rule: every BE pod using more than eviction_ratio * capacity.
     Fallback when none cross the bar: the single heaviest BE pod, so a
     severe verdict always sheds something.  Nodes without BE pods no-op.
     """
-    node = state.nodes[node_id]
-    be_pods = [e for e in state.pods_on(node_id) if e.spec.qos.best_effort]
+    be_pods = [pod for pod in pods if pod.qos == _BEST_EFFORT]
     if not be_pods:
         return NoOp(node_id)
-    bar = cfg.eviction_ratio * node.cpu_capacity
-    over = [e.spec.pod_id for e in be_pods if e.metrics.cpu_util > bar]
+    bar = cfg.eviction_ratio * capacity
+    over = [pod.pod_id for pod in be_pods if pod.pod_cpu_cores > bar]
     if over:
         return Evict(node_id, tuple(sorted(over)))
-    heaviest = max(be_pods, key=lambda e: (e.metrics.cpu_util, e.spec.pod_id))
-    return Evict(node_id, (heaviest.spec.pod_id,))
+    heaviest = max(be_pods, key=lambda pod: (pod.pod_cpu_cores, pod.pod_id))
+    return Evict(node_id, (heaviest.pod_id,))
 
 
 def plan(
-    state: ClusterState, node_id: str, severity: Severity, cfg: MitigationConfig
+    pods: list[TraceRow],
+    capacity: float,
+    node_id: str,
+    severity: Severity,
+    cfg: MitigationConfig,
 ) -> MitigationAction:
+    """The action for one node of ``capacity`` cores at ``severity``.
+
+    ``pods`` are the node's trace rows of the interval, in row order; only
+    their ``qos``, ``pod_cpu_cores`` and ``pod_id`` are read.
+    """
     if severity is Severity.SEVERE:
-        action = evict_candidates(state, node_id, cfg)
+        action = evict_candidates(pods, capacity, node_id, cfg)
         if isinstance(action, NoOp):
             # degenerate severe case: nothing evictable, cap whatever slack is left
-            action = cpu_suppress(state, node_id, cfg)
+            action = cpu_suppress(pods, capacity, node_id, cfg)
         return action
     if severity is Severity.MILD:
-        return cpu_suppress(state, node_id, cfg)
+        return cpu_suppress(pods, capacity, node_id, cfg)
     return NoOp(node_id)
 
 

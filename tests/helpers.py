@@ -1,11 +1,13 @@
 """Shared test helpers: scenario variants derived from the packaged default, a
-scenario to drive a ControlLoop by hand, and a trace in the old format."""
+scenario to drive a ControlLoop by hand, hand-built trace rows, and a trace in
+the old format."""
 
 from __future__ import annotations
 
 from dataclasses import replace
 
 from ckoord.scenario import apply_overrides, default_config, validate_config
+from ckoord.trace import TraceRow
 
 # The header and a row of a trace written before pod_cpu_cores was recorded
 # and floats were written exactly: 16 columns, floats at 9 significant digits.
@@ -43,3 +45,11 @@ def loop_scenario(detector, predictor, mitigator, node_count: int):
         predictor=predictor,
         mitigator=mitigator,
     )
+
+
+def trace_row(pod_id: str, app_id: str, node_id: str, qos: str, cores: float) -> TraceRow:
+    """A pod's interval-0 trace row with its ids, QoS and cores; every other
+    float column is 0 but the CPI, which is 1."""
+    floats = dict.fromkeys(TraceRow._fields[5:], 0.0)
+    floats.update(cpi=1.0, pod_cpu_cores=cores)
+    return TraceRow(0, node_id, pod_id, app_id, qos, **floats)

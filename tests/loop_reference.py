@@ -1,11 +1,11 @@
-"""Reference builders for the control loop's per-pod state.
+"""Reference builders for the control loop's decision inputs and CPI rings.
 
-This is the loop's state as it was kept before each pod record owned its
-detector entry and before the CPI ring stored plain floats: a fresh
-``ClusterState`` built from the interval's trace rows and the scenario's
-requests and capacities, one new spec, metrics and entry per pod, and a
-ring of one validated, frozen sample per measurement.  Kept only as an
-oracle.
+``detector_state`` is the cluster view the detector and the mitigator read
+before they read trace rows: a fresh ``ClusterState`` built from the
+interval's rows and the scenario's requests and capacities, one new spec,
+metrics and entry per pod; ``decide_reference`` decides on it.  The ring is
+the CPI ring as it was kept before it stored plain floats: one validated,
+frozen sample per measurement.  Kept only as oracles.
 """
 
 from __future__ import annotations

@@ -14,15 +14,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from ckoord.cluster import (
-    ClusterState,
-    NodeMetrics,
-    NodeState,
-    PodEntry,
-    PodMetrics,
-    PodSpec,
-    QosClass,
-)
+from ckoord.cluster import QosClass
 from ckoord.detector import UtilizationWeights, comprehensive_utilization, selection_threshold
 from ckoord.gbdt import TrainConfig, fit_tree, train_ensemble, regression_metrics, tree_predict
 from ckoord.mitigator import (
@@ -42,7 +34,7 @@ from ckoord.telemetry import TimeSeries, rolling_mean, rolling_std
 from ckoord.trace import feature_matrix
 
 from gbdt_reference import ref_fit_tree, ref_predict_row, same_structure
-from helpers import cfg_with
+from helpers import cfg_with, trace_row
 
 
 pytestmark = pytest.mark.acceptance
@@ -109,22 +101,15 @@ def test_criterion_1_tree_oracle_equivalence():
 # -- 2: hand-derived formula values ------------------------------------------
 
 
-def one_node_state(capacity, pods):
-    state = ClusterState(interval=0)
-    state.nodes["node-00"] = NodeState("node-00", capacity, 64 * 2**30)
-    for pod_id, qos, cpu in pods:
-        spec = PodSpec(pod_id, "app", "node-00", qos, 1.0, 2**30)
-        state.pods[pod_id] = PodEntry(spec, PodMetrics(cpu_util=cpu, cpi_actual=1.0))
-        state.nodes["node-00"].pod_ids.append(pod_id)
-    return state
+def one_node_rows(pods):
+    """pods: (pod_id, qos, cpu_util), as one node's trace rows."""
+    return [trace_row(pod_id, "app", "node-00", qos.value, cpu) for pod_id, qos, cpu in pods]
 
 
 def test_criterion_2_formula_spot_checks():
     failures = []
 
-    u = comprehensive_utilization(
-        NodeMetrics(cpu_total=1.0, cpu_shared=1.0, mem_util=1.0), UtilizationWeights()
-    )
+    u = comprehensive_utilization(1.0, 1.0, 1.0, UtilizationWeights())
     if abs(u - 5.0 / 6.0) > 1e-9:
         failures.append(f"saturated-node utilization {u} != 5/6")
 
@@ -132,18 +117,15 @@ def test_criterion_2_formula_spot_checks():
     if abs(th - 0.52) > 1e-12:
         failures.append(f"selection threshold {th} != 0.52")
 
-    state = one_node_state(
-        32.0, [("ls-0", QosClass.LS, 20.0), ("be-0", QosClass.BE, 1.0)]
-    )
-    action = cpu_suppress(state, "node-00", MitigationConfig(cpu_reserve_fraction=0.125))
+    pods = one_node_rows([("ls-0", QosClass.LS, 20.0), ("be-0", QosClass.BE, 1.0)])
+    action = cpu_suppress(pods, 32.0, "node-00", MitigationConfig(cpu_reserve_fraction=0.125))
     if not (isinstance(action, Suppress) and action.cpu_restriction == 8.0):
         failures.append(f"suppress restriction {action} != 8 cores")
 
-    state = one_node_state(
-        32.0,
+    pods = one_node_rows(
         [("be-a", QosClass.BE, 10.0), ("be-b", QosClass.BE, 6.0), ("be-c", QosClass.BE, 9.0)],
     )
-    action = evict_candidates(state, "node-00", MitigationConfig(eviction_ratio=0.25))
+    action = evict_candidates(pods, 32.0, "node-00", MitigationConfig(eviction_ratio=0.25))
     if not (isinstance(action, Evict) and action.pod_ids == ("be-a", "be-c")):
         failures.append(f"eviction set {action} != 10- and 9-core pods")
 
@@ -207,13 +189,13 @@ def test_criterion_3_rolling_stats_brute_force():
 # -- 4: monotonicity and invariants ------------------------------------------
 
 
-def random_mixed_state(rng):
+def random_mixed_node(rng):
     cap = rng.uniform(8, 64)
     pods = []
     for i in range(rng.randint(1, 8)):
         qos = rng.choice([QosClass.BE, QosClass.LS, QosClass.LSR])
         pods.append((f"p-{i}", qos, rng.uniform(0, cap * 0.6)))
-    return one_node_state(cap, pods), cap, pods
+    return one_node_rows(pods), cap, pods
 
 
 def test_criterion_4_invariant_suite():
@@ -226,8 +208,8 @@ def test_criterion_4_invariant_suite():
         slot = rng.randrange(3)
         bumped = list(m)
         bumped[slot] = min(1.0, bumped[slot] + rng.random() * (1.0 - bumped[slot]))
-        lo = comprehensive_utilization(NodeMetrics(m[1], 0, 0, m[2], m[0]), w)
-        hi = comprehensive_utilization(NodeMetrics(bumped[1], 0, 0, bumped[2], bumped[0]), w)
+        lo = comprehensive_utilization(*m, w)
+        hi = comprehensive_utilization(*bumped, w)
         if hi < lo - 1e-12:
             problems.append(f"utilization not monotone at {m} slot {slot}")
             break
@@ -264,10 +246,13 @@ def test_criterion_4_invariant_suite():
             break
 
     for _ in range(200):
-        state, cap, pods = random_mixed_state(rng)
+        rows, cap, pods = random_mixed_node(rng)
         mu = rng.choice([0.1, 0.25, 0.5])
         cfg = MitigationConfig(eviction_ratio=mu)
-        for action in (evict_candidates(state, "node-00", cfg), plan(state, "node-00", Severity.SEVERE, cfg)):
+        for action in (
+            evict_candidates(rows, cap, "node-00", cfg),
+            plan(rows, cap, "node-00", Severity.SEVERE, cfg),
+        ):
             if isinstance(action, Evict):
                 be_ids = {pid for pid, qos, _ in pods if qos.best_effort}
                 if not set(action.pod_ids) <= be_ids:
@@ -275,9 +260,9 @@ def test_criterion_4_invariant_suite():
                     break
 
     for _ in range(200):
-        state, cap, pods = random_mixed_state(rng)
+        rows, cap, pods = random_mixed_node(rng)
         reserve = rng.uniform(0.0, 0.3)
-        action = cpu_suppress(state, "node-00", MitigationConfig(cpu_reserve_fraction=reserve))
+        action = cpu_suppress(rows, cap, "node-00", MitigationConfig(cpu_reserve_fraction=reserve))
         if isinstance(action, Suppress) and action.cpu_restriction > 0:
             ls = sum(c for _, qos, c in pods if qos.latency_critical)
             total = action.cpu_restriction + ls + reserve * cap

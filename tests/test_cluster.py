@@ -107,11 +107,3 @@ def test_validate_system_metrics():
     state.system.cpu_total_sys = 1.5
     violations = validate(state)
     assert any("cpu_total_sys" in v for v in violations)
-
-
-def test_lookup_helpers():
-    state = two_node_state()
-    assert [e.spec.pod_id for e in state.pods_on("node-00")] == ["web-0", "batch-0"]
-    assert state.apps_on("node-00") == {"web", "batch"}
-    assert state.nodes_hosting("web") == ["node-00", "node-01"]
-    assert state.nodes_hosting("nope") == []

@@ -7,6 +7,7 @@ The loop stamps samples with the interval it is given, so the hand-built rows
 all carry interval 0.
 """
 
+import copy
 import random
 from collections import Counter, deque
 from unittest import mock
@@ -16,12 +17,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ckoord import detector as detector_module
 from ckoord import loop as loop_module
 from ckoord.cluster import QosClass
 from ckoord.detector import DetectorConfig
 from ckoord.gbdt import FEATURE_NAMES, Ensemble, TrainConfig
 from ckoord.loop import HISTORY_RETENTION_WINDOWS, ControlLoop, PodRecord
-from ckoord.mitigator import Evict, MitigationConfig, Severity
+from ckoord.mitigator import Evict, MitigationConfig, Severity, Suppress
 from ckoord.predictor import PredictorConfig, ThresholdParams, delta_cpi
 from ckoord.scenario import default_config
 from ckoord.simulator import Simulator
@@ -29,6 +31,7 @@ from ckoord.telemetry import TimeSeries, rolling_mean, rolling_std
 from ckoord.trace import NodeRow, TraceRow
 from delta_reference import reference_delta_cpi
 from helpers import loop_scenario
+import decide_reference
 import loop_reference
 
 # model inputs by FEATURE_NAMES slot
@@ -177,20 +180,27 @@ def test_action_targets_the_worst_pods_node():
 
 
 def test_disabled_controllers_only_record():
+    # nothing reads a record while nothing decides, so none is kept
     loop = exact_loop()
     out = loop.observe(0, [web_pod(1.0)], nodes(), controllers_enabled=False)
     assert out.verdicts == [] and out.actions == [] and out.flagged_apps == []
-    assert list(loop.pods) == ["web-0"]
-    assert len(loop.pods["web-0"].cpi) == 1
-    assert len(loop.pods["web-0"].rows) == 1
-    assert not loop.pods["web-0"].predictions
+    assert loop.pods == {}
+    assert loop.n_max == 0.0
 
 
 def test_observe_needs_a_row_for_every_scenario_node():
-    # a node left out would keep its last interval's metrics and pods
+    # a node left out, or listed twice, would be scored without its metrics
     loop = exact_loop()
     with pytest.raises(ValueError, match="interval 0: 3 node rows, 4 nodes"):
         loop.observe(0, [web_pod(1.0)], nodes()[1:])
+    node_rows = nodes()
+    twice = [node_rows[0], node_rows[1], node_rows[1], node_rows[3]]
+    with pytest.raises(ValueError, match="interval 0: 2 node rows for node-01, none for node-02"):
+        loop.observe(0, [web_pod(1.0)], twice)
+    unknown = node_rows[:3] + [node_rows[3]._replace(node_id="node-09")]
+    with pytest.raises(ValueError, match="interval 0: node row for unknown node node-09"):
+        loop.observe(0, [web_pod(1.0)], unknown)
+    assert loop.pods == {}  # a refused interval records nothing
 
 
 def test_evicted_pod_returns_with_fresh_record():
@@ -205,11 +215,12 @@ def test_evicted_pod_returns_with_fresh_record():
     assert len(loop.pods["web-0"].cpi) == 3
     assert len(loop.pods["web-0"].predictions) == 1  # window 1
 
-    loop.observe(3, [web_pod(2.0), batch_pod()], nodes(), controllers_enabled=False)
+    out3 = loop.observe(3, [web_pod(2.0), batch_pod()], nodes())
+    assert out3.actions == []  # node-01 is cooling down
     record = loop.pods["batch-0"]
     assert record.cpi.values == [1.0]
     assert len(record.rows) == 1
-    assert not record.predictions
+    assert len(record.predictions) == 1  # this interval's, from the app's model
 
 
 def test_history_thinning_caps_training_rows():
@@ -298,7 +309,7 @@ def test_stored_means_match_recomputed_delta(window, steps):
         was_flagged = flagged
 
 
-# -- the live detector view and CPI rings against the rebuilt reference -----
+# -- the row-based decisions and CPI rings against the rebuilt reference ----
 
 REF_NODES = ("node-00", "node-01", "node-02")
 REF_POD_QOS = ("BE", "LS", "BE", "LSR", "SYSTEM")
@@ -346,14 +357,25 @@ def reference_scenario(window):
     )
 
 
+def exact(action):
+    """The action, with a suppression cap as its exact bits."""
+    if isinstance(action, Suppress):
+        return ("suppress", action.node_id, action.cpu_restriction.hex())
+    return action
+
+
 def drive_against_reference(window, steps):
-    """Run the steps through a loop, checking at every interval that the view
-    scan gets equals a fresh build and that every record's CPI ring holds the
-    reference ring's samples and gives its rolling bits.  Returns counts of
-    what the steps exercised."""
+    """Run the steps through a loop, checking at every interval that scan,
+    fed the node rows shuffled, flags what the reference scan flags on a
+    fresh ``ClusterState`` build, over the same scores in node-id order;
+    that plan, on every node at both severities and on every call the loop
+    makes, gives the reference plan's action; and that every record's CPI
+    ring holds the reference ring's samples and gives its rolling bits.
+    Returns counts of what the steps exercised."""
     scenario = reference_scenario(window)
     loop = ControlLoop(scenario)
-    real_scan = loop_module.scan
+    real_scan, real_plan = loop_module.scan, loop_module.plan
+    real_threshold = detector_module.selection_threshold
     specs = {
         f"p{i}": {
             "app_id": ("web", "batch")[i % 2],
@@ -367,16 +389,48 @@ def drive_against_reference(window, steps):
     seen = Counter()
     current = {}
 
-    def checking_scan(state, cfg, flagged):
-        expected = loop_reference.detector_state(
-            state.interval, current["pods"], current["nodes"], scenario
-        )
-        assert state == expected
-        assert list(state.pods) == list(expected.pods)
-        seen["views"] += 1
-        return real_scan(state, cfg, flagged)
+    def recording_threshold(utilizations, k, deviation="variance"):
+        current["scores"] = [u.hex() for u in utilizations]
+        return real_threshold(utilizations, k, deviation)
 
-    with mock.patch.object(loop_module, "scan", checking_scan):
+    def checking_scan(interval, node_rows, pod_rows, cfg, flagged):
+        assert interval == current["interval"]
+        state = loop_reference.detector_state(
+            interval, current["pods"], current["nodes"], scenario
+        )
+        current["state"] = state
+        expected = decide_reference.scan(state, cfg, copy.deepcopy(flagged))
+        shuffled = list(node_rows)
+        random.Random(interval).shuffle(shuffled)
+        with mock.patch.object(detector_module, "selection_threshold", recording_threshold):
+            got = real_scan(interval, shuffled, pod_rows, cfg, flagged)
+        assert got == expected
+        assert current["scores"] == [
+            decide_reference.comprehensive_utilization(
+                state.nodes[node_id].metrics, cfg.weights_for(node_id)
+            ).hex()
+            for node_id in sorted(state.nodes)
+        ]
+        for node_id in REF_NODES:
+            rows = [row for row in current["pods"] if row.node_id == node_id]
+            for severity in (Severity.MILD, Severity.SEVERE):
+                action = real_plan(rows, scenario.cpu_capacity, node_id, severity, scenario.mitigator)
+                reference = decide_reference.plan(state, node_id, severity, scenario.mitigator)
+                assert exact(action) == exact(reference)
+        seen["scans"] += 1
+        return got
+
+    def checking_plan(pods, capacity, node_id, severity, cfg):
+        action = real_plan(pods, capacity, node_id, severity, cfg)
+        reference = decide_reference.plan(current["state"], node_id, severity, cfg)
+        assert exact(action) == exact(reference)
+        seen["plans"] += 1
+        return action
+
+    with (
+        mock.patch.object(loop_module, "scan", checking_scan),
+        mock.patch.object(loop_module, "plan", checking_plan),
+    ):
         for interval, (pod_steps, hot, order) in enumerate(steps):
             pods = []
             for i in order:
@@ -393,6 +447,7 @@ def drive_against_reference(window, steps):
                             dict(zip(FEATURE_NAMES, features)), cpi, cpi,
                         )._replace(interval=interval)
                     )
+            current["interval"] = interval
             current["pods"] = pods
             current["nodes"] = [
                 NodeRow(interval, node_id, *(HOT if j == hot else COLD))
@@ -427,7 +482,7 @@ def drive_against_reference(window, steps):
                 for n in (1, window, len(ring) + 1):
                     assert rolling_mean(record.cpi, n).hex() == loop_reference.rolling_mean(ring, n).hex()
                     assert rolling_std(record.cpi, n).hex() == loop_reference.rolling_std(ring, n).hex()
-    assert seen["views"] == len(steps)
+    assert seen["scans"] == len(steps)
     return seen
 
 
@@ -456,5 +511,5 @@ def test_reference_drive_covers_evictions_returns_moves_and_wraps():
         for _ in range(40)
     ]
     seen = drive_against_reference(2, steps)
-    for case in ("spec changes", "evictions", "returns", "ring wraps"):
+    for case in ("spec changes", "plans", "evictions", "returns", "ring wraps"):
         assert seen[case] > 0, case

@@ -25,6 +25,7 @@ from ckoord.mitigator import (
     route,
 )
 from ckoord.predictor import DetectionVerdict
+from helpers import trace_row
 
 CFG = MitigationConfig()
 
@@ -63,6 +64,11 @@ def test_route_monotone_in_csi():
         prev = rank
 
 
+def rows_of(pods):
+    """pods: (pod_id, app_id, qos, cpu_util), as one node's trace rows."""
+    return [trace_row(pod_id, app, "node-00", qos.value, cpu) for pod_id, app, qos, cpu in pods]
+
+
 def build_state(node_capacity=32.0, pods=()):
     """pods: (pod_id, app_id, qos, cpu_util) all placed on one node."""
     state = ClusterState(interval=0)
@@ -75,37 +81,35 @@ def build_state(node_capacity=32.0, pods=()):
 
 
 def test_suppress_leaves_ls_plus_reserve():
-    state = build_state(
-        node_capacity=32.0,
-        pods=[
+    pods = rows_of(
+        [
             ("web-0", "web", QosClass.LS, 12.0),
             ("web-1", "web", QosClass.LSR, 8.0),
             ("batch-0", "batch", QosClass.BE, 6.0),
-        ],
+        ]
     )
     cfg = MitigationConfig(cpu_reserve_fraction=0.125)
-    action = cpu_suppress(state, "node-00", cfg)
+    action = cpu_suppress(pods, 32.0, "node-00", cfg)
     # 32 - (20 LS + 4 reserve) = 8 cores left for BE
     assert isinstance(action, Suppress)
     assert action.cpu_restriction == pytest.approx(8.0)
 
 
 def test_suppress_floors_at_zero():
-    state = build_state(
-        node_capacity=10.0,
-        pods=[
+    pods = rows_of(
+        [
             ("web-0", "web", QosClass.LS, 9.5),
             ("batch-0", "batch", QosClass.BE, 2.0),
-        ],
+        ]
     )
-    action = cpu_suppress(state, "node-00", CFG)
+    action = cpu_suppress(pods, 10.0, "node-00", CFG)
     assert isinstance(action, Suppress)
     assert action.cpu_restriction == 0.0
 
 
 def test_suppress_without_be_pods_is_noop():
-    state = build_state(pods=[("web-0", "web", QosClass.LS, 5.0)])
-    assert isinstance(cpu_suppress(state, "node-00", CFG), NoOp)
+    pods = rows_of([("web-0", "web", QosClass.LS, 5.0)])
+    assert isinstance(cpu_suppress(pods, 32.0, "node-00", CFG), NoOp)
 
 
 def test_suppress_partition_identity():
@@ -114,51 +118,48 @@ def test_suppress_partition_identity():
     for _ in range(50):
         cap = rng.uniform(8, 64)
         ls = rng.uniform(0, cap * 0.7)
-        state = build_state(
-            node_capacity=cap,
-            pods=[
+        pods = rows_of(
+            [
                 ("web-0", "web", QosClass.LS, ls),
                 ("batch-0", "batch", QosClass.BE, 1.0),
-            ],
+            ]
         )
         cfg = MitigationConfig(cpu_reserve_fraction=0.1)
-        action = cpu_suppress(state, "node-00", cfg)
+        action = cpu_suppress(pods, cap, "node-00", cfg)
         if action.cpu_restriction > 0:
             total = action.cpu_restriction + ls + 0.1 * cap
             assert total == pytest.approx(cap, abs=1e-9)
 
 
 def test_evict_every_pod_over_the_bar():
-    state = build_state(
-        node_capacity=32.0,
-        pods=[
+    pods = rows_of(
+        [
             ("batch-0", "batch", QosClass.BE, 10.0),
             ("batch-1", "batch", QosClass.BE, 6.0),
             ("batch-2", "batch", QosClass.BE, 9.0),
             ("web-0", "web", QosClass.LS, 12.0),
-        ],
+        ]
     )
-    action = evict_candidates(state, "node-00", MitigationConfig(eviction_ratio=0.25))
+    action = evict_candidates(pods, 32.0, "node-00", MitigationConfig(eviction_ratio=0.25))
     # bar is 8 cores: the 10-core and 9-core pods cross it, the 6-core stays
     assert isinstance(action, Evict)
     assert action.pod_ids == ("batch-0", "batch-2")
 
 
 def test_evict_fallback_heaviest_when_none_cross():
-    state = build_state(
-        node_capacity=32.0,
-        pods=[
+    pods = rows_of(
+        [
             ("batch-0", "batch", QosClass.BE, 2.0),
             ("batch-1", "batch", QosClass.BE, 3.0),
-        ],
+        ]
     )
-    action = evict_candidates(state, "node-00", CFG)
+    action = evict_candidates(pods, 32.0, "node-00", CFG)
     assert action.pod_ids == ("batch-1",)
 
 
 def test_evict_without_be_pods_is_noop():
-    state = build_state(pods=[("web-0", "web", QosClass.LS, 5.0)])
-    assert isinstance(evict_candidates(state, "node-00", CFG), NoOp)
+    pods = rows_of([("web-0", "web", QosClass.LS, 5.0)])
+    assert isinstance(evict_candidates(pods, 32.0, "node-00", CFG), NoOp)
 
 
 def test_evict_selection_matches_set_rule():
@@ -173,8 +174,7 @@ def test_evict_selection_matches_set_rule():
             pods.append((f"p-{i}", "app", qos, rng.uniform(0, cap * 0.8)))
         # guarantee at least one pod over the bar so the fallback never kicks in
         pods.append(("p-hot", "app", QosClass.BE, mu * cap + 1.0))
-        state = build_state(node_capacity=cap, pods=pods)
-        action = evict_candidates(state, "node-00", MitigationConfig(eviction_ratio=mu))
+        action = evict_candidates(rows_of(pods), cap, "node-00", MitigationConfig(eviction_ratio=mu))
         expected = sorted(
             pid
             for pid, _, qos, cpu in pods
@@ -184,20 +184,20 @@ def test_evict_selection_matches_set_rule():
 
 
 def test_plan_tiers():
-    state = build_state(
-        pods=[
+    pods = rows_of(
+        [
             ("batch-0", "batch", QosClass.BE, 20.0),
             ("web-0", "web", QosClass.LS, 5.0),
         ]
     )
-    assert isinstance(plan(state, "node-00", Severity.SEVERE, CFG), Evict)
-    assert isinstance(plan(state, "node-00", Severity.MILD, CFG), Suppress)
-    assert isinstance(plan(state, "node-00", Severity.NONE, CFG), NoOp)
+    assert isinstance(plan(pods, 32.0, "node-00", Severity.SEVERE, CFG), Evict)
+    assert isinstance(plan(pods, 32.0, "node-00", Severity.MILD, CFG), Suppress)
+    assert isinstance(plan(pods, 32.0, "node-00", Severity.NONE, CFG), NoOp)
 
 
 def test_plan_severe_without_be_pods_degrades_to_noop():
-    state = build_state(pods=[("web-0", "web", QosClass.LS, 5.0)])
-    assert isinstance(plan(state, "node-00", Severity.SEVERE, CFG), NoOp)
+    pods = rows_of([("web-0", "web", QosClass.LS, 5.0)])
+    assert isinstance(plan(pods, 32.0, "node-00", Severity.SEVERE, CFG), NoOp)
 
 
 def test_apply_evict_removes_pods():
