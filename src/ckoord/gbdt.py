@@ -25,15 +25,24 @@ gain is <= 0, the depth limit is reached, or a child would fall under
 min_samples_leaf.
 
 Trees are grown from pre-sorted column blocks, as in XGBoost's exact greedy
-method: each feature is stable-sorted once per fit, a (d, n) array of row
-indices, since only g changes across rounds.  A node's block is split
-between its children by a stable partition, so each child's rows stay
-sorted by value and, among equal values, by row index: exactly the order a
-stable sort of the child's own rows gives.  The prefix sums, and so the
-chosen splits, are therefore the same bits as re-sorting every feature at
-every node.  A child that must be a leaf needs only its G and n, so its
-block is not partitioned.  The features of a node are scored together on
-feature-major arrays; per element the arithmetic is the same in any layout.
+method.  X never changes within a fit, so what X and a node's rows fix is
+built once, as the node's layout: each feature's rows stable-sorted, a (d, m)
+array, and the candidate splits, the positions where the sorted value
+strictly rises and the midpoint exceeds the lower value.  A child's rows are
+split off its parent's by a stable partition, so they stay sorted by value
+and, among equal values, by row index: exactly the order a stable sort of
+the child's own rows gives.  A round gathers g in each sorted order and runs
+the sequential cumsum over every row, as a scan of every position would; it
+then applies the split-gain formula, one operation at a time, at the
+candidates alone.  An element-wise operation gives the same bits wherever
+its operands sit, and no other position can win, so the chosen splits are
+the same bits as scoring every position of a fresh sort at every node; a
+threshold is formed only at each feature's winner.  A node keeps the layouts
+of the split it last chose, keyed by (feature, threshold), and the next tree
+reuses them where it makes the same split, so between rounds a fit holds at
+most the previous tree's layouts, max_depth * n * d cells; none outlive
+train_ensemble.  A child that must be a leaf needs only its G and n, so it
+gets no layout.
 
 The ensemble prediction is base_score + learning_rate * sum of tree outputs;
 the shrinkage factor is uniform across rounds.
@@ -145,112 +154,149 @@ def split_gain(
     ) - tau
 
 
-# Scoring arrays hold at most this many (feature, row) cells, 64 KiB of
-# float64.  Nodes of up to 910 rows score all nine features in one pass; a
-# larger node takes a few features at a time, so its arrays stay in cache and
-# under malloc's mmap threshold instead of faulting in fresh pages at every
-# node, and the fit's memory stays bounded.  Prediction walks at most this
-# many (row, tree) cells at a time, for the same reasons.
+# Per-round (feature, row) arrays hold at most this many cells, 64 KiB of
+# float64.  Layouts are built, scored and re-scored a block of features at a
+# time: nodes of up to 910 rows take all nine features in one pass, a larger
+# node a few, so those arrays stay in cache and under malloc's mmap threshold
+# instead of faulting in fresh pages at every node.  Prediction walks at most
+# this many (row, tree) cells at a time, for the same reasons.
 _BLOCK_CELLS = 8192
 
 
-def _prefix_gains(
-    g: np.ndarray, order: np.ndarray, lo: int, hi: int, cfg: TrainConfig
-) -> np.ndarray:
-    """Gain of each candidate split of each feature, from prefix sums.
+class _Layout:
+    """What X and one node's rows fix, whatever the gradients.
 
-    Entry (f, j) splits ``order[f]`` after its first lo + j + 1 rows; entries
-    may be non-finite.  The left count lo + j + 1 is shared by every feature.
-    Each step applies one operation of the split-gain formula to the same
-    operands as the formula does, so the gains are the formula's bits;
-    working in place keeps at most two arrays the size of ``order`` alive.
+    ``order[f]`` is the node's rows stably sorted by feature f.  A candidate
+    split is a position where the sorted value strictly rises and the
+    midpoint exceeds the lower value, inside the min_samples_leaf margins;
+    no other position can win.  Candidates run by feature, then by position:
+    ``at`` is each one's last row on the left, flat in ``order``, and
+    ``n_left`` its left count.  ``has`` lists the features with a candidate,
+    ``runs`` where each one's candidates start and ``counts`` how many there
+    are.  A block is (its features, their orders, its range of candidates).
+    ``split`` is the (feature, threshold) this node last split on and its
+    children's layouts, None for a child that must be a leaf.
     """
-    m = order.shape[1]
-    n_left = np.arange(lo + 1, hi + 1, dtype=np.float64)
-    g_cum = g[order]
-    np.cumsum(g_cum, axis=1, out=g_cum)
-    g_tot = g_cum[:, -1:]
-    g_pre = g_cum[:, lo:hi]
+
+    __slots__ = ("XT", "rows", "order", "blocks", "at", "n_left", "has", "runs", "counts", "split")
+
+    def __init__(self, XT: np.ndarray, rows: np.ndarray, order: np.ndarray, cfg: TrainConfig):
+        self.XT, self.rows, self.order, self.split = XT, rows, order, None
+        d, m = order.shape
+        # positions lo to hi - 1 leave min_samples_leaf rows on both sides
+        lo, hi = cfg.min_samples_leaf - 1, m - cfg.min_samples_leaf
+        starts = XT.shape[1] * np.arange(d)[:, None]  # each feature's offset in XT.flat
+        step = max(1, _BLOCK_CELLS // m)
+        self.blocks, ats, total = [], [np.empty(0, np.intp)], 0
+        for first in range(0, d, step):
+            block = slice(first, first + step)
+            v = XT.take(order[block] + starts[block])
+            rises = np.zeros(v.shape, dtype=bool)
+            np.greater(v[:, lo + 1 : hi + 1], v[:, lo:hi], out=rises[:, lo:hi])
+            at = rises.ravel().nonzero()[0]
+            below = v.take(at)
+            midpoints = below + v.ravel()[1:].take(at)
+            midpoints /= 2.0
+            # a midpoint rounding down to the lower value cannot separate
+            keep = midpoints > below
+            if not keep.all():
+                at = at.compress(keep)
+            if at.size:
+                self.blocks.append((block, order[block], total, total + at.size))
+                ats.append(at + first * m if first else at)
+                total += at.size
+        at = np.concatenate(ats)
+        bounds = np.searchsorted(at, m * np.arange(d + 1))  # each feature's first candidate
+        counts = np.diff(bounds)
+        self.has = np.flatnonzero(counts)
+        self.runs, self.counts = bounds.take(self.has), counts.take(self.has)
+        n_left = at - (m * self.has - 1.0).repeat(self.counts)
+        if order.dtype != np.intp:  # a large fit keeps its positions and counts as narrow as its rows
+            at, n_left = at.astype(order.dtype), n_left.astype(order.dtype)
+        self.at, self.n_left = at, n_left
+
+
+def _feature_winners(
+    g: np.ndarray, node: _Layout, cfg: TrainConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per feature: whether it has a valid candidate, and its best threshold.
+
+    Block by block, g is gathered in each feature's sorted order and summed
+    sequentially over every row, as a dense scan would; the split-gain
+    formula is then applied at the candidates alone, one operation at a time
+    to the same operands, so each candidate's gain has the bits a gain at
+    every position would give it.  Other positions could never win, so the
+    first maximum among a feature's candidates is its lowest winning
+    threshold, as it is among all positions.
+    """
+    d, m = node.order.shape
+    found, cut = np.zeros(d, dtype=bool), np.zeros(d)
+    if not node.has.size:
+        return found, cut
+    g_tot, g_pre = np.empty(d), []
+    for block, order, c0, c1 in node.blocks:
+        g_cum = g.take(order)
+        np.cumsum(g_cum, axis=1, out=g_cum)
+        g_tot[block] = g_cum[:, -1]
+        at = node.at[c0:c1]
+        g_pre.append(g_cum.take(at - block.start * m if block.start else at))
+    g_pre = np.concatenate(g_pre)
+    g_tot = g_tot.take(node.has)
     with np.errstate(divide="ignore", invalid="ignore"):
         # G^2 is a product, as every other square here: pow() would tie the
         # trees to the host's libm, whose rounding of x**2 may differ from x*x
-        parent = np.square(g_tot[:, 0]) / (m + cfg.lam)
-        right_term = g_tot - g_pre
+        parent = np.square(g_tot) / (m + cfg.lam)
+        right_term = g_tot.repeat(node.counts)
+        right_term -= g_pre
         np.square(right_term, out=right_term)
+        n_left = node.n_left.astype(np.float64, copy=False)
         right_term /= (m - n_left) + cfg.lam
         gains = np.square(g_pre, out=g_pre)
         gains /= n_left + cfg.lam
         gains += right_term
-        gains -= parent[:, None]
+        gains -= parent.repeat(node.counts)
         gains *= 0.5
         gains -= cfg.tau
-    return gains
-
-
-def _feature_winners(
-    XT: np.ndarray, g: np.ndarray, order: np.ndarray, cfg: TrainConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per feature: whether it has a valid candidate, and its best threshold.
-
-    Features are scored together, in blocks of at most _BLOCK_CELLS
-    (feature, row) cells: every feature of a small node in one pass, fewer
-    at a time in a large one.  Within a feature the first maximum wins,
-    which is the lowest threshold.
-    """
-    d, m = order.shape
-    # candidate j leaves lo + j + 1 rows on the left; only j < hi - lo keeps
-    # min_samples_leaf rows on both sides
-    lo, hi = cfg.min_samples_leaf - 1, m - cfg.min_samples_leaf
-    found = np.empty(d, dtype=bool)
-    cut = np.empty(d)
-    starts = XT.shape[1] * np.arange(d)[:, None]  # each feature's offset in XT.flat
-    step = max(1, _BLOCK_CELLS // m)
-    for first in range(0, d, step):
-        block = slice(first, first + step)
-        gains = _prefix_gains(g, order[block], lo, hi, cfg)
-        v = XT.take(order[block] + starts[block])
-        below, above = v[:, lo:hi], v[:, lo + 1 : hi + 1]
-        thresholds = below + above
-        thresholds /= 2.0
-        ok = below < above
-        ok &= thresholds > below  # a midpoint rounding down to the lower value cannot separate
-        ok &= np.isfinite(gains)
-        gains[~ok] = -np.inf
-        pick = np.arange(gains.shape[0]), gains.argmax(axis=1)
-        found[block] = gains[pick] > -np.inf
-        cut[block] = thresholds[pick]
+    gains[~np.isfinite(gains)] = -np.inf
+    best = np.maximum.reduceat(gains, node.runs)
+    hits = (gains == best.repeat(node.counts)).nonzero()[0]
+    won = best > -np.inf
+    features = node.has[won]
+    at = node.at.take(hits.take(hits.searchsorted(node.runs[won])))  # each run's first maximum
+    # the midpoint of each winner's sorted values, formed as when it was a candidate
+    below = node.XT[features, node.order.take(at)]
+    found[features] = True
+    cut[features] = (below + node.XT[features, node.order.take(at + 1)]) / 2.0
     return found, cut
 
 
 def _best_split(
-    XT: np.ndarray,
-    g: np.ndarray,
-    rows: np.ndarray,
-    order: np.ndarray,
-    cfg: TrainConfig,
+    g: np.ndarray, node: _Layout, cfg: TrainConfig
 ) -> tuple[float, int, float, tuple[tuple[float, int], tuple[float, int]]] | None:
     """Best split of one node over every feature, or None.
 
-    Returns (gain, feature, threshold, ((G, n) left, (G, n) right)).
-    ``rows`` are the node's rows in ascending order and ``order[f]`` the same
-    rows sorted by feature f.  Each feature's winner is re-scored from
-    row-order sums so gains are comparable across features bit for bit; a
-    child's G is therefore the sum of its own rows in ascending order.
+    Returns (gain, feature, threshold, ((G, n) left, (G, n) right)).  Each
+    feature's winner is re-scored from row-order sums, ``node.rows`` being
+    ascending, so gains are comparable across features bit for bit; a child's
+    G is therefore the sum of its own rows in ascending order.
     """
-    found, cut = _feature_winners(XT, g, order, cfg)
-    left = XT.take(rows, axis=1) < cut[:, None]
-    right = ~left
-    n_left = np.count_nonzero(left, axis=1).tolist()
+    found, cut = _feature_winners(g, node, cfg)
+    rows = node.rows
     m = rows.size
     g_node = g[rows]
     add = np.add.reduce  # ndarray.sum's pairwise sum, without its Python wrapper
     best = None
-    for f in np.flatnonzero(found).tolist():
-        g_left = float(add(g_node.compress(left[f])))
-        g_right = float(add(g_node.compress(right[f])))
-        gain = split_gain(g_left, n_left[f], g_right, m - n_left[f], cfg.lam, cfg.tau)
-        if best is None or gain > best[0]:  # ties keep the lower feature index
-            best = (gain, f, float(cut[f]), ((g_left, n_left[f]), (g_right, m - n_left[f])))
+    for block, *_ in node.blocks:  # every feature with a candidate, a block at a time
+        left = node.XT[block].take(rows, axis=1) < cut[block, None]
+        right = ~left
+        n_left = np.count_nonzero(left, axis=1).tolist()
+        for i in np.flatnonzero(found[block]).tolist():
+            f = block.start + i
+            g_left = float(add(g_node.compress(left[i])))
+            g_right = float(add(g_node.compress(right[i])))
+            gain = split_gain(g_left, n_left[i], g_right, m - n_left[i], cfg.lam, cfg.tau)
+            if best is None or gain > best[0]:  # ties keep the lower feature index
+                best = (gain, f, float(cut[f]), ((g_left, n_left[i]), (g_right, m - n_left[i])))
     return best
 
 
@@ -258,40 +304,38 @@ def _may_split(count: int, depth: int, cfg: TrainConfig) -> bool:
     return depth < cfg.max_depth and count >= 2 * cfg.min_samples_leaf
 
 
-def _grow(
-    XT: np.ndarray,
-    g: np.ndarray,
-    rows: np.ndarray,
-    order: np.ndarray,
-    g_sum: float,
-    depth: int,
-    cfg: TrainConfig,
-) -> TreeNode:
-    """Subtree over ``rows``, a node that _may_split; ``g_sum`` is their G."""
-    best = _best_split(XT, g, rows, order, cfg)
+def _grow(g: np.ndarray, node: _Layout, g_sum: float, depth: int, cfg: TrainConfig) -> TreeNode:
+    """Subtree over ``node``, a node that _may_split; ``g_sum`` is its G.
+
+    The node keeps only this round's split and its children's layouts, so
+    between rounds the layouts held are those of the tree just grown.
+    """
+    best = _best_split(g, node, cfg)
     if best is None or best[0] <= 0.0:
-        return TreeNode(weight=leaf_weight(g_sum, rows.size, cfg.lam))
+        node.split = None
+        return TreeNode(weight=leaf_weight(g_sum, node.rows.size, cfg.lam))
 
     _, feature, threshold, sides = best
-    go_left = XT[feature] < threshold
-    d = order.shape[0]
-    children = []
-    for side, (child_sum, count) in zip((go_left, ~go_left), sides):
-        if _may_split(count, depth + 1, cfg):
-            # selection keeps each feature's sorted order: a stable partition
-            child = _grow(
-                XT,
-                g,
-                rows.compress(side[rows]),
-                order.compress(side[order].ravel()).reshape(d, -1),
-                child_sum,
-                depth + 1,
-                cfg,
-            )
-        else:  # a leaf needs only its sums, not its rows
-            child = TreeNode(weight=leaf_weight(child_sum, count, cfg.lam))
-        children.append(child)
-    left, right = children
+    key = (feature, threshold)
+    if node.split is None or node.split[0] != key:
+        node.split = None  # the old children go before the new are built
+        XT, rows, order = node.XT, node.rows, node.order
+        go_left = XT[feature] < threshold
+        by_row, by_rank = go_left[rows], go_left.take(order).ravel()
+        # selection keeps each feature's sorted order: a stable partition
+        d = order.shape[0]
+        node.split = key, [
+            _Layout(XT, rows.compress(in_row), order.compress(in_rank).reshape(d, -1), cfg)
+            if _may_split(count, depth + 1, cfg)
+            else None  # a leaf needs only its sums, not its rows
+            for in_row, in_rank, (_, count) in zip((by_row, ~by_row), (by_rank, ~by_rank), sides)
+        ]
+    left, right = (
+        TreeNode(weight=leaf_weight(child_sum, count, cfg.lam))
+        if child is None
+        else _grow(g, child, child_sum, depth + 1, cfg)
+        for child, (child_sum, count) in zip(node.split[1], sides)
+    )
     return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
 
 
@@ -301,12 +345,14 @@ def fit_tree(
     cfg: TrainConfig,
     *,
     order: np.ndarray | None = None,
+    root: _Layout | None = None,
 ) -> TreeNode:
     """Fit one least-squares regression tree to the gradients g.
 
-    ``order`` is ``np.argsort(X.T, axis=1, kind="stable")``.  It depends on X
-    alone, so a caller fitting many trees on one X sorts once and passes it;
-    without it, fit_tree sorts.
+    ``order`` is ``np.argsort(X.T, axis=1, kind="stable")``; without it,
+    fit_tree sorts.  ``root`` is train_ensemble's layout of all of X's rows,
+    which carries the layouts the previous tree split into; without it,
+    fit_tree lays out X afresh.
     """
     X = np.asarray(X, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
@@ -316,14 +362,23 @@ def fit_tree(
         raise ValueError("g must be 1-D and match the number of rows")
     if not (np.isfinite(X).all() and np.isfinite(g).all()):
         raise ValueError("non-finite training input")
-    XT = np.ascontiguousarray(X.T)  # one row per feature, read by every node
-    if order is None:
-        order = np.argsort(XT, axis=1, kind="stable")
     n = X.shape[0]
     g_sum = float(np.add.reduce(g))
     if not _may_split(n, 0, cfg):
         return TreeNode(weight=leaf_weight(g_sum, n, cfg.lam))
-    return _grow(XT, g, np.arange(n), order, g_sum, 0, cfg)
+    if root is None:
+        root = _root_layout(X, cfg, order)
+    return _grow(g, root, g_sum, 0, cfg)
+
+
+def _root_layout(X: np.ndarray, cfg: TrainConfig, order: np.ndarray | None = None) -> _Layout:
+    XT = np.ascontiguousarray(X.T)  # one row per feature, read by every node
+    if order is None:
+        order = np.argsort(XT, axis=1, kind="stable")
+    # 32-bit row indices halve the memory of a large fit's layouts; a fit of
+    # one block is small, and native indices spare each gather a conversion
+    order = order.astype(np.int32 if _BLOCK_CELLS < X.size < 2**31 else np.intp, copy=False)
+    return _Layout(XT, np.arange(X.shape[0]), order, cfg)
 
 
 def tree_predict(node: TreeNode, X: np.ndarray) -> np.ndarray:
@@ -473,10 +528,10 @@ def train_ensemble(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> Ensemble:
         feature_count=X.shape[1],
     )
     preds = np.full(X.shape[0], cfg.base_score, dtype=np.float64)
-    order = np.argsort(X.T, axis=1, kind="stable")  # X is fixed, so sort once per fit
+    root = _root_layout(X, cfg)  # X is fixed, so sort and lay out its rows once per fit
     for _ in range(cfg.num_rounds):
         g = preds - y
-        tree = fit_tree(X, g, cfg, order=order)
+        tree = fit_tree(X, g, cfg, root=root)
         ensemble.trees.append(tree)
         preds += cfg.learning_rate * tree_predict(tree, X)
     ensemble.train_predictions = preds

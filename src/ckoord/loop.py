@@ -75,8 +75,11 @@ class PodRecord:
         self.cpi.record(interval, row.cpi)
         self.rows.append(row)
 
-    def predict(self, prediction: float) -> None:
-        self.predictions.append((prediction, rolling_mean(self.cpi, self.window)))
+    def predict(self, prediction: float) -> float:
+        """Keep the prediction with the CPI's rolling mean, and return the mean."""
+        mean = rolling_mean(self.cpi, self.window)
+        self.predictions.append((prediction, mean))
+        return mean
 
 
 @dataclass(frozen=True)
@@ -195,27 +198,31 @@ class ControlLoop:
             rows.extend(record.rows[i] for i in idx)
         return feature_matrix(rows)
 
-    def _group_by_node(
-        self, interval: int, node_rows: list[NodeRow]
-    ) -> dict[str, list[TraceRow]]:
-        """An empty pod list per node, once the node rows are found to name
-        each scenario node once."""
-        by_node: dict[str, list[TraceRow]] = {row.node_id: [] for row in node_rows}
+    def _check_rows(
+        self, interval: int, pod_rows: list[TraceRow], node_rows: list[NodeRow]
+    ) -> None:
+        """Refuse an interval unless the node rows name each scenario node
+        once and every pod row names a scenario node."""
+        named = {row.node_id for row in node_rows}
         nodes = self.node_ids
         if len(node_rows) != len(nodes):
             raise ValueError(f"interval {interval}: {len(node_rows)} node rows, {len(nodes)} nodes")
-        if by_node.keys() != nodes:
-            unknown = sorted(by_node.keys() - nodes)
+        if named != nodes:
+            unknown = sorted(named - nodes)
             if unknown:
                 raise ValueError(f"interval {interval}: node row for unknown node {unknown[0]}")
             rows = Counter(row.node_id for row in node_rows)
             repeated = min(node_id for node_id, n in rows.items() if n > 1)
-            missing = min(nodes - by_node.keys())
+            missing = min(nodes - named)
             raise ValueError(
                 f"interval {interval}: {rows[repeated]} node rows for {repeated},"
                 f" none for {missing}"
             )
-        return by_node
+        for row in pod_rows:
+            if row.node_id not in nodes:
+                raise ValueError(
+                    f"interval {interval}: pod {row.pod_id} on unknown node {row.node_id}"
+                )
 
     # -- the pass itself -------------------------------------------------
 
@@ -231,8 +238,8 @@ class ControlLoop:
         outcome = IntervalOutcome(interval=interval)
         if not controllers_enabled:
             return outcome  # nothing decides, so nothing is recorded
-        # one pass: record every pod, and group its row by node and by app
-        by_node = self._group_by_node(interval, node_rows)
+        self._check_rows(interval, pod_rows, node_rows)  # a refused interval records nothing
+        # one pass: record every pod, and group its row by app
         by_app: dict[str, list[tuple[TraceRow, PodRecord]]] = {}
         for row in pod_rows:
             record = self.pods.get(row.pod_id)
@@ -241,7 +248,6 @@ class ControlLoop:
             record.record(interval, row)
             if row.l3_miss_rate > self.n_max:
                 self.n_max = row.l3_miss_rate
-            by_node[row.node_id].append(row)
             by_app.setdefault(row.app_id, []).append((row, record))
 
         before = set(self.flagged.entries)
@@ -288,13 +294,14 @@ class ControlLoop:
             for (row, record), prediction, features in zip(
                 app_pods, predictions.tolist(), X.tolist()
             ):
-                record.predict(prediction)
+                mean = record.predict(prediction)
                 delta = delta_cpi(record.predictions, self.predictor_cfg.delta_mode)
                 threshold = cpi_threshold(
                     record.cpi,
                     self.predictor_cfg.window,
                     self.predictor_cfg.params,
                     load_factor(features, self.n_max, self.predictor_cfg.load_weights),
+                    mean,
                 )
                 pod_verdicts.append((classify(delta, threshold, app_id), row))
             verdict = worst_verdict([v for v, _ in pod_verdicts])
@@ -310,7 +317,11 @@ class ControlLoop:
             if last is not None and interval - last <= self.mitigator_cfg.cooldown_intervals:
                 continue  # node still cooling down
             action = plan(
-                by_node[node_id], self.cpu_capacity, node_id, severity, self.mitigator_cfg
+                [row for row in pod_rows if row.node_id == node_id],
+                self.cpu_capacity,
+                node_id,
+                severity,
+                self.mitigator_cfg,
             )
             if not isinstance(action, NoOp):
                 self.last_action[node_id] = interval

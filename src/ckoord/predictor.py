@@ -100,16 +100,21 @@ def load_factor(
 
 
 def cpi_threshold(
-    actual: TimeSeries, window: int, params: ThresholdParams, load: float
+    actual: TimeSeries,
+    window: int,
+    params: ThresholdParams,
+    load: float,
+    mean: float | None = None,
 ) -> float:
     """Adaptive detection threshold: k1 * rolling std + k2 * load factor.
 
     The load factor is already normalized to [0, 1] (its maximum is 1 by
-    construction), so k2 scales it directly.
+    construction), so k2 scales it directly.  ``mean`` is the window's
+    rolling mean when the caller already has it.
     """
     if not 0.0 <= load <= 1.0 + 1e-9:
         raise ValueError(f"load factor {load} outside [0, 1]")
-    return params.k1 * rolling_std(actual, window) + params.k2 * load
+    return params.k1 * rolling_std(actual, window, mean) + params.k2 * load
 
 
 def delta_cpi(pairs: Sequence[tuple[float, float]], mode: str = "signed") -> float:

@@ -76,10 +76,14 @@ def rolling_mean(series: TimeSeries, n: int) -> float:
     return sum(values) / len(values)
 
 
-def rolling_std(series: TimeSeries, n: int) -> float:
-    """Population standard deviation over the trailing window."""
+def rolling_std(series: TimeSeries, n: int, mean: float | None = None) -> float:
+    """Population standard deviation over the trailing window.
+
+    ``mean`` is the window's rolling_mean when the caller already has it.
+    """
     values = series.window_values(n)
-    mean = sum(values) / len(values)
+    if mean is None:
+        mean = sum(values) / len(values)
     var = sum([(v - mean) ** 2 for v in values]) / len(values)
     # var can round to a tiny negative for near-constant windows
     return math.sqrt(max(0.0, var))

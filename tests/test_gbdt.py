@@ -1,10 +1,13 @@
+import gc
 import hashlib
+import types
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ckoord import gbdt
 from ckoord.gbdt import (
     _BLOCK_CELLS,
     FEATURE_COUNT,
@@ -21,8 +24,11 @@ from ckoord.gbdt import (
     train_ensemble,
     tree_predict,
 )
+from ckoord.simulator import run_scenario
+from ckoord.trace import feature_matrix
 import fit_reference
 import predict_reference
+from helpers import cfg_with
 from gbdt_reference import (
     ref_ensemble_predict,
     ref_fit_tree,
@@ -478,6 +484,119 @@ def test_fit_tree_presorted_order_gives_the_same_tree():
         presorted = Ensemble(trees=[fit_tree(X, -y, cfg, order=order)])
         assert not sorted_inside.trees[0].is_leaf
         assert ensemble_to_json(presorted) == ensemble_to_json(sorted_inside)
+
+
+@st.composite
+def boosting_runs(draw):
+    """A train_ensemble input on which a node's split often recurs.
+
+    Columns are tie-heavy, constant or continuous, and one row is an
+    outlier in every column, so early trees keep peeling it off at the root.
+    Sizes span one-block and several-block nodes; depth, penalties and
+    min_samples_leaf vary, and 2 to 30 rounds reuse the layouts.
+    """
+    m = draw(st.one_of(st.integers(2, 80), st.integers(8192 // FEATURE_COUNT + 1, 1200)))
+    kinds = draw(
+        st.lists(st.sampled_from(["normal", "ties", "constant"]), min_size=1, max_size=FEATURE_COUNT)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = {
+        "normal": lambda: rng.normal(size=m),
+        "ties": lambda: rng.choice(LEVELS, size=m),
+        "constant": lambda: np.full(m, rng.choice(LEVELS)),
+    }
+    X = np.column_stack([columns[kind]() for kind in kinds])
+    X[rng.integers(m)] = 50.0
+    y = 1.0 + X[:, 0] + rng.normal(scale=draw(st.sampled_from([0.01, 0.5])), size=m)
+    cfg = TrainConfig(
+        learning_rate=draw(st.sampled_from([0.1, 0.5])),
+        lam=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        tau=draw(st.sampled_from([0.0, 0.1])),
+        max_depth=draw(st.integers(1, 4)),
+        num_rounds=draw(st.integers(2, 30)),
+        min_samples_leaf=draw(st.integers(1, 3)),
+    )
+    return X, y, cfg
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(boosting_runs())
+def test_train_ensemble_is_bit_identical_to_the_hessian_trainer(case):
+    """Rounds that reuse the previous tree's layouts grow the same trees
+    as rounds that partition every node afresh."""
+    X, y, cfg = case
+    want = ensemble_to_json(fit_reference.train_ensemble(X, y, cfg))
+    assert ensemble_to_json(train_ensemble(X, y, cfg)) == want
+
+
+def held_layouts(layout, tree):
+    """The layouts ``layout`` still holds below it, checked against the
+    tree whose round just built or reused them."""
+    assert (layout.split is None) == tree.is_leaf
+    held = [layout]
+    if layout.split is not None:
+        (feature, threshold), kids = layout.split
+        assert (feature, threshold) == (tree.feature, tree.threshold)
+        go_left = layout.XT[feature].take(layout.rows) < threshold
+        for kid, child, side in zip(kids, (tree.left, tree.right), (go_left, ~go_left)):
+            if kid is not None:
+                assert np.array_equal(kid.rows, layout.rows[side])
+                held += held_layouts(kid, child)
+    return held
+
+
+def test_a_fit_holds_at_most_the_previous_trees_layouts():
+    X, y = tied_dataset()
+    X, y = X[:300], y[:300]
+    # a per-leaf cost turns nodes that split in one tree into leaves in another
+    cfg = TrainConfig(num_rounds=30, max_depth=4, tau=5.0)
+    n, d = X.shape
+    held_cells = []
+
+    def holding(fit):
+        def wrapper(X, g, cfg, **kwargs):
+            tree = fit(X, g, cfg, **kwargs)
+            layouts = held_layouts(kwargs["root"], tree)
+            alive = [obj for obj in gc.get_objects() if isinstance(obj, gbdt._Layout)]
+            assert {id(layout) for layout in layouts} == {id(obj) for obj in alive}
+            held_cells.append(sum(layout.order.size for layout in layouts))
+            return tree
+
+        return wrapper
+
+    real = gbdt.fit_tree
+    gbdt.fit_tree = holding(real)
+    try:
+        model = train_ensemble(X, y, cfg)
+    finally:
+        gbdt.fit_tree = real
+    assert len(held_cells) == cfg.num_rounds
+    assert held_cells[0] > n * d  # the first tree splits below its root
+    assert max(held_cells) <= cfg.max_depth * n * d
+    # the returned ensemble's data reaches no layout: nothing outlives the fit
+    seen, stack = set(), [model]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, gbdt._Layout)
+        stack.extend(gc.get_referents(obj))
+    assert len(seen) > len(model.trees)  # the walk reached the trees
+
+
+def test_train_shaped_model_bytes_are_pinned():
+    """`ckoord train`'s defaults on 8,016 rows of the packaged scenario run
+    with controllers off: 100 rounds of depth-4 trees.  The digest was
+    recorded with the trainer that partitioned every node afresh each round.
+    """
+    rows = run_scenario(
+        cfg_with("controllers.enabled=false", "horizon=334", "interference=[]"), seed=1
+    ).trace_rows
+    X, y = feature_matrix(rows)
+    model = train_ensemble(X[:8016], y[:8016], TrainConfig())
+    digest = hashlib.sha256(ensemble_to_json(model).encode()).hexdigest()
+    assert digest == "bc4a8fd3da7e3d1d46000b7c52df42ba07bef090e2d2e2a51fe125183f073653"
 
 
 def test_metrics_hand_values():

@@ -200,7 +200,12 @@ def test_observe_needs_a_row_for_every_scenario_node():
     unknown = node_rows[:3] + [node_rows[3]._replace(node_id="node-09")]
     with pytest.raises(ValueError, match="interval 0: node row for unknown node node-09"):
         loop.observe(0, [web_pod(1.0)], unknown)
+    # a pod row naming no scenario node is refused before any row is recorded
+    stray = [batch_pod(), web_pod(1.0, node_id="node-99")]
+    with pytest.raises(ValueError, match="interval 0: pod web-0 on unknown node node-99"):
+        loop.observe(0, stray, node_rows)
     assert loop.pods == {}  # a refused interval records nothing
+    assert loop.n_max == 0.0
 
 
 def test_evicted_pod_returns_with_fresh_record():

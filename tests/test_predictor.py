@@ -117,6 +117,14 @@ def test_threshold_pure_load_term():
     assert got == pytest.approx(0.7, abs=1e-12)
 
 
+def test_threshold_given_the_mean_keeps_its_bits():
+    ts = series_of([0.93, 1.07, 1.01, 0.99, 1.13, 0.88])
+    for window in (1, 4, 6, 9):
+        mean = sum(ts.window_values(window)) / len(ts.window_values(window))
+        want = cpi_threshold(ts, window, ThresholdParams(3.0, 0.1), load=0.4)
+        assert cpi_threshold(ts, window, ThresholdParams(3.0, 0.1), 0.4, mean).hex() == want.hex()
+
+
 def test_threshold_rejects_out_of_range_load():
     ts = series_of([1.0] * 4)
     with pytest.raises(ValueError):

@@ -88,6 +88,15 @@ def test_rolling_var_is_population_form():
     assert rolling_std(s, 4) == pytest.approx(math.sqrt(1.25), abs=1e-15)
 
 
+def test_rolling_std_given_the_mean_keeps_its_bits():
+    # the loop hands rolling_std the mean it already took for the prediction
+    values = [1.0 + ((7 * i) % 11) / 3.0 for i in range(40)]
+    s = series_of(values, capacity=32)
+    for n in (1, 2, 5, 31, 32, 60):
+        mean = rolling_mean(s, n)
+        assert rolling_std(s, n, mean).hex() == rolling_std(s, n).hex()
+
+
 def test_empty_series_errors():
     s = TimeSeries("t")
     with pytest.raises(EmptyWindowError):
