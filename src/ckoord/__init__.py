@@ -8,13 +8,9 @@ to exercise the whole loop end to end.
 
 from .cluster import (
     ClusterState,
-    NodeMetrics,
     NodeState,
-    PodEntry,
-    PodMetrics,
     PodSpec,
     QosClass,
-    SystemMetrics,
 )
 from .detector import (
     DetectorConfig,
@@ -76,11 +72,8 @@ __all__ = [
     "LoadFactorWeights",
     "MitigationConfig",
     "ModelCache",
-    "NodeMetrics",
     "NodeState",
     "NoOp",
-    "PodEntry",
-    "PodMetrics",
     "PodSpec",
     "PredictorConfig",
     "QosClass",
@@ -88,7 +81,6 @@ __all__ = [
     "Severity",
     "Simulator",
     "Suppress",
-    "SystemMetrics",
     "ThresholdParams",
     "TimeSeries",
     "TrainConfig",

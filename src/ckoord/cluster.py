@@ -1,4 +1,9 @@
-"""Cluster data model: QoS classes, pods, nodes, system-wide metrics.
+"""Cluster data model: QoS classes, pod specs, node placement and caps.
+
+``ClusterState`` holds what only the simulator knows: each pod's spec, each
+node's capacities, the pods placed on it and its best-effort cap.  Every
+measured value lives in the interval's trace rows; the state keeps a
+reference to the rows of the last interval, not a copy of them.
 
 Conventions that the rest of the pipeline relies on:
   * node-level CPU metrics are fractions of that node's capacity in [0, 1]
@@ -8,8 +13,13 @@ Conventions that the rest of the pipeline relies on:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .trace import NodeRow, TraceRow
 
 FRACTION_SLACK = 1e-9  # tolerance for fraction-sum invariants
 
@@ -46,57 +56,21 @@ class PodSpec:
 
 
 @dataclass
-class PodMetrics:
-    cpu_util: float = 0.0      # cores in use, >= 0
-    mem_util: float = 0.0      # bytes in use, >= 0
-    l3_miss_rate: float = 0.0  # misses/s, >= 0
-    cpi_actual: float = 1.0    # > 0
-
-
-@dataclass
-class NodeMetrics:
-    """Per-node utilization fractions.
-
-    cpu_offline tracks best-effort usage, cpu_online latency-critical usage,
-    cpu_shared the shared-pool pressure; offline + online never exceeds
-    cpu_total beyond rounding.
-    """
-
-    cpu_total: float = 0.0
-    cpu_offline: float = 0.0
-    cpu_online: float = 0.0
-    cpu_shared: float = 0.0
-    mem_util: float = 0.0
-
-
-@dataclass
-class SystemMetrics:
-    cpu_total_sys: float = 0.0   # cluster-wide CPU fraction
-    mem_total_sys: float = 0.0   # cluster-wide memory fraction
-
-
-@dataclass
 class NodeState:
     node_id: str
     cpu_capacity: float           # cores
     mem_capacity: float           # bytes
-    metrics: NodeMetrics = field(default_factory=NodeMetrics)
     pod_ids: list[str] = field(default_factory=list)
     be_cpu_cap: float | None = None  # aggregate BE cores cap from suppression
 
 
 @dataclass
-class PodEntry:
-    spec: PodSpec
-    metrics: PodMetrics = field(default_factory=PodMetrics)
-
-
-@dataclass
 class ClusterState:
-    interval: int = 0
     nodes: dict[str, NodeState] = field(default_factory=dict)
-    pods: dict[str, PodEntry] = field(default_factory=dict)
-    system: SystemMetrics = field(default_factory=SystemMetrics)
+    pods: dict[str, PodSpec] = field(default_factory=dict)
+    # the last interval's rows, the very lists its step returned
+    pod_rows: list[TraceRow] = field(default_factory=list)
+    node_rows: list[NodeRow] = field(default_factory=list)
 
 
 def _check_fraction(violations: list[str], where: str, name: str, value: float) -> None:
@@ -105,7 +79,8 @@ def _check_fraction(violations: list[str], where: str, name: str, value: float) 
 
 
 def validate(state: ClusterState) -> list[str]:
-    """Structural and range checks; returns violation strings, empty = OK."""
+    """Placement checks on the state, range checks on its last interval's
+    rows; returns violation strings, empty = OK."""
     violations: list[str] = []
 
     for node_id, node in state.nodes.items():
@@ -113,44 +88,50 @@ def validate(state: ClusterState) -> list[str]:
             violations.append(f"node {node_id}: non-positive cpu_capacity")
         if node.mem_capacity <= 0:
             violations.append(f"node {node_id}: non-positive mem_capacity")
-        m = node.metrics
-        for name in ("cpu_total", "cpu_offline", "cpu_online", "cpu_shared", "mem_util"):
-            _check_fraction(violations, f"node {node_id}", name, getattr(m, name))
-        if m.cpu_offline + m.cpu_online > m.cpu_total + FRACTION_SLACK:
-            violations.append(
-                f"node {node_id}: cpu_offline+cpu_online "
-                f"{m.cpu_offline + m.cpu_online} exceeds cpu_total {m.cpu_total}"
-            )
         for pid in node.pod_ids:
             if pid not in state.pods:
                 violations.append(f"node {node_id}: lists unknown pod {pid}")
-            elif state.pods[pid].spec.node_id != node_id:
+            elif state.pods[pid].node_id != node_id:
                 violations.append(f"pod {pid}: node link mismatch with {node_id}")
-        usage = sum(
-            state.pods[pid].metrics.cpu_util for pid in node.pod_ids if pid in state.pods
-        )
-        if usage > node.cpu_capacity * (1 + 1e-6):
+
+    for pod_id, spec in state.pods.items():
+        if spec.node_id not in state.nodes:
+            violations.append(f"pod {pod_id}: references unknown node {spec.node_id}")
+        elif pod_id not in state.nodes[spec.node_id].pod_ids:
+            violations.append(f"pod {pod_id}: missing from node {spec.node_id} pod list")
+
+    for row in state.node_rows:
+        where = f"node {row.node_id}"
+        for name, value in zip(row._fields[2:], row[2:]):
+            _check_fraction(violations, where, name, value)
+        busy = row.node_cpu_offline + row.node_cpu_online
+        if busy > row.node_cpu_total + FRACTION_SLACK:
             violations.append(
-                f"node {node_id}: pod cpu usage {usage} exceeds capacity {node.cpu_capacity}"
+                f"{where}: node_cpu_offline+node_cpu_online {busy} "
+                f"exceeds node_cpu_total {row.node_cpu_total}"
             )
 
-    for pod_id, entry in state.pods.items():
-        if entry.spec.node_id not in state.nodes:
-            violations.append(f"pod {pod_id}: references unknown node {entry.spec.node_id}")
-        elif pod_id not in state.nodes[entry.spec.node_id].pod_ids:
-            violations.append(f"pod {pod_id}: missing from node {entry.spec.node_id} pod list")
-        pm = entry.metrics
-        if pm.cpu_util < 0:
-            violations.append(f"pod {pod_id}: negative cpu_util")
-        if pm.mem_util < 0:
-            violations.append(f"pod {pod_id}: negative mem_util")
-        if pm.l3_miss_rate < 0:
-            violations.append(f"pod {pod_id}: negative l3_miss_rate")
-        if pm.cpi_actual <= 0:
-            violations.append(f"pod {pod_id}: cpi_actual must be positive")
+    cores: dict[str, list[float]] = {}
+    for row in state.pod_rows:
+        where = f"pod {row.pod_id}"
+        if row.node_id in state.nodes:
+            cores.setdefault(row.node_id, []).append(row.pod_cpu_cores)
+        else:
+            violations.append(f"{where}: row names unknown node {row.node_id}")
+        for name in ("pod_cpu_util", "pod_mem_util", "l3_miss_rate", "pod_cpu_cores"):
+            if not getattr(row, name) >= 0.0:
+                violations.append(f"{where}: negative {name}={getattr(row, name)}")
+        if not row.cpi > 0.0:
+            violations.append(f"{where}: cpi={row.cpi} must be positive")
+        _check_fraction(violations, where, "sys_cpu_total", row.sys_cpu_total)
+        _check_fraction(violations, where, "sys_mem_total", row.sys_mem_total)
 
-    sysm = state.system
-    _check_fraction(violations, "system", "cpu_total_sys", sysm.cpu_total_sys)
-    _check_fraction(violations, "system", "mem_total_sys", sysm.mem_total_sys)
+    for node_id, used in cores.items():
+        usage = math.fsum(used)
+        capacity = state.nodes[node_id].cpu_capacity
+        if usage > capacity * (1 + 1e-6):
+            violations.append(
+                f"node {node_id}: pod_cpu_cores sum {usage} exceeds capacity {capacity}"
+            )
 
     return violations

@@ -163,8 +163,7 @@ def apply(action: MitigationAction, state: ClusterState) -> ClusterState:
     for pod_id in action.pod_ids:
         if pod_id not in state.pods:
             raise KeyError(f"unknown pod {pod_id}")
-        entry = state.pods[pod_id]
-        if not entry.spec.qos.best_effort:
+        if not state.pods[pod_id].qos.best_effort:
             raise ValueError(f"refusing to evict non-BE pod {pod_id}")
         if pod_id not in node.pod_ids:
             raise KeyError(f"pod {pod_id} is not on node {action.node_id}")

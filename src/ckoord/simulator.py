@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import ClusterState, NodeState, PodEntry, PodSpec, QosClass
+from .cluster import ClusterState, NodeState, PodSpec, QosClass
 from .loop import ControlLoop, DecisionLog, IntervalOutcome, PlannedAction
 from .mitigator import Evict, Suppress
 from .mitigator import apply as apply_action
@@ -285,8 +285,7 @@ class _Layout:
         state, scenario = sim.state, sim.scenario
         self.nodes = nodes = [state.nodes[node_id] for node_id in sorted(state.nodes)]
         placed = [sorted(node.pod_ids) for node in nodes]
-        self.entries = [state.pods[pid] for pids in placed for pid in pids]
-        specs = [entry.spec for entry in self.entries]
+        specs = [state.pods[pid] for pids in placed for pid in pids]
         count = len(specs)
         sizes = [len(pids) for pids in placed]
         width = max(1, *sizes)
@@ -400,7 +399,7 @@ class Simulator:
 
     def _initial_state(self) -> ClusterState:
         scenario = self.scenario
-        state = ClusterState(interval=-1)
+        state = ClusterState()
         names = scenario.node_ids
         for name in names:
             state.nodes[name] = NodeState(name, scenario.cpu_capacity, scenario.mem_capacity)
@@ -415,7 +414,7 @@ class Simulator:
                     cpu_request=profile.cpu_request,
                     mem_request=profile.mem_request,
                 )
-                state.pods[spec.pod_id] = PodEntry(spec)
+                state.pods[spec.pod_id] = spec
                 state.nodes[node_id].pod_ids.append(spec.pod_id)
         return state
 
@@ -459,12 +458,11 @@ class Simulator:
 
     def _reschedule_due(self, interval: int) -> int:
         count = 0
+        state = self.state
         while self._pending and self._pending[0][0] <= interval:
             _, spec = self._pending.popleft()
-            target = min(
-                self.state.nodes.values(),
-                key=lambda n: (n.metrics.cpu_total, n.node_id),
-            )
+            # the least busy node of the last interval; every node has a row
+            target = min(state.node_rows, key=lambda r: (r.node_cpu_total, r.node_id))
             new_spec = PodSpec(
                 pod_id=spec.pod_id,
                 app_id=spec.app_id,
@@ -473,8 +471,8 @@ class Simulator:
                 cpu_request=spec.cpu_request,
                 mem_request=spec.mem_request,
             )
-            self.state.pods[new_spec.pod_id] = PodEntry(new_spec)
-            target.pod_ids.append(new_spec.pod_id)
+            state.pods[new_spec.pod_id] = new_spec
+            state.nodes[target.node_id].pod_ids.append(new_spec.pod_id)
             count += 1
         if count:
             self._relayout()
@@ -486,10 +484,11 @@ class Simulator:
         There is one pod row per pod, in node order and then pod-id order,
         and one node row per node, hosting pods or not, in node-id order.
         The stats hold, per pod in row order, its app's index in the
-        scenario, its CPI and its latency samples (pods x batches).
+        scenario, its CPI and its latency samples (pods x batches), and the
+        cluster's two system fractions.  The state keeps the two row lists
+        as the last interval's rows.
         """
         state = self.state
-        state.interval = interval
         rescheduled = self._reschedule_due(interval)
         if self._layout is None:
             self._layout = _Layout(self)
@@ -539,9 +538,10 @@ class Simulator:
             cpu_used, be_used, ls_used + sys_used, be_used + hog, mem_used
         )
         node_metrics = _min(1.0, used / lay.capacity)
-        system = state.system
-        system.cpu_total_sys = min(1.0, float(_lsum(cpu_used)) / lay.total_capacity)
-        system.mem_total_sys = min(1.0, float(_lsum(mem_used)) / lay.total_mem_capacity)
+        system = (
+            min(1.0, float(_lsum(cpu_used)) / lay.total_capacity),
+            min(1.0, float(_lsum(mem_used)) / lay.total_mem_capacity),
+        )
 
         # each node's five values and the system's two: one list, whose
         # float objects every row on the node holds
@@ -549,10 +549,8 @@ class Simulator:
         new = tuple.__new__  # a row type's own __new__ is a Python call
         node_rows = []
         for node, values in zip(nodes, shared):
-            m = node.metrics
-            m.cpu_total, m.cpu_offline, m.cpu_online, m.cpu_shared, m.mem_util = values
             node_rows.append(new(NodeRow, (interval, node.node_id, *values)))
-            values += (system.cpu_total_sys, system.mem_total_sys)
+            values += system
 
         cpu_total = node_metrics[0]
         factor = 1.0 + truth.miss_load_gain * cpu_total + miss_gain
@@ -573,18 +571,12 @@ class Simulator:
         )
         lay.tick()
 
-        cores_l, mem_l, miss_l, cpi_l = (v.tolist() for v in (cores, mem, miss, cpi))
-        for entry, c, mu, l3, value in zip(lay.entries, cores_l, mem_l, miss_l, cpi_l):
-            metrics = entry.metrics
-            metrics.cpu_util, metrics.mem_util, metrics.l3_miss_rate, metrics.cpi_actual = (
-                c, mu, l3, value
-            )
         node_ids, pod_ids, app_ids, qos = lay.columns
         rows = [  # in column order
             new(TraceRow, (interval, node_id, pid, app, q, cu, mu, *shared[k], l3, value, c))
             for node_id, pid, app, q, cu, mu, k, l3, value, c in zip(
                 node_ids, pod_ids, app_ids, qos, *ratios.tolist(), lay.node_index,
-                miss_l, cpi_l, cores_l,
+                miss.tolist(), cpi.tolist(), cores.tolist(),
             )
         ]
         stats = {
@@ -594,7 +586,9 @@ class Simulator:
             "cpi": cpi,
             "latency": latency,
             "node_cpu": cpu_total,
+            "system": system,
         }
+        state.pod_rows, state.node_rows = rows, node_rows
         return rows, node_rows, stats
 
     def _enforce(self, interval: int, actions: list[PlannedAction]) -> tuple[int, int]:
@@ -606,7 +600,7 @@ class Simulator:
                 suppressed += 1
             elif isinstance(action, Evict):
                 due = interval + self.scenario.reschedule_delay
-                self._pending.extend((due, self.state.pods[p].spec) for p in action.pod_ids)
+                self._pending.extend((due, self.state.pods[p]) for p in action.pod_ids)
                 apply_action(action, self.state)
                 self._relayout()
                 evicted += len(action.pod_ids)
@@ -617,7 +611,7 @@ class Simulator:
         for node in self.state.nodes.values():
             if node.be_cpu_cap is None:
                 continue
-            hosted_apps = {self.state.pods[pid].spec.app_id for pid in node.pod_ids}
+            hosted_apps = {self.state.pods[pid].app_id for pid in node.pod_ids}
             if not hosted_apps & flagged:
                 node.be_cpu_cap = None
 
@@ -641,7 +635,7 @@ class Simulator:
             if scenario.controllers_enabled:
                 enforced = self._enforce(interval, outcome.actions)
                 self._clear_stale_caps()
-            tally.add(interval, stats, outcome, enforced, self.state)
+            tally.add(interval, stats, outcome, enforced)
         return RunResult(
             report=self._report(tally, decisions),
             trace_rows=trace_rows,
@@ -702,8 +696,7 @@ class _Tally:
         self.reschedules = self.evictions = self.suppressions = 0
 
     def add(
-        self, interval: int, stats: dict, outcome: IntervalOutcome, enforced: tuple[int, int],
-        state: ClusterState,
+        self, interval: int, stats: dict, outcome: IntervalOutcome, enforced: tuple[int, int]
     ) -> None:
         phase = "interference" if stats["interference_active"] else "normal"
         self.pods[phase].append((stats["app"], stats["cpi"], stats["latency"]))
@@ -715,8 +708,8 @@ class _Tally:
             {
                 "interval": interval,
                 "phase": phase,
-                "sys_cpu_total": state.system.cpu_total_sys,
-                "sys_mem_total": state.system.mem_total_sys,
+                "sys_cpu_total": stats["system"][0],
+                "sys_mem_total": stats["system"][1],
                 "flagged_apps": outcome.flagged_apps,
                 "verdicts": len(outcome.verdicts),
                 "detections": sum(1 for v in outcome.verdicts if v.detected),

@@ -1,4 +1,4 @@
-"""Reference decisions on a ``ClusterState`` view of one interval.
+"""Reference decisions on a ``ClusterView`` of one interval.
 
 This is the detector's scan and the mitigator's plan as they were when the
 control loop kept a view of the cluster for them: node metrics and pod
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 
-from ckoord.cluster import ClusterState, NodeMetrics
 from ckoord.detector import (
     DetectorConfig,
     FlaggedApps,
@@ -20,6 +19,7 @@ from ckoord.detector import (
     selection_threshold,
 )
 from ckoord.mitigator import Evict, MitigationAction, MitigationConfig, NoOp, Severity, Suppress
+from loop_reference import ClusterView, NodeMetrics
 
 
 def comprehensive_utilization(m: NodeMetrics, w: UtilizationWeights) -> float:
@@ -35,7 +35,7 @@ def comprehensive_utilization(m: NodeMetrics, w: UtilizationWeights) -> float:
     return w.alpha * mem_term + w.beta * cpu_term + w.gamma * shared_term
 
 
-def scan(state: ClusterState, cfg: DetectorConfig, flagged: FlaggedApps) -> FlaggedApps:
+def scan(state: ClusterView, cfg: DetectorConfig, flagged: FlaggedApps) -> FlaggedApps:
     node_ids = sorted(state.nodes)
     if not node_ids:
         raise ValueError("cluster has no nodes")
@@ -72,7 +72,7 @@ def scan(state: ClusterState, cfg: DetectorConfig, flagged: FlaggedApps) -> Flag
     return flagged
 
 
-def cpu_suppress(state: ClusterState, node_id: str, cfg: MitigationConfig) -> MitigationAction:
+def cpu_suppress(state: ClusterView, node_id: str, cfg: MitigationConfig) -> MitigationAction:
     node = state.nodes[node_id]
     ls_used = 0.0
     has_be = False
@@ -88,7 +88,7 @@ def cpu_suppress(state: ClusterState, node_id: str, cfg: MitigationConfig) -> Mi
     return Suppress(node_id, restriction)
 
 
-def evict_candidates(state: ClusterState, node_id: str, cfg: MitigationConfig) -> MitigationAction:
+def evict_candidates(state: ClusterView, node_id: str, cfg: MitigationConfig) -> MitigationAction:
     node = state.nodes[node_id]
     be_pods = [e for e in (state.pods[pid] for pid in node.pod_ids) if e.spec.qos.best_effort]
     if not be_pods:
@@ -102,7 +102,7 @@ def evict_candidates(state: ClusterState, node_id: str, cfg: MitigationConfig) -
 
 
 def plan(
-    state: ClusterState, node_id: str, severity: Severity, cfg: MitigationConfig
+    state: ClusterView, node_id: str, severity: Severity, cfg: MitigationConfig
 ) -> MitigationAction:
     if severity is Severity.SEVERE:
         action = evict_candidates(state, node_id, cfg)

@@ -1,9 +1,11 @@
 """Reference builders for the control loop's decision inputs and CPI rings.
 
 ``detector_state`` is the cluster view the detector and the mitigator read
-before they read trace rows: a fresh ``ClusterState`` built from the
+before they read trace rows: a fresh ``ClusterView`` built from the
 interval's rows and the scenario's requests and capacities, one new spec,
-metrics and entry per pod; ``decide_reference`` decides on it.  The ring is
+metrics and entry per pod; ``decide_reference`` decides on it.  The view
+types are the ones ``ckoord.cluster`` defined then, kept here with the
+fields that path reads.  The ring is
 the CPI ring as it was kept before it stored plain floats: one validated,
 frozen sample per measurement.  Kept only as oracles.
 """
@@ -13,14 +15,53 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ckoord.cluster import ClusterState, NodeMetrics, NodeState, PodEntry, PodMetrics, PodSpec, QosClass
+from ckoord.cluster import PodSpec, QosClass
 from ckoord.telemetry import DEFAULT_RETENTION_FACTOR, DEFAULT_WINDOW, EmptyWindowError, OrderingError
 
 
-def detector_state(interval: int, pod_rows, node_rows, scenario) -> ClusterState:
-    state = ClusterState(interval=interval)
+@dataclass
+class PodMetrics:
+    cpu_util: float = 0.0      # cores in use, >= 0
+    mem_util: float = 0.0      # bytes in use, >= 0
+    l3_miss_rate: float = 0.0  # misses/s, >= 0
+    cpi_actual: float = 1.0    # > 0
+
+
+@dataclass
+class NodeMetrics:
+    cpu_total: float = 0.0
+    cpu_offline: float = 0.0
+    cpu_online: float = 0.0
+    cpu_shared: float = 0.0
+    mem_util: float = 0.0
+
+
+@dataclass
+class NodeView:
+    node_id: str
+    cpu_capacity: float
+    mem_capacity: float
+    metrics: NodeMetrics = field(default_factory=NodeMetrics)
+    pod_ids: list[str] = field(default_factory=list)
+
+
+@dataclass
+class PodEntry:
+    spec: PodSpec
+    metrics: PodMetrics = field(default_factory=PodMetrics)
+
+
+@dataclass
+class ClusterView:
+    interval: int = 0
+    nodes: dict[str, NodeView] = field(default_factory=dict)
+    pods: dict[str, PodEntry] = field(default_factory=dict)
+
+
+def detector_state(interval: int, pod_rows, node_rows, scenario) -> ClusterView:
+    state = ClusterView(interval=interval)
     for row in node_rows:
-        state.nodes[row.node_id] = NodeState(
+        state.nodes[row.node_id] = NodeView(
             node_id=row.node_id,
             cpu_capacity=scenario.cpu_capacity,
             mem_capacity=scenario.mem_capacity,

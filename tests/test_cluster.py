@@ -1,39 +1,42 @@
 import pytest
 
-from ckoord.cluster import (
-    ClusterState,
-    NodeMetrics,
-    NodeState,
-    PodEntry,
-    PodMetrics,
-    PodSpec,
-    QosClass,
-    SystemMetrics,
-    validate,
-)
+from ckoord.cluster import ClusterState, NodeState, PodSpec, QosClass, validate
+from ckoord.trace import NodeRow, TraceRow
 
 
 def two_node_state():
-    state = ClusterState(interval=0)
+    """Two 4-core nodes, three pods, and one interval's rows for them."""
+    state = ClusterState()
+    node_values = dict(
+        node_cpu_total=0.5, node_cpu_offline=0.2, node_cpu_online=0.3,
+        node_cpu_shared=0.2, node_mem_util=0.4,
+    )
     for i in range(2):
-        state.nodes[f"node-0{i}"] = NodeState(
-            node_id=f"node-0{i}",
-            cpu_capacity=4.0,
-            mem_capacity=16.0,
-            metrics=NodeMetrics(
-                cpu_total=0.5, cpu_offline=0.2, cpu_online=0.3, cpu_shared=0.2, mem_util=0.4
-            ),
-        )
+        node_id = f"node-0{i}"
+        state.nodes[node_id] = NodeState(node_id=node_id, cpu_capacity=4.0, mem_capacity=16.0)
+        state.node_rows.append(NodeRow(0, node_id, **node_values))
     specs = [
         PodSpec("web-0", "web", "node-00", QosClass.LS, 1.0, 4.0),
         PodSpec("batch-0", "batch", "node-00", QosClass.BE, 1.0, 2.0),
         PodSpec("web-1", "web", "node-01", QosClass.LS, 1.0, 4.0),
     ]
     for spec in specs:
-        state.pods[spec.pod_id] = PodEntry(spec, PodMetrics(0.5, 1.0, 1e6, 1.2))
+        state.pods[spec.pod_id] = spec
         state.nodes[spec.node_id].pod_ids.append(spec.pod_id)
-    state.system = SystemMetrics(0.5, 0.4)
+        state.pod_rows.append(TraceRow(
+            0, spec.node_id, spec.pod_id, spec.app_id, spec.qos.value,
+            pod_cpu_util=0.5, pod_mem_util=0.25, **node_values,
+            sys_cpu_total=0.5, sys_mem_total=0.4, l3_miss_rate=1e6, cpi=1.2,
+            pod_cpu_cores=0.5,
+        ))
     return state
+
+
+def replace_row(rows, key, **values):
+    """Replace the row of pod (or node) ``key`` with a copy holding ``values``."""
+    ids = [row.pod_id if isinstance(row, TraceRow) else row.node_id for row in rows]
+    k = ids.index(key)
+    rows[k] = rows[k]._replace(**values)
 
 
 def test_qos_classification():
@@ -56,21 +59,20 @@ def test_well_formed_state_validates_clean():
 
 def test_validate_fraction_out_of_range():
     state = two_node_state()
-    state.nodes["node-00"].metrics.cpu_total = 1.3
+    replace_row(state.node_rows, "node-00", node_cpu_total=1.3)
     violations = validate(state)
-    assert any("cpu_total=1.3" in v for v in violations)
+    assert any("node_cpu_total=1.3" in v for v in violations)
 
 
 def test_validate_offline_online_exceed_total():
     state = two_node_state()
-    state.nodes["node-00"].metrics.cpu_offline = 0.4
-    state.nodes["node-00"].metrics.cpu_online = 0.4
-    assert any("exceeds cpu_total" in v for v in validate(state))
+    replace_row(state.node_rows, "node-00", node_cpu_offline=0.4, node_cpu_online=0.4)
+    assert any("exceeds node_cpu_total" in v for v in validate(state))
 
 
 def test_validate_pod_referencing_missing_node():
     state = two_node_state()
-    state.pods["ghost"] = PodEntry(PodSpec("ghost", "a", "node-99", QosClass.BE, 1.0, 1.0))
+    state.pods["ghost"] = PodSpec("ghost", "a", "node-99", QosClass.BE, 1.0, 1.0)
     violations = validate(state)
     assert any("ghost" in v and "node-99" in v for v in violations)
 
@@ -89,21 +91,28 @@ def test_validate_pod_missing_from_node_list():
 
 def test_validate_usage_exceeds_capacity():
     state = two_node_state()
-    state.pods["web-0"].metrics.cpu_util = 5.0
-    assert any("exceeds capacity" in v for v in validate(state))
+    replace_row(state.pod_rows, "web-0", pod_cpu_cores=5.0)
+    assert any("node-00" in v and "exceeds capacity" in v for v in validate(state))
 
 
 def test_validate_negative_pod_metrics_and_cpi():
     state = two_node_state()
-    state.pods["web-0"].metrics.l3_miss_rate = -1.0
-    state.pods["batch-0"].metrics.cpi_actual = 0.0
+    replace_row(state.pod_rows, "web-0", l3_miss_rate=-1.0)
+    replace_row(state.pod_rows, "batch-0", cpi=0.0)
     violations = validate(state)
-    assert any("negative l3_miss_rate" in v for v in violations)
-    assert any("cpi_actual" in v for v in violations)
+    assert any("web-0" in v and "negative l3_miss_rate" in v for v in violations)
+    assert any("batch-0" in v and "cpi=0.0" in v for v in violations)
 
 
 def test_validate_system_metrics():
     state = two_node_state()
-    state.system.cpu_total_sys = 1.5
+    replace_row(state.pod_rows, "web-1", sys_cpu_total=1.5)
     violations = validate(state)
-    assert any("cpu_total_sys" in v for v in violations)
+    assert any("sys_cpu_total=1.5" in v for v in violations)
+
+
+def test_validate_pod_row_on_a_node_the_state_lacks():
+    state = two_node_state()
+    replace_row(state.pod_rows, "web-1", node_id="node-99")
+    violations = validate(state)
+    assert any("web-1" in v and "unknown node node-99" in v for v in violations)

@@ -372,7 +372,7 @@ def exact(action):
 def drive_against_reference(window, steps):
     """Run the steps through a loop, checking at every interval that scan,
     fed the node rows shuffled, flags what the reference scan flags on a
-    fresh ``ClusterState`` build, over the same scores in node-id order;
+    fresh ``ClusterView`` build, over the same scores in node-id order;
     that plan, on every node at both severities and on every call the loop
     makes, gives the reference plan's action; and that every record's CPI
     ring holds the reference ring's samples and gives its rolling bits.

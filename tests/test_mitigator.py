@@ -4,14 +4,7 @@ import random
 
 import pytest
 
-from ckoord.cluster import (
-    ClusterState,
-    NodeState,
-    PodEntry,
-    PodMetrics,
-    PodSpec,
-    QosClass,
-)
+from ckoord.cluster import ClusterState, NodeState, PodSpec, QosClass
 from ckoord.mitigator import (
     Evict,
     MitigationConfig,
@@ -71,12 +64,12 @@ def rows_of(pods):
 
 def build_state(node_capacity=32.0, pods=()):
     """pods: (pod_id, app_id, qos, cpu_util) all placed on one node."""
-    state = ClusterState(interval=0)
+    state = ClusterState()
     state.nodes["node-00"] = NodeState("node-00", node_capacity, 64 * 2**30)
     for pod_id, app_id, qos, cpu in pods:
-        spec = PodSpec(pod_id, app_id, "node-00", qos, 1.0, 2**30)
-        state.pods[pod_id] = PodEntry(spec, PodMetrics(cpu_util=cpu, cpi_actual=1.0))
+        state.pods[pod_id] = PodSpec(pod_id, app_id, "node-00", qos, 1.0, 2**30)
         state.nodes["node-00"].pod_ids.append(pod_id)
+    state.pod_rows = rows_of(pods)
     return state
 
 
