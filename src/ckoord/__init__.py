@@ -9,7 +9,6 @@ to exercise the whole loop end to end.
 from .cluster import (
     ClusterState,
     NodeState,
-    PodSpec,
     QosClass,
 )
 from .detector import (
@@ -74,7 +73,6 @@ __all__ = [
     "ModelCache",
     "NodeState",
     "NoOp",
-    "PodSpec",
     "PredictorConfig",
     "QosClass",
     "RunResult",

@@ -16,7 +16,6 @@ import sys
 from . import __version__
 from .gbdt import (
     ModelSchemaError,
-    TrainConfig,
     ensemble_from_json,
     ensemble_to_json,
     regression_metrics,
@@ -25,10 +24,12 @@ from .gbdt import (
 from .loop import ControlLoop, DecisionLog
 from .scenario import (
     ConfigError,
+    Options,
     Scenario,
     apply_overrides,
     default_config,
     load_config,
+    train_config,
     validate_config,
 )
 from .simulator import Simulator, report_to_json
@@ -48,6 +49,18 @@ from .trace import (
 log = logging.getLogger("ckoord")
 
 NODES_FILE = "nodes.csv"  # written beside trace.csv; replay reads it from there
+# the options of ``ckoord train`` by their dest, the key ``predictor.train`` uses
+TRAIN_OPTIONS = {
+    "learning_rate": "--learning-rate",
+    "lam": "--lam",
+    "tau": "--tau",
+    "max_depth": "--max-depth",
+    "num_rounds": "--rounds",
+    "min_samples_leaf": "--min-samples-leaf",
+    "base_score": "--base-score",
+    "window": "--window",
+    "split_fraction": "--split-fraction",
+}
 
 
 def _write_text_atomic(path: str, text: str) -> None:
@@ -97,29 +110,24 @@ def _metrics_line(tag: str, count: int, metrics: dict[str, float]) -> str:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    options = Options(vars(args), TRAIN_OPTIONS)
+    cfg = train_config(options)
+    window = options.count("window", 1)
+    split_fraction = options.number("split_fraction", 0, 1)
     rows = read_trace(args.trace)
     if args.app is not None:
         rows = [r for r in rows if r.app_id == args.app]
-    minimum = 2 * args.window
+    minimum = 2 * window
     if len(rows) < minimum:
         scope = f"app {args.app!r}" if args.app else "trace"
         raise ConfigError(
             f"{args.trace}: {scope} has {len(rows)} rows; at least {minimum}"
-            f" (2 x window {args.window}) required"
+            f" (2 x window {window}) required"
         )
     X, y = feature_matrix(rows)
     n = len(rows)
     del rows  # the parsed rows would otherwise stay resident through the fit
-    cfg = TrainConfig(
-        learning_rate=args.learning_rate,
-        lam=args.lam,
-        tau=args.tau,
-        max_depth=args.max_depth,
-        num_rounds=args.rounds,
-        min_samples_leaf=args.min_samples_leaf,
-        base_score=args.base_score,
-    )
-    split = int(n * args.split_fraction)
+    split = int(n * split_fraction)
     if split < 1 or split >= n:
         split = n
     model = train_ensemble(X[:split], y[:split], cfg)
@@ -324,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="rolling window used for the minimum-rows check, 2 x window (default 60)",
     )
     train.add_argument("--learning-rate", type=float, default=0.1)
-    train.add_argument("--rounds", type=int, default=100)
+    train.add_argument("--rounds", dest="num_rounds", metavar="ROUNDS", type=int, default=100)
     train.add_argument("--max-depth", type=int, default=4)
     train.add_argument("--lam", type=float, default=1.0)
     train.add_argument("--tau", type=float, default=0.0)

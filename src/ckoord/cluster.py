@@ -1,9 +1,12 @@
-"""Cluster data model: QoS classes, pod specs, node placement and caps.
+"""Cluster data model: QoS classes, node placement and caps.
 
-``ClusterState`` holds what only the simulator knows: each pod's spec, each
-node's capacities, the pods placed on it and its best-effort cap.  Every
-measured value lives in the interval's trace rows; the state keeps a
-reference to the rows of the last interval, not a copy of them.
+``ClusterState`` holds what enforcement changes: the pods placed on each
+node, in placement order, and each node's best-effort cap.  A pod's qos,
+requests and app are its app's ``AppProfile``, the scenario's own object;
+the one node capacity is the scenario's too, held here once so that
+``validate`` can check against it.  Every measured value lives in the
+interval's trace rows; the state keeps a reference to the rows of the last
+interval, not a copy of them.
 
 Conventions that the rest of the pipeline relies on:
   * node-level CPU metrics are fractions of that node's capacity in [0, 1]
@@ -19,6 +22,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from .scenario import AppProfile
     from .trace import NodeRow, TraceRow
 
 FRACTION_SLACK = 1e-9  # tolerance for fraction-sum invariants
@@ -40,34 +44,18 @@ class QosClass(Enum):
 
 
 @dataclass
-class PodSpec:
-    pod_id: str
-    app_id: str
-    node_id: str
-    qos: QosClass
-    cpu_request: float   # cores, > 0
-    mem_request: float   # bytes, > 0
-
-    def __post_init__(self) -> None:
-        if self.cpu_request <= 0:
-            raise ValueError(f"{self.pod_id}: cpu_request must be positive")
-        if self.mem_request <= 0:
-            raise ValueError(f"{self.pod_id}: mem_request must be positive")
-
-
-@dataclass
 class NodeState:
     node_id: str
-    cpu_capacity: float           # cores
-    mem_capacity: float           # bytes
-    pod_ids: list[str] = field(default_factory=list)
+    pod_ids: list[str] = field(default_factory=list)  # placement order
     be_cpu_cap: float | None = None  # aggregate BE cores cap from suppression
 
 
 @dataclass
 class ClusterState:
+    cpu_capacity: float  # cores, of every node
+    mem_capacity: float  # bytes, of every node
     nodes: dict[str, NodeState] = field(default_factory=dict)
-    pods: dict[str, PodSpec] = field(default_factory=dict)
+    pods: dict[str, AppProfile] = field(default_factory=dict)  # pod id -> its app
     # the last interval's rows, the very lists its step returned
     pod_rows: list[TraceRow] = field(default_factory=list)
     node_rows: list[NodeRow] = field(default_factory=list)
@@ -82,23 +70,23 @@ def validate(state: ClusterState) -> list[str]:
     """Placement checks on the state, range checks on its last interval's
     rows; returns violation strings, empty = OK."""
     violations: list[str] = []
+    if state.cpu_capacity <= 0:
+        violations.append(f"non-positive cpu_capacity {state.cpu_capacity}")
+    if state.mem_capacity <= 0:
+        violations.append(f"non-positive mem_capacity {state.mem_capacity}")
 
+    placed: dict[str, str] = {}  # pod id -> the first node that lists it
     for node_id, node in state.nodes.items():
-        if node.cpu_capacity <= 0:
-            violations.append(f"node {node_id}: non-positive cpu_capacity")
-        if node.mem_capacity <= 0:
-            violations.append(f"node {node_id}: non-positive mem_capacity")
         for pid in node.pod_ids:
             if pid not in state.pods:
                 violations.append(f"node {node_id}: lists unknown pod {pid}")
-            elif state.pods[pid].node_id != node_id:
-                violations.append(f"pod {pid}: node link mismatch with {node_id}")
-
-    for pod_id, spec in state.pods.items():
-        if spec.node_id not in state.nodes:
-            violations.append(f"pod {pod_id}: references unknown node {spec.node_id}")
-        elif pod_id not in state.nodes[spec.node_id].pod_ids:
-            violations.append(f"pod {pod_id}: missing from node {spec.node_id} pod list")
+            elif pid in placed:
+                violations.append(f"pod {pid}: listed on {placed[pid]} and on {node_id}")
+            else:
+                placed[pid] = node_id
+    for pod_id in state.pods:
+        if pod_id not in placed:
+            violations.append(f"pod {pod_id}: missing from every node's pod list")
 
     for row in state.node_rows:
         where = f"node {row.node_id}"
@@ -126,9 +114,9 @@ def validate(state: ClusterState) -> list[str]:
         _check_fraction(violations, where, "sys_cpu_total", row.sys_cpu_total)
         _check_fraction(violations, where, "sys_mem_total", row.sys_mem_total)
 
+    capacity = state.cpu_capacity
     for node_id, used in cores.items():
         usage = math.fsum(used)
-        capacity = state.nodes[node_id].cpu_capacity
         if usage > capacity * (1 + 1e-6):
             violations.append(
                 f"node {node_id}: pod_cpu_cores sum {usage} exceeds capacity {capacity}"

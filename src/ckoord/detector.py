@@ -93,8 +93,6 @@ def selection_threshold(utilizations: list[float], k: float, deviation: str = "v
 
 @dataclass
 class FlaggedEntry:
-    flagged_at_interval: int
-    node_ids: set[str] = field(default_factory=set)
     stable_intervals: int = 0  # consecutive scans with every hosting node under threshold
 
 
@@ -112,7 +110,6 @@ class FlaggedApps:
 
 
 def scan(
-    interval: int,
     node_rows: list[NodeRow],
     pod_rows: list[TraceRow],
     cfg: DetectorConfig,
@@ -143,14 +140,8 @@ def scan(
     for row in pod_rows:
         hosting.setdefault(row.app_id, set()).add(row.node_id)
     for app_id, nodes in hosting.items():
-        on_hot = nodes & hot
-        if not on_hot:
-            continue
-        entry = flagged.entries.get(app_id)
-        if entry is None:
-            flagged.entries[app_id] = FlaggedEntry(flagged_at_interval=interval, node_ids=on_hot)
-        else:
-            entry.node_ids |= on_hot
+        if nodes & hot and app_id not in flagged.entries:
+            flagged.entries[app_id] = FlaggedEntry()
 
     for app_id in flagged.app_ids():
         entry = flagged.entries[app_id]

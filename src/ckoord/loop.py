@@ -202,7 +202,7 @@ class ControlLoop:
         self, interval: int, pod_rows: list[TraceRow], node_rows: list[NodeRow]
     ) -> None:
         """Refuse an interval unless the node rows name each scenario node
-        once and every pod row names a scenario node."""
+        once and the pod rows name each pod once, on a scenario node."""
         named = {row.node_id for row in node_rows}
         nodes = self.node_ids
         if len(node_rows) != len(nodes):
@@ -223,6 +223,10 @@ class ControlLoop:
                 raise ValueError(
                     f"interval {interval}: pod {row.pod_id} on unknown node {row.node_id}"
                 )
+        if len({row.pod_id for row in pod_rows}) != len(pod_rows):
+            rows = Counter(row.pod_id for row in pod_rows)
+            repeated = min(pod_id for pod_id, n in rows.items() if n > 1)
+            raise ValueError(f"interval {interval}: {rows[repeated]} rows for pod {repeated}")
 
     # -- the pass itself -------------------------------------------------
 
@@ -251,7 +255,7 @@ class ControlLoop:
             by_app.setdefault(row.app_id, []).append((row, record))
 
         before = set(self.flagged.entries)
-        scan(interval, node_rows, pod_rows, self.detector_cfg, self.flagged)
+        scan(node_rows, pod_rows, self.detector_cfg, self.flagged)
         after = set(self.flagged.entries)
         outcome.newly_flagged = sorted(after - before)
         outcome.newly_unflagged = sorted(before - after)

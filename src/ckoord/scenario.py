@@ -323,6 +323,32 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
     return out
 
 
+class Options(_Object):
+    """Command-line values, keyed by config key, read by a config object's
+    rules; a fault names the option ``options`` maps the key to."""
+
+    def __init__(self, values: dict[str, Any], options: dict[str, str]) -> None:
+        super().__init__(values, None, "")
+        self.options = options
+
+    def where(self, key: str) -> str:
+        return self.options[key]
+
+
+def train_config(train: _Object) -> TrainConfig:
+    """The boosting hyperparameters of ``predictor.train``, or of the
+    ``ckoord train`` options, checked against their bounds."""
+    return TrainConfig(
+        learning_rate=train.number("learning_rate", 0, 1),
+        lam=train.number("lam", 0),
+        tau=train.number("tau", 0),
+        max_depth=train.count("max_depth", 1),
+        num_rounds=train.count("num_rounds", 1),
+        min_samples_leaf=train.count("min_samples_leaf", 1),
+        base_score=train.number("base_score"),
+    )
+
+
 def validate_config(cfg: dict, raw: str | None = None) -> Scenario:
     """Check every key of ``cfg`` and return the Scenario it describes.
 
@@ -437,15 +463,7 @@ def validate_config(cfg: dict, raw: str | None = None) -> Scenario:
             load_weights=LoadFactorWeights(*predictor.triple("load_weights")),
             delta_mode=predictor.choice("delta_mode", ("signed", "absolute")),
             min_history_windows=predictor.count("min_history_windows", 1),
-            train=TrainConfig(
-                learning_rate=train.number("learning_rate", 0, 1),
-                lam=train.number("lam", 0),
-                tau=train.number("tau", 0),
-                max_depth=train.count("max_depth", 1),
-                num_rounds=train.count("num_rounds", 1),
-                min_samples_leaf=train.count("min_samples_leaf", 1),
-                base_score=train.number("base_score"),
-            ),
+            train=train_config(train),
         ),
         mitigator=MitigationConfig(
             severity_boundary=mitigator.number("severity_boundary", 1.0 + 1e-9),

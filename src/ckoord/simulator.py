@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import ClusterState, NodeState, PodSpec, QosClass
+from .cluster import ClusterState, NodeState, QosClass
 from .loop import ControlLoop, DecisionLog, IntervalOutcome, PlannedAction
 from .mitigator import Evict, Suppress
 from .mitigator import apply as apply_action
@@ -285,27 +285,27 @@ class _Layout:
         state, scenario = sim.state, sim.scenario
         self.nodes = nodes = [state.nodes[node_id] for node_id in sorted(state.nodes)]
         placed = [sorted(node.pod_ids) for node in nodes]
-        specs = [state.pods[pid] for pids in placed for pid in pids]
-        count = len(specs)
+        pods = [pid for pids in placed for pid in pids]
+        profiles = [state.pods[pid] for pid in pods]
+        count = len(pods)
         sizes = [len(pids) for pids in placed]
         width = max(1, *sizes)
         self.valid = np.arange(width) < np.array(sizes)[:, None]
         self.node_of = np.repeat(np.arange(len(nodes)), sizes)
         self.node_index = self.node_of.tolist()
         self.node_pos = {node.node_id: k for k, node in enumerate(nodes)}
-        self.total_capacity = sum(n.cpu_capacity for n in state.nodes.values())
-        self.total_mem_capacity = sum(n.mem_capacity for n in state.nodes.values())
-        self.cpu_capacity = np.array([n.cpu_capacity for n in nodes])
-        self.mem_capacity = np.array([n.mem_capacity for n in nodes])
+        # one term per node, added left to right
+        self.total_capacity = sum(state.cpu_capacity for _ in nodes)
+        self.total_mem_capacity = sum(state.mem_capacity for _ in nodes)
         self.no_effect = np.zeros(len(nodes))
         # what each node metric is a fraction of: cpu_total .. cpu_shared, mem_util
-        self.capacity = np.array([self.cpu_capacity] * 4 + [self.mem_capacity])
+        self.capacity = np.array([state.cpu_capacity] * 4 + [state.mem_capacity])[:, None]
 
-        row_of = {spec.pod_id: row for row, spec in enumerate(specs)}
+        row_of = {pid: row for row, pid in enumerate(pods)}
         self.place = np.full(self.valid.shape, count)
         for k, node in enumerate(nodes):
             self.place[k, : len(node.pod_ids)] = [row_of[pid] for pid in node.pod_ids]
-        qos = [spec.qos for spec in specs]
+        qos = [profile.qos for profile in profiles]
         # per pod, 1.0 in its class's row: BE, SYSTEM, then LS or LSR
         self.classes = np.array(
             [[q is QosClass.BE for q in qos], [q is QosClass.SYSTEM for q in qos],
@@ -315,22 +315,23 @@ class _Layout:
         self.best_effort[self.valid] = self.classes[0] == 1.0
         self.weight = np.zeros(self.valid.shape)
         self.weight[self.valid] = [
-            scenario.qos_weights[spec.qos.value] * spec.cpu_request for spec in specs
+            scenario.qos_weights[profile.qos.value] * profile.cpu_request for profile in profiles
         ]
         self.requests = np.array(
-            [[spec.cpu_request for spec in specs], [spec.mem_request for spec in specs]]
+            [[profile.cpu_request for profile in profiles],
+             [profile.mem_request for profile in profiles]]
         )
 
         self.apps = apps = list(scenario.apps.values())
         app_pos = {app.app_id: a for a, app in enumerate(apps)}
-        self.app_of = np.array([app_pos[spec.app_id] for spec in specs], dtype=np.intp)
+        self.app_of = np.array([app_pos[profile.app_id] for profile in profiles], dtype=np.intp)
         for name in ("cpu_per_request", "base_rps", "mem_footprint", "base_miss_rate",
                      "cpi_base", "latency_base_ms", "demand_noise_std"):
             setattr(self, name, np.array([getattr(app, name) for app in apps])[self.app_of])
         self.columns = (  # the trace row's id columns
             [nodes[k].node_id for k in self.node_index],
-            [spec.pod_id for spec in specs],
-            [spec.app_id for spec in specs],
+            pods,
+            [profile.app_id for profile in profiles],
             [q.value for q in qos],
         )
 
@@ -339,7 +340,6 @@ class _Layout:
         self.has_rps = self.base_rps > 0
         self.rps_divisor = _nonzero(self.base_rps)
         self.mem_floor = 0.2 * self.mem_footprint
-        pods = [spec.pod_id for spec in specs]
         sigma = wl.latency_jitter_sigma
         wanted = {
             "demand": ([pods[row] for row in self.noisy], 1, None),
@@ -392,30 +392,22 @@ class Simulator:
 
         self.state = self._initial_state()
         self._streams: dict[tuple[str, str], _Stream] = {}
-        self._pending: deque = deque()  # (due_interval, PodSpec)
+        self._pending: deque = deque()  # (due_interval, pod_id, AppProfile)
         self._layout: _Layout | None = None  # built by the first step
 
     # -- construction ----------------------------------------------------
 
     def _initial_state(self) -> ClusterState:
         scenario = self.scenario
-        state = ClusterState()
+        state = ClusterState(scenario.cpu_capacity, scenario.mem_capacity)
         names = scenario.node_ids
         for name in names:
-            state.nodes[name] = NodeState(name, scenario.cpu_capacity, scenario.mem_capacity)
+            state.nodes[name] = NodeState(name)
         for profile in scenario.apps.values():
             for i in range(profile.replicas):
-                node_id = names[i % len(names)]
-                spec = PodSpec(
-                    pod_id=f"{profile.app_id}-{i}",
-                    app_id=profile.app_id,
-                    node_id=node_id,
-                    qos=profile.qos,
-                    cpu_request=profile.cpu_request,
-                    mem_request=profile.mem_request,
-                )
-                state.pods[spec.pod_id] = spec
-                state.nodes[node_id].pod_ids.append(spec.pod_id)
+                pod_id = f"{profile.app_id}-{i}"
+                state.pods[pod_id] = profile
+                state.nodes[names[i % len(names)]].pod_ids.append(pod_id)
         return state
 
     def _stream(self, kind: str, entity: str) -> _Stream:
@@ -447,9 +439,8 @@ class Simulator:
             if effects is None:
                 effects = np.zeros((4, len(node_pos)))
             kind = self.scenario.truth.kinds[inj.kind]
-            capacity = self.state.nodes[inj.target_node].cpu_capacity
             effects[:, node_pos[inj.target_node]] += (
-                inj.intensity * kind.cpu_fraction * capacity,
+                inj.intensity * kind.cpu_fraction * self.state.cpu_capacity,
                 inj.intensity * kind.mem_fraction,
                 inj.intensity * kind.miss_gain,
                 inj.intensity * kind.cpi_boost,
@@ -460,19 +451,11 @@ class Simulator:
         count = 0
         state = self.state
         while self._pending and self._pending[0][0] <= interval:
-            _, spec = self._pending.popleft()
+            _, pod_id, profile = self._pending.popleft()
             # the least busy node of the last interval; every node has a row
             target = min(state.node_rows, key=lambda r: (r.node_cpu_total, r.node_id))
-            new_spec = PodSpec(
-                pod_id=spec.pod_id,
-                app_id=spec.app_id,
-                node_id=target.node_id,
-                qos=spec.qos,
-                cpu_request=spec.cpu_request,
-                mem_request=spec.mem_request,
-            )
-            state.pods[new_spec.pod_id] = new_spec
-            state.nodes[target.node_id].pod_ids.append(new_spec.pod_id)
+            state.pods[pod_id] = profile
+            state.nodes[target.node_id].pod_ids.append(pod_id)
             count += 1
         if count:
             self._relayout()
@@ -502,8 +485,8 @@ class Simulator:
             hog = hog_mem = miss_gain = cpi_boost = lay.no_effect
         else:
             hog_cpu, hog_mem, miss_gain, cpi_boost = effects
-            hog = _min(hog_cpu, lay.cpu_capacity)
-            hog_mem = hog_mem * lay.mem_capacity
+            hog = _min(hog_cpu, state.cpu_capacity)
+            hog_mem = hog_mem * state.mem_capacity
 
         demand = diurnal_demand(lay.apps, interval, wl.period_intervals)[lay.app_of]
         noise = lay.take("demand")
@@ -517,7 +500,7 @@ class Simulator:
         wants[valid] = want
         caps = np.array([np.nan if n.be_cpu_cap is None else n.be_cpu_cap for n in nodes])
         usage, potential = allocate_cpu(
-            wants, lay.weight, lay.best_effort, lay.cpu_capacity - hog, caps
+            wants, lay.weight, lay.best_effort, state.cpu_capacity - hog, caps
         )
         cores, potential = usage[valid], potential[valid]
 
@@ -600,7 +583,7 @@ class Simulator:
                 suppressed += 1
             elif isinstance(action, Evict):
                 due = interval + self.scenario.reschedule_delay
-                self._pending.extend((due, self.state.pods[p]) for p in action.pod_ids)
+                self._pending.extend((due, p, self.state.pods[p]) for p in action.pod_ids)
                 apply_action(action, self.state)
                 self._relayout()
                 evicted += len(action.pod_ids)

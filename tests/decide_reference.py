@@ -3,23 +3,31 @@
 This is the detector's scan and the mitigator's plan as they were when the
 control loop kept a view of the cluster for them: node metrics and pod
 entries built from the interval's rows (``loop_reference.detector_state``),
-read through the state's per-node and per-app lookups, inlined here.  Kept
-only as an oracle for the row-based ``scan`` and ``plan``.
+read through the state's per-node and per-app lookups, inlined here.  The
+flagged-app entry is the one ``ckoord.detector`` defined then, kept here with
+its fields.  Kept only as an oracle for the row-based ``scan`` and ``plan``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 from ckoord.detector import (
     DetectorConfig,
     FlaggedApps,
-    FlaggedEntry,
     UtilizationWeights,
     selection_threshold,
 )
 from ckoord.mitigator import Evict, MitigationAction, MitigationConfig, NoOp, Severity, Suppress
 from loop_reference import ClusterView, NodeMetrics
+
+
+@dataclass
+class FlaggedEntry:
+    flagged_at_interval: int
+    node_ids: set[str] = field(default_factory=set)
+    stable_intervals: int = 0
 
 
 def comprehensive_utilization(m: NodeMetrics, w: UtilizationWeights) -> float:

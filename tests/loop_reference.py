@@ -4,8 +4,8 @@
 before they read trace rows: a fresh ``ClusterView`` built from the
 interval's rows and the scenario's requests and capacities, one new spec,
 metrics and entry per pod; ``decide_reference`` decides on it.  The view
-types are the ones ``ckoord.cluster`` defined then, kept here with the
-fields that path reads.  The ring is
+types and the pod spec are the ones ``ckoord.cluster`` defined then, kept
+here with the fields that path reads.  The ring is
 the CPI ring as it was kept before it stored plain floats: one validated,
 frozen sample per measurement.  Kept only as oracles.
 """
@@ -15,8 +15,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ckoord.cluster import PodSpec, QosClass
+from ckoord.cluster import QosClass
 from ckoord.telemetry import DEFAULT_RETENTION_FACTOR, DEFAULT_WINDOW, EmptyWindowError, OrderingError
+
+
+@dataclass
+class PodSpec:
+    pod_id: str
+    app_id: str
+    node_id: str
+    qos: QosClass
+    cpu_request: float   # cores, > 0
+    mem_request: float   # bytes, > 0
 
 
 @dataclass

@@ -297,6 +297,33 @@ def test_train_rejects_short_traces(tmp_path, capsys):
     assert "240 rows" in err
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--rounds", "0", "must be >= 1, got 0"),
+        ("--learning-rate", "2", "must be <= 1, got 2.0"),
+        ("--min-samples-leaf", "0", "must be >= 1, got 0"),
+        ("--lam", "-1", "must be >= 0, got -1.0"),
+        ("--tau", "-0.5", "must be >= 0, got -0.5"),
+        ("--max-depth", "0", "must be >= 1, got 0"),
+        ("--base-score", "nan", "must be finite, got nan"),
+        ("--window", "0", "must be >= 1, got 0"),
+        ("--split-fraction", "nan", "must be finite, got nan"),
+        ("--split-fraction", "1.5", "must be <= 1, got 1.5"),
+        ("--split-fraction", "-0.1", "must be >= 0, got -0.1"),
+    ],
+)
+def test_train_option_faults_exit_2_naming_the_option(tmp_path, capsys, option, value, message):
+    # each used to exit 1 with a traceback, or fail inside the fit
+    trace = simulate_small(tmp_path)
+    model = tmp_path / "m.json"
+    code = run_cli("train", "--trace", str(trace), "--model-out", str(model), option, value)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {option}: {message}\n"
+    assert not model.exists()
+
+
 def test_predict_appends_prediction_column(tmp_path, capsys):
     trace = simulate_small(tmp_path)
     model_path = tmp_path / "model.json"

@@ -1,30 +1,27 @@
-import pytest
-
-from ckoord.cluster import ClusterState, NodeState, PodSpec, QosClass, validate
+from ckoord.cluster import ClusterState, NodeState, QosClass, validate
+from ckoord.scenario import default_config, validate_config
 from ckoord.trace import NodeRow, TraceRow
 
 
 def two_node_state():
-    """Two 4-core nodes, three pods, and one interval's rows for them."""
-    state = ClusterState()
+    """Two 4-core nodes, three pods of the default apps, and one interval's
+    rows for them."""
+    apps = validate_config(default_config()).apps
+    state = ClusterState(cpu_capacity=4.0, mem_capacity=16.0)
     node_values = dict(
         node_cpu_total=0.5, node_cpu_offline=0.2, node_cpu_online=0.3,
         node_cpu_shared=0.2, node_mem_util=0.4,
     )
     for i in range(2):
         node_id = f"node-0{i}"
-        state.nodes[node_id] = NodeState(node_id=node_id, cpu_capacity=4.0, mem_capacity=16.0)
+        state.nodes[node_id] = NodeState(node_id)
         state.node_rows.append(NodeRow(0, node_id, **node_values))
-    specs = [
-        PodSpec("web-0", "web", "node-00", QosClass.LS, 1.0, 4.0),
-        PodSpec("batch-0", "batch", "node-00", QosClass.BE, 1.0, 2.0),
-        PodSpec("web-1", "web", "node-01", QosClass.LS, 1.0, 4.0),
-    ]
-    for spec in specs:
-        state.pods[spec.pod_id] = spec
-        state.nodes[spec.node_id].pod_ids.append(spec.pod_id)
+    for pod_id, node_id in (("web-0", "node-00"), ("batch-0", "node-00"), ("web-1", "node-01")):
+        profile = apps[pod_id.split("-")[0]]
+        state.pods[pod_id] = profile
+        state.nodes[node_id].pod_ids.append(pod_id)
         state.pod_rows.append(TraceRow(
-            0, spec.node_id, spec.pod_id, spec.app_id, spec.qos.value,
+            0, node_id, pod_id, profile.app_id, profile.qos.value,
             pod_cpu_util=0.5, pod_mem_util=0.25, **node_values,
             sys_cpu_total=0.5, sys_mem_total=0.4, l3_miss_rate=1e6, cpi=1.2,
             pod_cpu_cores=0.5,
@@ -46,13 +43,6 @@ def test_qos_classification():
     assert not QosClass.LS.best_effort
 
 
-def test_pod_spec_requires_positive_requests():
-    with pytest.raises(ValueError):
-        PodSpec("p", "a", "n", QosClass.BE, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        PodSpec("p", "a", "n", QosClass.BE, 1.0, 0.0)
-
-
 def test_well_formed_state_validates_clean():
     assert validate(two_node_state()) == []
 
@@ -70,11 +60,18 @@ def test_validate_offline_online_exceed_total():
     assert any("exceeds node_cpu_total" in v for v in validate(state))
 
 
-def test_validate_pod_referencing_missing_node():
+def test_validate_pod_listed_on_two_nodes():
     state = two_node_state()
-    state.pods["ghost"] = PodSpec("ghost", "a", "node-99", QosClass.BE, 1.0, 1.0)
+    state.nodes["node-01"].pod_ids.append("batch-0")
+    assert validate(state) == ["pod batch-0: listed on node-00 and on node-01"]
+
+
+def test_validate_non_positive_capacity():
+    state = two_node_state()
+    state.cpu_capacity, state.mem_capacity = 0.0, -1.0
     violations = validate(state)
-    assert any("ghost" in v and "node-99" in v for v in violations)
+    assert "non-positive cpu_capacity 0.0" in violations
+    assert "non-positive mem_capacity -1.0" in violations
 
 
 def test_validate_node_listing_unknown_pod():

@@ -128,27 +128,25 @@ def test_scan_flags_all_apps_on_hot_node():
     var = ((u_hot - mean) ** 2 + 3 * (u_cold - mean) ** 2) / 4
     assert u_hot > mean + 3 * var
 
-    flagged = scan(0, *rows, cfg, FlaggedApps())
+    flagged = scan(*rows, cfg, FlaggedApps())
     assert flagged.app_ids() == ["A", "B"]
-    assert flagged.entries["A"].node_ids == {"node-01"}
-    assert flagged.entries["A"].flagged_at_interval == 0
 
 
 def test_scan_uniform_cluster_flags_nothing():
     rows = four_node_rows(hot_m=(0.4, 0.4, 0.4), cold_m=(0.4, 0.4, 0.4))
-    flagged = scan(0, *rows, DetectorConfig(), FlaggedApps())
+    flagged = scan(*rows, DetectorConfig(), FlaggedApps())
     assert flagged.app_ids() == []
 
 
 def test_scan_hysteresis_removes_at_configured_scan():
     cfg = DetectorConfig(k=3.0, hysteresis_intervals=12)
     flagged = FlaggedApps()
-    scan(0, *four_node_rows(), cfg, flagged)
+    scan(*four_node_rows(), cfg, flagged)
     assert "A" in flagged
 
     cool = four_node_rows(hot_m=(0.1, 0.1, 0.1))
     for stable_scan in range(1, 13):
-        scan(stable_scan, *cool, cfg, flagged)
+        scan(*cool, cfg, flagged)
         if stable_scan <= 11:
             assert "A" in flagged, f"dropped too early at stable scan {stable_scan}"
         else:
@@ -158,27 +156,27 @@ def test_scan_hysteresis_removes_at_configured_scan():
 def test_scan_hot_again_resets_stability_counter():
     cfg = DetectorConfig(k=3.0, hysteresis_intervals=3)
     flagged = FlaggedApps()
-    scan(0, *four_node_rows(), cfg, flagged)
+    scan(*four_node_rows(), cfg, flagged)
     cool = four_node_rows(hot_m=(0.1, 0.1, 0.1))
-    scan(1, *cool, cfg, flagged)
-    scan(2, *cool, cfg, flagged)
+    scan(*cool, cfg, flagged)
+    scan(*cool, cfg, flagged)
     assert flagged.entries["A"].stable_intervals == 2
-    scan(3, *four_node_rows(), cfg, flagged)  # hot again
+    scan(*four_node_rows(), cfg, flagged)  # hot again
     assert flagged.entries["A"].stable_intervals == 0
-    scan(4, *cool, cfg, flagged)
+    scan(*cool, cfg, flagged)
     assert "A" in flagged
 
 
 def test_scan_deterministic_for_same_snapshots():
     cfg = DetectorConfig(k=2.0)
-    a = scan(0, *four_node_rows(), cfg, FlaggedApps())
-    b = scan(0, *four_node_rows(), cfg, FlaggedApps())
+    a = scan(*four_node_rows(), cfg, FlaggedApps())
+    b = scan(*four_node_rows(), cfg, FlaggedApps())
     assert a.app_ids() == b.app_ids()
 
 
 def test_scan_rejects_empty_cluster():
     with pytest.raises(ValueError):
-        scan(0, [], [], DetectorConfig(), FlaggedApps())
+        scan([], [], DetectorConfig(), FlaggedApps())
 
 
 def test_per_node_weight_override():

@@ -7,7 +7,6 @@ The loop stamps samples with the interval it is given, so the hand-built rows
 all carry interval 0.
 """
 
-import copy
 import random
 from collections import Counter, deque
 from unittest import mock
@@ -20,7 +19,7 @@ from hypothesis import strategies as st
 from ckoord import detector as detector_module
 from ckoord import loop as loop_module
 from ckoord.cluster import QosClass
-from ckoord.detector import DetectorConfig
+from ckoord.detector import DetectorConfig, FlaggedApps
 from ckoord.gbdt import FEATURE_NAMES, Ensemble, TrainConfig
 from ckoord.loop import HISTORY_RETENTION_WINDOWS, ControlLoop, PodRecord
 from ckoord.mitigator import Evict, MitigationConfig, Severity, Suppress
@@ -204,6 +203,10 @@ def test_observe_needs_a_row_for_every_scenario_node():
     stray = [batch_pod(), web_pod(1.0, node_id="node-99")]
     with pytest.raises(ValueError, match="interval 0: pod web-0 on unknown node node-99"):
         loop.observe(0, stray, node_rows)
+    # nor is an interval with two rows for one pod
+    repeated = [batch_pod(), web_pod(1.0), web_pod(1.0)]
+    with pytest.raises(ValueError, match="interval 0: 2 rows for pod web-0"):
+        loop.observe(0, repeated, node_rows)
     assert loop.pods == {}  # a refused interval records nothing
     assert loop.n_max == 0.0
 
@@ -390,6 +393,7 @@ def drive_against_reference(window, steps):
         for i in range(5)
     }
     rings: dict[str, loop_reference.TimeSeries] = {}
+    reference_flagged = FlaggedApps()  # of decide_reference's entries
     evicted: set[str] = set()
     seen = Counter()
     current = {}
@@ -398,18 +402,20 @@ def drive_against_reference(window, steps):
         current["scores"] = [u.hex() for u in utilizations]
         return real_threshold(utilizations, k, deviation)
 
-    def checking_scan(interval, node_rows, pod_rows, cfg, flagged):
-        assert interval == current["interval"]
+    def checking_scan(node_rows, pod_rows, cfg, flagged):
+        interval = current["interval"]
         state = loop_reference.detector_state(
             interval, current["pods"], current["nodes"], scenario
         )
         current["state"] = state
-        expected = decide_reference.scan(state, cfg, copy.deepcopy(flagged))
+        expected = decide_reference.scan(state, cfg, reference_flagged)
         shuffled = list(node_rows)
         random.Random(interval).shuffle(shuffled)
         with mock.patch.object(detector_module, "selection_threshold", recording_threshold):
-            got = real_scan(interval, shuffled, pod_rows, cfg, flagged)
-        assert got == expected
+            got = real_scan(shuffled, pod_rows, cfg, flagged)
+        assert {app_id: entry.stable_intervals for app_id, entry in got.entries.items()} == {
+            app_id: entry.stable_intervals for app_id, entry in expected.entries.items()
+        }
         assert current["scores"] == [
             decide_reference.comprehensive_utilization(
                 state.nodes[node_id].metrics, cfg.weights_for(node_id)

@@ -1,10 +1,11 @@
 import copy
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
-from ckoord.cluster import ClusterState, NodeState, PodSpec, QosClass
+from ckoord.cluster import ClusterState, NodeState, QosClass
 from ckoord.mitigator import (
     Evict,
     MitigationConfig,
@@ -18,6 +19,7 @@ from ckoord.mitigator import (
     route,
 )
 from ckoord.predictor import DetectionVerdict
+from ckoord.scenario import default_config, validate_config
 from helpers import trace_row
 
 CFG = MitigationConfig()
@@ -63,11 +65,13 @@ def rows_of(pods):
 
 
 def build_state(node_capacity=32.0, pods=()):
-    """pods: (pod_id, app_id, qos, cpu_util) all placed on one node."""
-    state = ClusterState()
-    state.nodes["node-00"] = NodeState("node-00", node_capacity, 64 * 2**30)
+    """pods: (pod_id, app_id, qos, cpu_util) all placed on one node, each
+    pod's app a default app given that id and QoS."""
+    app = validate_config(default_config()).apps["batch"]
+    state = ClusterState(node_capacity, 64 * 2**30)
+    state.nodes["node-00"] = NodeState("node-00")
     for pod_id, app_id, qos, cpu in pods:
-        state.pods[pod_id] = PodSpec(pod_id, app_id, "node-00", qos, 1.0, 2**30)
+        state.pods[pod_id] = replace(app, app_id=app_id, qos=qos)
         state.nodes["node-00"].pod_ids.append(pod_id)
     state.pod_rows = rows_of(pods)
     return state

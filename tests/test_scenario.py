@@ -267,6 +267,9 @@ CONFIG_FAULTS = [
     (["detector.k=NaN"], "detector.k: must be finite, got nan"),
     (["interference.0.start_interval=Infinity"],
      "interference[0].start_interval: must be finite, got inf"),
+    # a pod's requests are its app's, so these are the only request checks
+    (["apps.0.cpu_request=0"], "apps[0].cpu_request: must be >= 1e-09, got 0"),
+    (["apps.2.mem_request=0"], "apps[2].mem_request: must be >= 1.0, got 0"),
 ]
 
 

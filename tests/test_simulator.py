@@ -330,7 +330,7 @@ def test_an_evicted_pod_resumes_its_draws_where_it_stopped():
             if row.app_id == "batch":
                 present.setdefault(row.pod_id, []).append((interval, row.pod_cpu_cores))
         if interval == evicted_at:
-            node_id = sim.state.pods["batch-1"].node_id
+            node_id = node_of(sim.state, "batch-1")
             action = Evict(node_id, ("batch-1",))
             sim._enforce(interval, [PlannedAction(interval, "batch", node_id,
                                                   Severity.SEVERE, action)])
@@ -350,6 +350,12 @@ def test_an_evicted_pod_resumes_its_draws_where_it_stopped():
         assert stream.held.size < 2 * BLOCK_INTERVALS * width
 
 
+def node_of(state, pod_id):
+    """The one node whose placement lists ``pod_id``."""
+    (node_id,) = [node_id for node_id, node in state.nodes.items() if pod_id in node.pod_ids]
+    return node_id
+
+
 def small_cfg(*overrides):
     base = (
         "horizon=12",
@@ -365,14 +371,18 @@ def small_cfg(*overrides):
 @pytest.mark.parametrize("overrides", [(), ("topology.node_count=12",)])
 def test_cluster_invariants_hold_after_every_step_and_enforce(overrides):
     # seed 1 of the packaged scenario evicts a pod and reschedules it; with
-    # 12 nodes, nodes 10 and 11 host no pod
+    # 12 nodes, nodes 10 and 11 host no pod.  A pod's entry is its app's own
+    # profile, never a copy, through eviction and return alike.
     sim = Simulator(cfg_with(*overrides), seed=1)
     enabled = sim.scenario.controllers_enabled
+    apps = sim.scenario.apps
     evicted = rescheduled = 0
     for interval in range(sim.scenario.horizon):
         rows, node_rows, stats = sim.step(interval)
         assert sim.state.pod_rows is rows and sim.state.node_rows is node_rows
         assert validate(sim.state) == [], interval
+        assert sim.state.pods.keys() == {row.pod_id for row in rows}
+        assert all(sim.state.pods[row.pod_id] is apps[row.app_id] for row in rows)
         outcome = sim.loop.observe(interval, rows, node_rows, enabled)
         evicted += sim._enforce(interval, outcome.actions)[0]
         sim._clear_stale_caps()
@@ -398,13 +408,13 @@ def test_an_evicted_pod_returns_on_the_least_busy_node_of_the_interval_before(no
             tied = sorted(row.node_id for row in before if row.node_cpu_total == least)
         rows, _, stats = sim.step(interval)
         if interval == evicted_at:
-            node_id = sim.state.pods["batch-1"].node_id
+            node_id = node_of(sim.state, "batch-1")
             action = Evict(node_id, ("batch-1",))
             sim._enforce(interval, [PlannedAction(interval, "batch", node_id,
                                                   Severity.SEVERE, action)])
     assert stats["rescheduled"] == 1
     assert [row.node_id for row in rows if row.pod_id == "batch-1"] == [tied[0]]
-    assert sim.state.pods["batch-1"].node_id == tied[0]
+    assert node_of(sim.state, "batch-1") == tied[0]
     if nodes == 12:
         assert least == 0.0 and len(tied) == 8 and tied[0] == "node-04"
     else:
