@@ -92,15 +92,14 @@ def selection_threshold(utilizations: list[float], k: float, deviation: str = "v
 
 
 @dataclass
-class FlaggedEntry:
-    stable_intervals: int = 0  # consecutive scans with every hosting node under threshold
-
-
-@dataclass
 class FlaggedApps:
-    """Registry of applications currently under suspicion."""
+    """Registry of applications currently under suspicion.
 
-    entries: dict[str, FlaggedEntry] = field(default_factory=dict)
+    ``entries`` maps each flagged app to its count of consecutive scans with
+    every hosting node under threshold.
+    """
+
+    entries: dict[str, int] = field(default_factory=dict)
 
     def __contains__(self, app_id: str) -> bool:
         return app_id in self.entries
@@ -141,15 +140,14 @@ def scan(
         hosting.setdefault(row.app_id, set()).add(row.node_id)
     for app_id, nodes in hosting.items():
         if nodes & hot and app_id not in flagged.entries:
-            flagged.entries[app_id] = FlaggedEntry()
+            flagged.entries[app_id] = 0
 
     for app_id in flagged.app_ids():
-        entry = flagged.entries[app_id]
         if hosting.get(app_id, set()) & hot:
-            entry.stable_intervals = 0
+            flagged.entries[app_id] = 0
         else:
-            entry.stable_intervals += 1
-            if entry.stable_intervals >= cfg.hysteresis_intervals:
+            flagged.entries[app_id] += 1
+            if flagged.entries[app_id] >= cfg.hysteresis_intervals:
                 del flagged.entries[app_id]
 
     return flagged

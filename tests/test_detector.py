@@ -160,9 +160,9 @@ def test_scan_hot_again_resets_stability_counter():
     cool = four_node_rows(hot_m=(0.1, 0.1, 0.1))
     scan(*cool, cfg, flagged)
     scan(*cool, cfg, flagged)
-    assert flagged.entries["A"].stable_intervals == 2
+    assert flagged.entries["A"] == 2
     scan(*four_node_rows(), cfg, flagged)  # hot again
-    assert flagged.entries["A"].stable_intervals == 0
+    assert flagged.entries["A"] == 0
     scan(*cool, cfg, flagged)
     assert "A" in flagged
 

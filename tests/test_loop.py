@@ -413,7 +413,7 @@ def drive_against_reference(window, steps):
         random.Random(interval).shuffle(shuffled)
         with mock.patch.object(detector_module, "selection_threshold", recording_threshold):
             got = real_scan(shuffled, pod_rows, cfg, flagged)
-        assert {app_id: entry.stable_intervals for app_id, entry in got.entries.items()} == {
+        assert got.entries == {
             app_id: entry.stable_intervals for app_id, entry in expected.entries.items()
         }
         assert current["scores"] == [
