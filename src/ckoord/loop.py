@@ -20,6 +20,7 @@ import logging
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -223,7 +224,7 @@ class ControlLoop:
                 raise ValueError(
                     f"interval {interval}: pod {row.pod_id} on unknown node {row.node_id}"
                 )
-        if len({row.pod_id for row in pod_rows}) != len(pod_rows):
+        if len(set(map(attrgetter("pod_id"), pod_rows))) != len(pod_rows):
             rows = Counter(row.pod_id for row in pod_rows)
             repeated = min(pod_id for pod_id, n in rows.items() if n > 1)
             raise ValueError(f"interval {interval}: {rows[repeated]} rows for pod {repeated}")
