@@ -8,7 +8,6 @@ CKOORD_LOG=DEBUG (or any logging level name) for diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -29,6 +28,7 @@ from .scenario import (
     apply_overrides,
     default_config,
     load_config,
+    read_object,
     train_config,
     validate_config,
 )
@@ -76,9 +76,9 @@ def _load_scenario(args: argparse.Namespace) -> dict:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _load_scenario(args)
+    simulator = Simulator(_load_scenario(args), args.seed)  # a config fault leaves no --out
     os.makedirs(args.out, exist_ok=True)
-    result = Simulator(cfg, args.seed).run()
+    result = simulator.run()
     if args.set:
         result.report["overrides"] = sorted(args.set)
     report_path = os.path.join(args.out, "report.json")
@@ -245,8 +245,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         path = os.path.join(run_dir, "report.json")
         if not os.path.isfile(path):
             raise ConfigError(f"{run_dir}: no report.json found")
-        with open(path, encoding="utf-8") as handle:
-            reports.append((run_dir.rstrip("/"), json.load(handle)))
+        reports.append((run_dir.rstrip("/"), read_object(path)[0]))
     apps = sorted({app for _, rep in reports for app in rep.get("latency_ms", {})})
     names = [name for name, _ in reports]
     header = f"{'app':<10} {'phase':<13} {'metric':<7}"

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 from .trace import NodeRow, TraceRow
 
-WEIGHT_SLACK = 1e-9
-
 
 @dataclass(frozen=True)
 class UtilizationWeights:
@@ -25,14 +23,6 @@ class UtilizationWeights:
     beta: float = 1.0 / 3.0
     gamma: float = 1.0 / 3.0
 
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        total = self.alpha + self.beta + self.gamma
-        if abs(total - 1.0) > WEIGHT_SLACK:
-            raise ValueError(f"weights sum to {total}, expected 1")
-
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -41,14 +31,6 @@ class DetectorConfig:
     hysteresis_intervals: int = 12
     default_weights: UtilizationWeights = field(default_factory=UtilizationWeights)
     node_weights: dict[str, UtilizationWeights] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError("k must be non-negative")
-        if self.deviation not in ("variance", "std"):
-            raise ValueError(f"deviation must be 'variance' or 'std', got {self.deviation!r}")
-        if self.hysteresis_intervals < 1:
-            raise ValueError("hysteresis_intervals must be >= 1")
 
     def weights_for(self, node_id: str) -> UtilizationWeights:
         return self.node_weights.get(node_id, self.default_weights)
@@ -73,11 +55,11 @@ def comprehensive_utilization(
     return w.alpha * mem_term + w.beta * cpu_term + w.gamma * shared_term
 
 
-def selection_threshold(utilizations: list[float], k: float, deviation: str = "variance") -> float:
+def selection_threshold(utilizations: list[float], k: float, deviation: str) -> float:
     """mean + k * spread over the per-node scores.
 
-    The spread is the population variance by default (the literal form this
-    pipeline is specified with); 'std' switches to the standard deviation.
+    The spread is the population variance under 'variance' (the literal form
+    this pipeline is specified with), the standard deviation under 'std'.
     """
     if not utilizations:
         raise ValueError("no utilization scores")

@@ -102,21 +102,6 @@ class TrainConfig:
     min_samples_leaf: int = 2
     base_score: float = 0.0
 
-    def __post_init__(self) -> None:
-        # learning_rate 0 is degenerate but defined: predictions stay at base_score.
-        if not 0.0 <= self.learning_rate <= 1.0:
-            raise ValueError(f"learning_rate {self.learning_rate} outside [0, 1]")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if self.tau < 0:
-            raise ValueError("tau must be >= 0")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if self.num_rounds < 1:
-            raise ValueError("num_rounds must be >= 1")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
-
 
 @dataclass
 class TreeNode:

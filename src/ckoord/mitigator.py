@@ -34,16 +34,6 @@ class MitigationConfig:
     eviction_ratio: float = 0.25        # mu: evict BE pods above mu * node capacity
     cooldown_intervals: int = 2
 
-    def __post_init__(self) -> None:
-        if self.severity_boundary <= 1.0:
-            raise ValueError("severity_boundary must exceed 1")
-        if not 0.0 <= self.cpu_reserve_fraction < 1.0:
-            raise ValueError("cpu_reserve_fraction must be in [0, 1)")
-        if not 0.0 < self.eviction_ratio <= 1.0:
-            raise ValueError("eviction_ratio must be in (0, 1]")
-        if self.cooldown_intervals < 0:
-            raise ValueError("cooldown_intervals must be >= 0")
-
 
 @dataclass(frozen=True)
 class Suppress:

@@ -31,25 +31,11 @@ class LoadFactorWeights:
     mem: float = 0.3
     miss: float = 0.2
 
-    def __post_init__(self) -> None:
-        for name in ("cpu", "mem", "miss"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} weight must be non-negative")
-        total = self.cpu + self.mem + self.miss
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"load factor weights sum to {total}, expected 1")
-
 
 @dataclass(frozen=True)
 class ThresholdParams:
     k1: float = 3.0  # scales the rolling std of measured CPI
     k2: float = 0.1  # scales the load factor floor
-
-    def __post_init__(self) -> None:
-        if self.k1 < 0 or self.k2 < 0:
-            raise ValueError("k1 and k2 must be non-negative")
-        if self.k1 == 0 and self.k2 == 0:
-            raise ValueError("k1 and k2 cannot both be zero")
 
 
 @dataclass(frozen=True)
@@ -60,14 +46,6 @@ class PredictorConfig:
     delta_mode: str = "signed"       # "signed": |mean of differences|; "absolute": mean of |differences|
     min_history_windows: int = 2     # training deferred below min_history_windows * window rows
     train: TrainConfig = field(default_factory=TrainConfig)
-
-    def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.delta_mode not in ("signed", "absolute"):
-            raise ValueError(f"delta_mode must be 'signed' or 'absolute', got {self.delta_mode!r}")
-        if self.min_history_windows < 1:
-            raise ValueError("min_history_windows must be >= 1")
 
     @property
     def min_history_rows(self) -> int:
@@ -83,20 +61,17 @@ class DetectionVerdict:
     csi: float | None  # None unless detected; math.inf when threshold is 0 and delta > 0
 
 
-def load_factor(
-    features: Sequence[float], n_max: float, weights: LoadFactorWeights | None = None
-) -> float:
+def load_factor(features: Sequence[float], n_max: float, weights: LoadFactorWeights) -> float:
     """Weighted saturation of a pod from its model input; always in [0, 1].
 
     The request ratios (slots 0 and 1) count up to 1.  The miss term is the
     pod's L3 miss rate (slot 6) over n_max, the largest rate seen so far, and
     is 0 until a miss has been seen (n_max == 0).
     """
-    w = weights or LoadFactorWeights()
     cpu_ratio = min(1.0, float(features[0]))
     mem_ratio = min(1.0, float(features[1]))
     miss_ratio = min(1.0, float(features[6]) / n_max) if n_max > 0 else 0.0
-    return w.cpu * cpu_ratio + w.mem * mem_ratio + w.miss * miss_ratio
+    return weights.cpu * cpu_ratio + weights.mem * mem_ratio + weights.miss * miss_ratio
 
 
 def cpi_threshold(
@@ -117,13 +92,13 @@ def cpi_threshold(
     return params.k1 * rolling_std(actual, window, mean) + params.k2 * load
 
 
-def delta_cpi(pairs: Sequence[tuple[float, float]], mode: str = "signed") -> float:
+def delta_cpi(pairs: Sequence[tuple[float, float]], mode: str) -> float:
     """Deviation between recent predictions and the smoothed measured CPI.
 
     Each pair is a prediction and the rolling mean of the measured CPI at the
-    interval the prediction was made.  'signed' (default) averages the
-    differences first and takes the absolute value, so alternating
-    over/under-shoot cancels; 'absolute' averages magnitudes.
+    interval the prediction was made.  'signed' averages the differences
+    first and takes the absolute value, so alternating over/under-shoot
+    cancels; 'absolute' averages magnitudes.
     """
     if not pairs:
         raise ValueError("no predictions")

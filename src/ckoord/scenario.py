@@ -6,6 +6,8 @@ recalibration never needs a code change.  ``--set a.b.c=value`` overrides
 descend the same key paths and are echoed into run reports.
 ``validate_config`` is the one reading of the document: it checks every key,
 rejects any other, and returns the typed ``Scenario`` simulate and replay run on.
+It and ``train_config`` hold the only copy of the rules: the config records
+they build check nothing of their own.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from json.decoder import WHITESPACE, scanstring
 from typing import Any, NoReturn
 
 from .cluster import QosClass
-from .detector import WEIGHT_SLACK, DetectorConfig, UtilizationWeights
+from .detector import DetectorConfig, UtilizationWeights
 from .gbdt import TrainConfig
 from .mitigator import MitigationConfig
 from .predictor import LoadFactorWeights, PredictorConfig, ThresholdParams
@@ -28,6 +30,7 @@ from .trace import id_fault
 
 VALID_QOS = tuple(q.value for q in QosClass)
 VALID_KINDS = ("cpu_hog", "mem_pressure", "cache_thrash")
+WEIGHT_SLACK = 1e-9  # how far a weight triple's sum may stray from 1
 _SECTIONS = ("topology", "workload", "ground_truth", "controllers", "detector", "predictor",
              "mitigator", "qos_weights")  # the objects of the top level
 
@@ -262,18 +265,29 @@ def default_config() -> dict:
     return json.loads(text)
 
 
-def load_config(path: str) -> dict:
+def read_object(path: str) -> tuple[dict, str]:
+    """The JSON object in the file at ``path``, and the file's text.
+
+    Raises ConfigError with the line of a syntax error, or when the top
+    level is not an object.
+    """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
     try:
-        cfg = json.loads(raw)
+        value = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} (line {exc.lineno}): {exc.msg}") from exc
-    if not isinstance(cfg, dict):
+    if not isinstance(value, dict):
         raise ConfigError(f"{path} (line 1): top level must be an object")
+    return value, raw
+
+
+def load_config(path: str) -> dict:
+    """The config in the file at ``path``, validated so that a fault names its line."""
+    cfg, raw = read_object(path)
     validate_config(cfg, raw)
     return cfg
 
@@ -294,7 +308,7 @@ def parse_override(text: str) -> tuple[list[str], Any]:
 
 
 def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
-    """Apply --set overrides to a deep copy; re-validates the result."""
+    """Apply --set overrides to a deep copy; the paths are checked, the values are not."""
     out = copy.deepcopy(cfg)
     for text in overrides:
         path, value = parse_override(text)
@@ -319,7 +333,6 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
             cursor[leaf] = value
         else:
             raise ConfigError(f"override {text!r}: cannot assign into {type(cursor).__name__}")
-    validate_config(out, None)
     return out
 
 
@@ -338,6 +351,7 @@ class Options(_Object):
 def train_config(train: _Object) -> TrainConfig:
     """The boosting hyperparameters of ``predictor.train``, or of the
     ``ckoord train`` options, checked against their bounds."""
+    # learning_rate 0 is degenerate but defined: predictions stay at base_score.
     return TrainConfig(
         learning_rate=train.number("learning_rate", 0, 1),
         lam=train.number("lam", 0),

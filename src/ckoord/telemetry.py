@@ -12,9 +12,6 @@ from __future__ import annotations
 
 import math
 
-DEFAULT_WINDOW = 60          # samples; 5 min at the 5 s cadence
-DEFAULT_RETENTION_FACTOR = 4  # ring keeps retention_factor * window samples
-
 
 class OrderingError(ValueError):
     """Appended sample does not advance the series timestamp."""
@@ -31,9 +28,7 @@ class TimeSeries:
     ``(timestamps[i], values[i])``.
     """
 
-    def __init__(
-        self, name: str, capacity: int = DEFAULT_RETENTION_FACTOR * DEFAULT_WINDOW
-    ) -> None:
+    def __init__(self, name: str, capacity: int) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.name = name

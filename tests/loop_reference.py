@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from ckoord.cluster import QosClass
-from ckoord.telemetry import DEFAULT_RETENTION_FACTOR, DEFAULT_WINDOW, EmptyWindowError, OrderingError
+from ckoord.telemetry import EmptyWindowError, OrderingError
 
 
 @dataclass
@@ -121,7 +121,7 @@ class TimeSeries:
     """Append-only ring of samples with strictly increasing timestamps."""
 
     name: str
-    capacity: int = DEFAULT_RETENTION_FACTOR * DEFAULT_WINDOW
+    capacity: int
     samples: list[MetricSample] = field(default_factory=list)
 
     def __post_init__(self) -> None:

@@ -113,7 +113,7 @@ def test_criterion_2_formula_spot_checks():
     if abs(u - 5.0 / 6.0) > 1e-9:
         failures.append(f"saturated-node utilization {u} != 5/6")
 
-    th = selection_threshold([0.2, 0.6], 3.0)
+    th = selection_threshold([0.2, 0.6], 3.0, "variance")
     if abs(th - 0.52) > 1e-12:
         failures.append(f"selection threshold {th} != 0.52")
 

