@@ -31,6 +31,8 @@ from .scenario import (
     read_object,
     train_config,
     validate_config,
+    _number,
+    _typed,
 )
 from .simulator import Simulator, report_to_json
 from .trace import (
@@ -232,6 +234,25 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
+LATENCY_PHASES, LATENCY_KEYS = ("normal", "interference"), ("p50", "p90", "p99")
+
+
+def _check_latency(report: dict, raw: str) -> None:
+    """Refuse a ``latency_ms`` that is not {app: {phase: {key: number or
+    null} or null}}; a fault names its key path and line."""
+    apps = _typed(report.get("latency_ms", {}), raw, "latency_ms", (dict,))
+    for app, phases in apps.items():
+        _typed(phases, raw, f"latency_ms.{app}", (dict,))
+        for phase in LATENCY_PHASES:
+            block = phases.get(phase)
+            if block is None:
+                continue
+            _typed(block, raw, f"latency_ms.{app}.{phase}", (dict,))
+            for key in LATENCY_KEYS:
+                if block.get(key) is not None:
+                    _number(block[key], raw, f"latency_ms.{app}.{phase}.{key}")
+
+
 def _latency_cell(report: dict, app: str, phase: str, key: str) -> float | None:
     block = report.get("latency_ms", {}).get(app, {}).get(phase)
     if block is None:
@@ -245,7 +266,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
         path = os.path.join(run_dir, "report.json")
         if not os.path.isfile(path):
             raise ConfigError(f"{run_dir}: no report.json found")
-        reports.append((run_dir.rstrip("/"), read_object(path)[0]))
+        report, raw = read_object(path)
+        try:
+            _check_latency(report, raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+        reports.append((run_dir.rstrip("/"), report))
     apps = sorted({app for _, rep in reports for app in rep.get("latency_ms", {})})
     names = [name for name, _ in reports]
     header = f"{'app':<10} {'phase':<13} {'metric':<7}"
@@ -261,8 +287,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         + [f"delta_pct_{os.path.basename(n) or n}" for n in names[1:]]
     ]
     for app in apps:
-        for phase in ("normal", "interference"):
-            for key in ("p50", "p90", "p99"):
+        for phase in LATENCY_PHASES:
+            for key in LATENCY_KEYS:
                 cells = [_latency_cell(rep, app, phase, key) for _, rep in reports]
                 if all(c is None for c in cells):
                     continue

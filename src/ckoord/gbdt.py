@@ -19,10 +19,17 @@ distinct sorted feature values, routing is strictly ``x[feature] < threshold``
 to the left child.  Ties on gain prefer the lower feature index, then the
 lower threshold; to keep that deterministic regardless of summation order,
 the winning candidate per feature is re-scored from row-order sums before
-the cross-feature comparison.  A child's G is the winner's re-scored sum, the
-sum of the child's own rows in ascending order.  Growth stops when the best
-gain is <= 0, the depth limit is reached, or a child would fall under
-min_samples_leaf.
+the cross-feature comparison.  Only a feature that can still win is
+re-scored: one whose prefix-sum gain is at least ``top - 2E``, where top is
+the best prefix-sum gain of the node and E bounds, from the rounding error
+of each sum and of the gain formula (Higham, Accuracy and Stability of
+Numerical Algorithms, section 4.2; derived at _best_split), how far a
+candidate's prefix-sum gain and its re-score can differ.  Any other feature
+re-scores strictly below the leader, so the chosen split is the same bits;
+where E or top is not finite, every feature with a candidate is re-scored.
+A child's G is the winner's re-scored sum, the sum of the child's own rows
+in ascending order.  Growth stops when the best gain is <= 0, the depth
+limit is reached, or a child would fall under min_samples_leaf.
 
 Trees are grown from pre-sorted column blocks, as in XGBoost's exact greedy
 method.  X never changes within a fit, so what X and a node's rows fix is
@@ -45,7 +52,10 @@ train_ensemble.  A child that must be a leaf needs only its G and n, so it
 gets no layout.
 
 The ensemble prediction is base_score + learning_rate * sum of tree outputs;
-the shrinkage factor is uniform across rounds.
+the shrinkage factor is uniform across rounds.  While training, each round
+adds learning_rate * w of every leaf to the running predictions of the rows
+the round's partition sent there, read from the layouts it built or reused,
+so no row is walked through the new tree.
 
 Prediction walks a packed forest, after QuickScorer (Lucchese et al., SIGIR
 2015): every node of every tree is one slot of flat arrays (feature,
@@ -140,7 +150,7 @@ def split_gain(
 
 
 # Per-round (feature, row) arrays hold at most this many cells, 64 KiB of
-# float64.  Layouts are built, scored and re-scored a block of features at a
+# float64.  Layouts are built and scored a block of features at a
 # time: nodes of up to 910 rows take all nine features in one pass, a larger
 # node a few, so those arrays stay in cache and under malloc's mmap threshold
 # instead of faulting in fresh pages at every node.  Prediction walks at most
@@ -201,23 +211,16 @@ class _Layout:
         self.at, self.n_left = at, n_left
 
 
-def _feature_winners(
-    g: np.ndarray, node: _Layout, cfg: TrainConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per feature: whether it has a valid candidate, and its best threshold.
+def _candidate_gains(g: np.ndarray, node: _Layout, cfg: TrainConfig) -> np.ndarray:
+    """The prefix-sum gain of every candidate, -inf where it is not finite.
 
     Block by block, g is gathered in each feature's sorted order and summed
     sequentially over every row, as a dense scan would; the split-gain
     formula is then applied at the candidates alone, one operation at a time
     to the same operands, so each candidate's gain has the bits a gain at
-    every position would give it.  Other positions could never win, so the
-    first maximum among a feature's candidates is its lowest winning
-    threshold, as it is among all positions.
+    every position would give it.
     """
     d, m = node.order.shape
-    found, cut = np.zeros(d, dtype=bool), np.zeros(d)
-    if not node.has.size:
-        return found, cut
     g_tot, g_pre = np.empty(d), []
     for block, order, c0, c1 in node.blocks:
         g_cum = g.take(order)
@@ -243,16 +246,71 @@ def _feature_winners(
         gains *= 0.5
         gains -= cfg.tau
     gains[~np.isfinite(gains)] = -np.inf
+    return gains
+
+
+def _feature_winners(
+    g: np.ndarray, node: _Layout, cfg: TrainConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per feature: the best prefix-sum gain of its candidates, -inf where
+    it has none with a finite gain, and the threshold of its first one.
+
+    Positions that are not candidates could never win, so the first maximum
+    among a feature's candidates is its lowest winning threshold, as it is
+    among all positions.
+    """
+    d = node.order.shape[0]
+    prefix, cut = np.full(d, -np.inf), np.zeros(d)
+    if not node.has.size:
+        return prefix, cut
+    gains = _candidate_gains(g, node, cfg)
     best = np.maximum.reduceat(gains, node.runs)
+    prefix[node.has] = best
     hits = (gains == best.repeat(node.counts)).nonzero()[0]
     won = best > -np.inf
     features = node.has[won]
     at = node.at.take(hits.take(hits.searchsorted(node.runs[won])))  # each run's first maximum
     # the midpoint of each winner's sorted values, formed as when it was a candidate
     below = node.XT[features, node.order.take(at)]
-    found[features] = True
     cut[features] = (below + node.XT[features, node.order.take(at + 1)]) / 2.0
-    return found, cut
+    return prefix, cut
+
+
+_U = 2.0**-53  # unit roundoff of float64
+
+
+def _rescore_bound(g_node: np.ndarray, cfg: TrainConfig) -> float:
+    """E: at any candidate of a node with gradients ``g_node``, the prefix
+    gain and the re-scored gain differ by at most E; inf where that is not
+    shown (see _best_split)."""
+    m = g_node.size
+    d_min = cfg.min_samples_leaf + cfg.lam  # no gain divides by less
+    if not d_min > 0.0:
+        return math.inf  # a denominator may vanish
+    s = float(np.add.reduce(np.abs(g_node)))
+    gamma_3, gamma_sum = 3 * _U / (1 - 3 * _U), (2 * m + 1) * _U / (1 - (2 * m + 1) * _U)
+    sigma = gamma_sum * s  # every computed GL, GR or G lies this near its exact sum
+    a = s + sigma          # and so under this in magnitude
+    t_max = (1 + gamma_3) * a * a / d_min  # no computed term of the formula exceeds this
+    if not math.isfinite(4.0 * max(a * a, t_max) + abs(cfg.tau)):
+        return math.inf  # a term may overflow
+    e_term = (sigma * (2 * s + sigma) + gamma_3 * a * a) / d_min
+    e_path = 1.5 * e_term + 5 * _U * t_max + _U * abs(cfg.tau) + (3 / d_min + 4) * 2.0**-1074
+    return 2.0 * (2.0 * e_path)  # two paths, then a safety factor of 2
+
+
+def _rescore(
+    g_node: np.ndarray, x: np.ndarray, threshold: float, cfg: TrainConfig
+) -> tuple[float, tuple[float, int], tuple[float, int]]:
+    """Gain of splitting at ``x < threshold`` from row-order sums, and
+    each side's (G, n); ``x`` and ``g_node`` are the node's rows ascending."""
+    left = x < threshold
+    n_left, m = int(np.count_nonzero(left)), x.size
+    add = np.add.reduce  # ndarray.sum's pairwise sum, without its Python wrapper
+    g_left = float(add(g_node.compress(left)))
+    g_right = float(add(g_node.compress(~left)))
+    gain = split_gain(g_left, n_left, g_right, m - n_left, cfg.lam, cfg.tau)
+    return gain, (g_left, n_left), (g_right, m - n_left)
 
 
 def _best_split(
@@ -260,28 +318,57 @@ def _best_split(
 ) -> tuple[float, int, float, tuple[tuple[float, int], tuple[float, int]]] | None:
     """Best split of one node over every feature, or None.
 
-    Returns (gain, feature, threshold, ((G, n) left, (G, n) right)).  Each
+    Returns (gain, feature, threshold, ((G, n) left, (G, n) right)).  A
     feature's winner is re-scored from row-order sums, ``node.rows`` being
-    ascending, so gains are comparable across features bit for bit; a child's
-    G is therefore the sum of its own rows in ascending order.
+    ascending, so gains are comparable across features bit for bit; a
+    child's G is therefore the sum of its own rows in ascending order.
+
+    Only the contenders are re-scored: the features whose prefix gain is at
+    least ``top - 2E``, ``top`` being the best prefix gain and E the bound
+    of _rescore_bound.  A feature below that re-scores to at most its prefix
+    gain + E < top - E, and top's feature re-scores to at least top - E, so
+    it can neither win nor tie, and the chosen split keeps every bit.
+
+    E, after Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    sections 2.2 and 4.2, with u = 2**-53 and gamma_k = k u / (1 - k u).
+    Let S be the sum of |g| over the node's m rows.  A sum of k terms formed
+    in any order, sequential or pairwise, lies within gamma_(k-1) times the
+    sum of their magnitudes of the exact sum.  So the prefix GL and total G
+    of a cumsum and the row-order GL and GR each lie within gamma_m S of
+    theirs, G = GL + GR of those within gamma_(m+1) S, and GR = G - GL of
+    the cumsum within 2 gamma_m S + u (1 + 2 gamma_m) S <= gamma_(2m+1) S
+    =: sigma.  Every computed sum is then at most a = S + sigma in
+    magnitude.  Each term a^2 / D takes three roundings (the square, D = n +
+    lam and the division), D >= min_samples_leaf + lam =: D_min, so it lies
+    within e_term = (sigma (2 S + sigma) + gamma_3 a^2) / D_min of its exact
+    value and is at most t_max = (1 + gamma_3) a^2 / D_min.  The two
+    additions, the halving and the tau subtraction add at
+    most 5 u t_max + u |tau|, so each path's gain lies within e_path = 1.5
+    e_term + 5 u t_max + u |tau| of the exact gain, plus (3 / D_min + 4)
+    2**-1074 for the squares, divisions and halving that may underflow.  The
+    two paths therefore differ by at most 2 e_path; E doubles that, which
+    covers S being summed in floating point, the rounding of E's own
+    operations and of ``top - 2E``.
+
+    Where ``top - 2E`` is not finite (E is not shown, because a term may
+    overflow or D_min is not positive, or no feature has a candidate), or a
+    threshold is infinite (the midpoint of two values past half the float
+    range, which moves rows across the split), every feature with a
+    candidate is re-scored.
     """
-    found, cut = _feature_winners(g, node, cfg)
-    rows = node.rows
-    m = rows.size
-    g_node = g[rows]
-    add = np.add.reduce  # ndarray.sum's pairwise sum, without its Python wrapper
+    prefix, cut = _feature_winners(g, node, cfg)
+    rows, XT = node.rows, node.XT
+    g_node = g.take(rows)
+    floor = float(prefix.max()) - 2.0 * _rescore_bound(g_node, cfg)
+    if math.isfinite(floor) and np.isfinite(cut).all():
+        contenders = np.flatnonzero(prefix >= floor)
+    else:
+        contenders = np.flatnonzero(prefix > -np.inf)
     best = None
-    for block, *_ in node.blocks:  # every feature with a candidate, a block at a time
-        left = node.XT[block].take(rows, axis=1) < cut[block, None]
-        right = ~left
-        n_left = np.count_nonzero(left, axis=1).tolist()
-        for i in np.flatnonzero(found[block]).tolist():
-            f = block.start + i
-            g_left = float(add(g_node.compress(left[i])))
-            g_right = float(add(g_node.compress(right[i])))
-            gain = split_gain(g_left, n_left[i], g_right, m - n_left[i], cfg.lam, cfg.tau)
-            if best is None or gain > best[0]:  # ties keep the lower feature index
-                best = (gain, f, float(cut[f]), ((g_left, n_left[i]), (g_right, m - n_left[i])))
+    for f in contenders.tolist():
+        gain, left, right = _rescore(g_node, XT[f].take(rows), float(cut[f]), cfg)
+        if best is None or gain > best[0]:  # ties keep the lower feature index
+            best = (gain, f, float(cut[f]), (left, right))
     return best
 
 
@@ -513,14 +600,40 @@ def train_ensemble(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> Ensemble:
         feature_count=X.shape[1],
     )
     preds = np.full(X.shape[0], cfg.base_score, dtype=np.float64)
+    step = np.empty_like(preds)
     root = _root_layout(X, cfg)  # X is fixed, so sort and lay out its rows once per fit
     for _ in range(cfg.num_rounds):
         g = preds - y
         tree = fit_tree(X, g, cfg, root=root)
         ensemble.trees.append(tree)
-        preds += cfg.learning_rate * tree_predict(tree, X)
+        _leaf_values(tree, root, step)
+        step *= cfg.learning_rate
+        preds += step
     ensemble.train_predictions = preds
     return ensemble
+
+
+def _leaf_values(tree: TreeNode, root: _Layout, out: np.ndarray) -> None:
+    """Set ``out[i]`` to the weight of the leaf that row i of the fit reaches.
+
+    Each leaf's rows come from the layouts the round just built or reused:
+    a layout that split no further is a leaf over its own rows, and a child
+    with no layout gets its parent's rows on its side of the split.  The
+    rows are the ones tree_predict would route there, so the running
+    predictions take the same one addition per row and round.
+    """
+    stack = [(tree, root)]
+    while stack:
+        node, layout = stack.pop()
+        if node.is_leaf:
+            out[layout.rows] = node.weight
+            continue
+        (feature, threshold), kids = layout.split
+        if kids[0] is None or kids[1] is None:
+            # both sides at once; a side with a layout is overwritten below
+            go_left = layout.XT[feature].take(layout.rows) < threshold
+            out[layout.rows] = np.where(go_left, node.left.weight, node.right.weight)
+        stack += ((child, kid) for child, kid in zip((node.left, node.right), kids) if kid)
 
 
 def regression_metrics(

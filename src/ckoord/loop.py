@@ -184,6 +184,7 @@ class ControlLoop:
         self.cache = ModelCache(scenario.predictor)
         self.pods: dict[str, PodRecord] = {}
         self.last_action: dict[str, int] = {}        # node_id -> interval
+        self.last_interval: int | None = None        # the last interval observed
         self.n_max = 0.0
         self.models_trained: dict[str, list[dict]] = {}
 
@@ -202,8 +203,12 @@ class ControlLoop:
     def _check_rows(
         self, interval: int, pod_rows: list[TraceRow], node_rows: list[NodeRow]
     ) -> None:
-        """Refuse an interval unless the node rows name each scenario node
-        once and the pod rows name each pod once, on a scenario node."""
+        """Refuse an interval unless it comes after the last one observed,
+        the node rows name each scenario node once and the pod rows name
+        each pod once, on a scenario node."""
+        last = self.last_interval
+        if last is not None and interval <= last:
+            raise ValueError(f"interval {interval}: does not come after interval {last}")
         named = {row.node_id for row in node_rows}
         nodes = self.node_ids
         if len(node_rows) != len(nodes):
@@ -244,6 +249,7 @@ class ControlLoop:
         if not controllers_enabled:
             return outcome  # nothing decides, so nothing is recorded
         self._check_rows(interval, pod_rows, node_rows)  # a refused interval records nothing
+        self.last_interval = interval
         # one pass: record every pod, and group its row by app
         by_app: dict[str, list[tuple[TraceRow, PodRecord]]] = {}
         for row in pod_rows:

@@ -582,6 +582,28 @@ def test_corrupt_report_json_is_exit_2_with_its_line(tmp_path, capsys, text, fau
     assert capsys.readouterr().err == f"error: {tmp_path / 'report.json'} {fault}\n"
 
 
+@pytest.mark.parametrize(
+    "latency, fault",
+    [
+        ({"web": {"normal": {"p50": "x"}}},
+         "latency_ms.web.normal.p50 (line 5): expected int/float, got str"),
+        ({"web": 1}, "latency_ms.web (line 3): expected dict, got int"),
+        ({"web": {"interference": [1]}},
+         "latency_ms.web.interference (line 4): expected dict, got list"),
+        ({"web": {"normal": {"p99": 10**400}}},
+         "latency_ms.web.normal.p99 (line 5): must be finite, got an integer past the float range"),
+        ([], "latency_ms (line 2): expected dict, got list"),
+    ],
+    ids=["string_cell", "number_app", "list_phase", "int_past_float", "list"],
+)
+def test_report_with_a_bad_latency_cell_is_exit_2_with_its_key_path(
+    tmp_path, capsys, latency, fault
+):
+    (tmp_path / "report.json").write_text(json.dumps({"latency_ms": latency}, indent=1))
+    assert run_cli("report", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'report.json'}: {fault}\n"
+
+
 def test_each_config_source_is_validated_once(tmp_path, monkeypatch):
     # the file is read once to locate its faults, the --set result once to run
     cfg = write_small_cfg(tmp_path)

@@ -529,6 +529,101 @@ def test_train_ensemble_is_bit_identical_to_the_hessian_trainer(case):
     assert ensemble_to_json(train_ensemble(X, y, cfg)) == want
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(boosting_runs())
+def test_train_predictions_are_the_ensembles_own_predictions(case):
+    """The leaf updates add each round's term to the rows the partition
+    routes to each leaf, as the packed walk adds it, so the trainer's
+    predictions are predict(X) bit for bit."""
+    X, y, cfg = case
+    model = train_ensemble(X, y, cfg)
+    assert model.train_predictions.tobytes() == model.predict(X).tobytes()
+
+
+# strictly monotone maps: each keeps a column's partitions, so its gains
+# differ from the column's only by rounding
+MONOTONE = (lambda x: 2.0 * x, lambda x: -x, lambda x: x**3, lambda x: x - 0.1)
+
+
+@st.composite
+def near_tie_nodes(draw):
+    """A fit_tree input whose features tie or nearly tie at every node.
+
+    Each column after the first is a copy of an earlier one (an exact tie,
+    which the lower index must win), a strictly monotone map of one, or now
+    and then a fresh column, which the contender rule may leave out.  The
+    gradients are continuous, or alternate in sign around a common size so
+    that S = sum |g| is far above any |G|.
+    """
+    m = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fresh = lambda: rng.choice(LEVELS, size=m) if draw(st.booleans()) else rng.normal(size=m)
+    columns = [fresh()]
+    for _ in range(draw(st.integers(1, FEATURE_COUNT - 1))):
+        source = columns[draw(st.integers(0, len(columns) - 1))]
+        op = draw(st.sampled_from((None, "fresh") + MONOTONE))
+        columns.append(source.copy() if op is None else fresh() if op == "fresh" else op(source))
+    X = np.column_stack(columns)
+    size = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    if draw(st.booleans()):
+        g = rng.normal(scale=size, size=m)
+    else:
+        signs = np.where(np.arange(m) % 2, -1.0, 1.0)
+        g = size * signs + rng.normal(scale=size * draw(st.sampled_from([1e-6, 1e-12])), size=m)
+    cfg = TrainConfig(
+        lam=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        tau=draw(st.sampled_from([0.0, 0.1])),
+        max_depth=draw(st.integers(1, 3)),
+        min_samples_leaf=draw(st.integers(1, 3)),
+    )
+    return X, g, cfg
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(near_tie_nodes())
+def test_contender_rule_keeps_the_bytes_at_near_ties(case):
+    """Re-scoring only the features whose prefix gain is within 2E of the
+    best grows the hessian trainer's tree, and E bounds, at every candidate
+    of every node the fit laid out, the gap between its prefix gain and its
+    row-order re-score."""
+    X, g, cfg = case
+    ref = fit_reference.fit_tree(X, g, np.ones(g.size), cfg)
+    root = gbdt._root_layout(X, cfg)
+    tree = fit_tree(X, g, cfg, root=root)
+    assert ensemble_to_json(Ensemble(trees=[tree])) == ensemble_to_json(Ensemble(trees=[ref]))
+    for layout in held_layouts(root, tree):
+        m = layout.rows.size
+        if not layout.has.size:
+            continue
+        g_node = g.take(layout.rows)
+        bound = gbdt._rescore_bound(g_node, cfg)
+        assert np.isfinite(bound)
+        gains = gbdt._candidate_gains(g, layout, cfg)
+        for gain, at, n_left in zip(gains.tolist(), layout.at.tolist(), layout.n_left.tolist()):
+            f, pos = divmod(at, m)
+            x = layout.XT[f].take(layout.rows)
+            below, above = layout.XT[f, layout.order[f, pos : pos + 2]]
+            rescored, (_, count), _ = gbdt._rescore(g_node, x, (below + above) / 2.0, cfg)
+            assert count == n_left  # the threshold separates the candidate's rows
+            assert abs(gain - rescored) <= bound
+
+
+def test_rescore_bound_is_infinite_where_it_is_not_shown():
+    g = np.array([1.0, -2.0, 0.5])
+    assert np.isfinite(gbdt._rescore_bound(g, TrainConfig(lam=0.0, min_samples_leaf=1)))
+    # a square that overflows, or a denominator that may vanish
+    assert gbdt._rescore_bound(1e160 * g, TrainConfig()) == np.inf
+    assert gbdt._rescore_bound(g, TrainConfig(lam=-1.0, min_samples_leaf=1)) == np.inf
+    assert gbdt._rescore_bound(g, TrainConfig(lam=float("nan"))) == np.inf
+    # every feature is then re-scored, so the trees still match
+    X = np.array([[0.0, 3.0], [1.0, 2.0], [2.0, 1.0], [3.0, 0.0]])
+    gs, cfg = 1e160 * np.array([1.0, -2.0, 0.5, 0.25]), TrainConfig(min_samples_leaf=1)
+    with np.errstate(over="ignore"):
+        want = fit_reference.fit_tree(X, gs, np.ones(4), cfg)
+        got = fit_tree(X, gs, cfg)
+    assert ensemble_to_json(Ensemble(trees=[got])) == ensemble_to_json(Ensemble(trees=[want]))
+
+
 def held_layouts(layout, tree):
     """The layouts ``layout`` still holds below it, checked against the
     tree whose round just built or reused them."""

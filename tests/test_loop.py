@@ -209,6 +209,16 @@ def test_observe_needs_a_row_for_every_scenario_node():
         loop.observe(0, repeated, node_rows)
     assert loop.pods == {}  # a refused interval records nothing
     assert loop.n_max == 0.0
+    # nor is an interval that does not come after the last one observed,
+    # even where a pod has no record yet to order its sample by
+    loop.observe(1, [web_pod(1.0)], node_rows)
+    pods, n_max = {pod_id: list(r.rows) for pod_id, r in loop.pods.items()}, loop.n_max
+    for interval in (0, 1):
+        refused = f"interval {interval}: does not come after interval 1"
+        with pytest.raises(ValueError, match=refused):
+            loop.observe(interval, [batch_pod(), web_pod(2.0)], node_rows)
+    assert {pod_id: list(r.rows) for pod_id, r in loop.pods.items()} == pods
+    assert "batch-0" not in loop.pods and loop.n_max == n_max
 
 
 def test_evicted_pod_returns_with_fresh_record():
