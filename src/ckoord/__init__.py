@@ -54,7 +54,7 @@ from .predictor import (
     worst_verdict,
 )
 from .simulator import RunResult, Simulator, run_scenario
-from .telemetry import TimeSeries, rolling_mean, rolling_std
+from .telemetry import rolling_mean, rolling_std
 
 __version__ = "0.1.0"
 
@@ -80,7 +80,6 @@ __all__ = [
     "Simulator",
     "Suppress",
     "ThresholdParams",
-    "TimeSeries",
     "TrainConfig",
     "UtilizationWeights",
     "classify",

@@ -237,9 +237,13 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 LATENCY_PHASES, LATENCY_KEYS = ("normal", "interference"), ("p50", "p90", "p99")
 
 
-def _check_latency(report: dict, raw: str) -> None:
+def _check_report(report: dict, raw: str) -> None:
     """Refuse a ``latency_ms`` that is not {app: {phase: {key: number or
-    null} or null}}; a fault names its key path and line."""
+    null} or null}}, ``detections`` or ``actions`` that are not lists, and
+    ``evictions`` that is not a number; a fault names its key path and line."""
+    for key in ("detections", "actions"):
+        _typed(report.get(key, []), raw, key, (list,))
+    _number(report.get("evictions", 0), raw, "evictions")
     apps = _typed(report.get("latency_ms", {}), raw, "latency_ms", (dict,))
     for app, phases in apps.items():
         _typed(phases, raw, f"latency_ms.{app}", (dict,))
@@ -268,7 +272,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             raise ConfigError(f"{run_dir}: no report.json found")
         report, raw = read_object(path)
         try:
-            _check_latency(report, raw)
+            _check_report(report, raw)
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from None
         reports.append((run_dir.rstrip("/"), report))

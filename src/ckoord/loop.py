@@ -9,9 +9,11 @@ capacity and the node set each interval's node rows must cover, is read
 from the scenario once.  The loop emits verdicts and planned actions;
 replay records them, the simulator enforces them.
 Per-pod records, flagging state, the model cache and node cooldowns live
-here; the records of evicted pods are dropped.  Each interval's rows are
-gone through once, and feature matrices are built only where a model trains
-or predicts.
+here; the records of evicted pods are dropped.  An interval is checked
+whole, its order, its rows and every CPI sample, before any of it is
+recorded, so a refused interval leaves the loop as it was.  Each interval's
+rows are gone through once, and feature matrices are built only where a
+model trains or predicts.
 """
 
 from __future__ import annotations
@@ -46,39 +48,37 @@ from .predictor import (
     worst_verdict,
 )
 from .scenario import Scenario
-from .telemetry import TimeSeries, rolling_mean
+from .telemetry import rolling_mean
 from .trace import NodeRow, TraceRow, feature_matrix
 
 log = logging.getLogger("ckoord.loop")
 
-HISTORY_RETENTION_WINDOWS = 4   # per-pod CPI and row rings
+HISTORY_RETENTION_WINDOWS = 4   # per-pod row ring, the training history
 MAX_TRAIN_ROWS = 1200           # thin older history beyond this many rows
 
 
 class PodRecord:
     """What the loop remembers about one pod.
 
-    ``cpi`` is the only copy of the measured CPI, stamped with interval
-    numbers; ``rows`` holds the trace row of each of its samples, so the two
-    rings stay aligned.  ``predictions`` holds the current flagging
-    episode's newest ``window`` pairs of (prediction, rolling mean of the CPI
-    when the prediction was made).
+    ``rows`` holds the pod's newest trace rows, the history its app's model
+    trains on; ``cpi`` holds the newest ``window`` of those rows' CPI
+    values, the window the verdict reads.  ``predictions`` holds the current
+    flagging episode's newest ``window`` pairs of (prediction, rolling mean
+    of the CPI when the prediction was made).
     """
 
-    def __init__(self, pod_id: str, window: int) -> None:
-        retention = HISTORY_RETENTION_WINDOWS * window
-        self.window = window
-        self.cpi = TimeSeries(f"cpi:{pod_id}", capacity=retention)
-        self.rows: deque[TraceRow] = deque(maxlen=retention)
+    def __init__(self, window: int) -> None:
+        self.rows: deque[TraceRow] = deque(maxlen=HISTORY_RETENTION_WINDOWS * window)
+        self.cpi: deque[float] = deque(maxlen=window)
         self.predictions: deque[tuple[float, float]] = deque(maxlen=window)
 
-    def record(self, interval: int, row: TraceRow) -> None:
-        self.cpi.record(interval, row.cpi)
+    def record(self, row: TraceRow) -> None:
         self.rows.append(row)
+        self.cpi.append(row.cpi)
 
     def predict(self, prediction: float) -> float:
         """Keep the prediction with the CPI's rolling mean, and return the mean."""
-        mean = rolling_mean(self.cpi, self.window)
+        mean = rolling_mean(self.cpi)
         self.predictions.append((prediction, mean))
         return mean
 
@@ -203,9 +203,12 @@ class ControlLoop:
     def _check_rows(
         self, interval: int, pod_rows: list[TraceRow], node_rows: list[NodeRow]
     ) -> None:
-        """Refuse an interval unless it comes after the last one observed,
-        the node rows name each scenario node once and the pod rows name
-        each pod once, on a scenario node."""
+        """Refuse an interval unless it is not negative and comes after the
+        last one observed, the node rows name each scenario node once and the
+        pod rows name each pod once, on a scenario node, with a CPI in
+        (0, inf)."""
+        if interval < 0:
+            raise ValueError(f"interval {interval}: is negative")
         last = self.last_interval
         if last is not None and interval <= last:
             raise ValueError(f"interval {interval}: does not come after interval {last}")
@@ -228,6 +231,11 @@ class ControlLoop:
             if row.node_id not in nodes:
                 raise ValueError(
                     f"interval {interval}: pod {row.pod_id} on unknown node {row.node_id}"
+                )
+            if not 0.0 < row.cpi < math.inf:  # NaN fails both comparisons
+                raise ValueError(
+                    f"interval {interval}: pod {row.pod_id} has CPI {row.cpi!r},"
+                    " not in (0, inf)"
                 )
         if len(set(map(attrgetter("pod_id"), pod_rows))) != len(pod_rows):
             rows = Counter(row.pod_id for row in pod_rows)
@@ -255,8 +263,8 @@ class ControlLoop:
         for row in pod_rows:
             record = self.pods.get(row.pod_id)
             if record is None:
-                record = self.pods[row.pod_id] = PodRecord(row.pod_id, self.predictor_cfg.window)
-            record.record(interval, row)
+                record = self.pods[row.pod_id] = PodRecord(self.predictor_cfg.window)
+            record.record(row)
             if row.l3_miss_rate > self.n_max:
                 self.n_max = row.l3_miss_rate
             by_app.setdefault(row.app_id, []).append((row, record))
@@ -309,7 +317,6 @@ class ControlLoop:
                 delta = delta_cpi(record.predictions, self.predictor_cfg.delta_mode)
                 threshold = cpi_threshold(
                     record.cpi,
-                    self.predictor_cfg.window,
                     self.predictor_cfg.params,
                     load_factor(features, self.n_max, self.predictor_cfg.load_weights),
                     mean,

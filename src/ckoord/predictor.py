@@ -16,13 +16,13 @@ rather than guessed.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .gbdt import FEATURE_COUNT, Ensemble, TrainConfig, train_ensemble
-from .telemetry import TimeSeries, rolling_std
+from .telemetry import rolling_std
 
 
 @dataclass(frozen=True)
@@ -75,13 +75,13 @@ def load_factor(features: Sequence[float], n_max: float, weights: LoadFactorWeig
 
 
 def cpi_threshold(
-    actual: TimeSeries,
-    window: int,
+    actual: Collection[float],
     params: ThresholdParams,
     load: float,
     mean: float | None = None,
 ) -> float:
-    """Adaptive detection threshold: k1 * rolling std + k2 * load factor.
+    """Adaptive detection threshold: k1 * rolling std of the CPI window
+    ``actual`` + k2 * load factor.
 
     The load factor is already normalized to [0, 1] (its maximum is 1 by
     construction), so k2 scales it directly.  ``mean`` is the window's
@@ -89,7 +89,7 @@ def cpi_threshold(
     """
     if not 0.0 <= load <= 1.0 + 1e-9:
         raise ValueError(f"load factor {load} outside [0, 1]")
-    return params.k1 * rolling_std(actual, window, mean) + params.k2 * load
+    return params.k1 * rolling_std(actual, mean) + params.k2 * load
 
 
 def delta_cpi(pairs: Sequence[tuple[float, float]], mode: str) -> float:

@@ -2,17 +2,16 @@
 
 This is the deviation as the loop computed it before it stored the rolling
 mean next to each prediction: every call recomputes the trailing mean of the
-measured series at the interval of each prediction, aligning the predictions
-to the most recent samples.  O(window**2) per call, kept only as an oracle.
+measured series ``actual`` (its values, oldest first) at the interval of
+each prediction, aligning the predictions to the most recent samples.
+O(window**2) per call, kept only as an oracle.
 """
 
 from __future__ import annotations
 
-from ckoord.telemetry import TimeSeries
-
 
 def reference_delta_cpi(
-    predictions: list[float], actual: TimeSeries, window: int, mode: str = "signed"
+    predictions: list[float], actual: list[float], window: int, mode: str = "signed"
 ) -> float:
     if not predictions:
         raise ValueError("no predictions")
@@ -21,11 +20,10 @@ def reference_delta_cpi(
             f"actual series has {len(actual)} samples, fewer than "
             f"{len(predictions)} predictions"
         )
-    values = actual.values
     diffs = []
     for j, pred in enumerate(predictions):
-        end = len(values) - len(predictions) + j + 1  # series position of prediction j
-        tail = values[max(0, end - window):end]
+        end = len(actual) - len(predictions) + j + 1  # series position of prediction j
+        tail = actual[max(0, end - window):end]
         rm = sum(tail) / len(tail)
         diffs.append(pred - rm)
     if mode == "signed":

@@ -16,7 +16,14 @@ import math
 from dataclasses import dataclass, field
 
 from ckoord.cluster import QosClass
-from ckoord.telemetry import EmptyWindowError, OrderingError
+
+
+class OrderingError(ValueError):
+    """Appended sample does not advance the series timestamp."""
+
+
+class EmptyWindowError(ValueError):
+    """A rolling statistic was requested over an empty series."""
 
 
 @dataclass

@@ -9,6 +9,7 @@ across checks so the battery stays inside those budgets.
 import math
 import random
 import statistics
+from collections import deque
 from time import perf_counter
 
 import numpy as np
@@ -30,7 +31,7 @@ from ckoord.mitigator import (
 from ckoord.predictor import DetectionVerdict, ThresholdParams, classify, cpi_threshold
 from ckoord.scenario import default_config
 from ckoord.simulator import run_scenario, report_to_json
-from ckoord.telemetry import TimeSeries, rolling_mean, rolling_std
+from ckoord.telemetry import rolling_mean, rolling_std
 from ckoord.trace import feature_matrix
 
 from gbdt_reference import ref_fit_tree, ref_predict_row, same_structure
@@ -129,10 +130,7 @@ def test_criterion_2_formula_spot_checks():
     if not (isinstance(action, Evict) and action.pod_ids == ("be-a", "be-c")):
         failures.append(f"eviction set {action} != 10- and 9-core pods")
 
-    ts = TimeSeries("cpi", capacity=8)
-    for i, v in enumerate([0.95, 1.05] * 4):
-        ts.record(float(i), v)
-    th = cpi_threshold(ts, 8, ThresholdParams(3.0, 0.1), 0.5)
+    th = cpi_threshold([0.95, 1.05] * 4, ThresholdParams(3.0, 0.1), 0.5)
     if abs(th - 0.2) > 1e-12:
         failures.append(f"adaptive threshold {th} != 0.2")
 
@@ -155,14 +153,14 @@ def test_criterion_2_formula_spot_checks():
 
 def test_criterion_3_rolling_stats_brute_force():
     capacity, window, appends = 48, 32, 100_000
-    ts = TimeSeries("stress", capacity=capacity)
+    ring: deque[float] = deque(maxlen=capacity)
     shadow: list[float] = []
     rng = random.Random(77)
     start = perf_counter()
     worst = 0.0
     for i in range(appends):
         value = rng.gauss(0.0, 1.0) + (1e6 if i % 2 else 0.0)
-        ts.record(float(i), value)
+        ring.append(value)
         shadow.append(value)
         if len(shadow) > capacity:
             del shadow[0]
@@ -170,9 +168,10 @@ def test_criterion_3_rolling_stats_brute_force():
         brute_mean = math.fsum(tail) / len(tail)
         brute_var = math.fsum((x - brute_mean) ** 2 for x in tail) / len(tail)
         brute_dev = math.sqrt(brute_var)
+        values = list(ring)[-window:]
         for impl, brute in (
-            (rolling_mean(ts, window), brute_mean),
-            (rolling_std(ts, window), brute_dev),
+            (rolling_mean(values), brute_mean),
+            (rolling_std(values), brute_dev),
         ):
             rel = abs(impl - brute) / max(1.0, abs(brute))
             if rel > worst:
@@ -219,18 +218,17 @@ def test_criterion_4_invariant_suite():
         mean = rng.uniform(0.5, 2.0)
         spread = rng.uniform(0.0, 0.3)
         scale = 1.0 + rng.random()
-        narrow = TimeSeries("n", capacity=16)
-        wide = TimeSeries("w", capacity=16)
+        narrow, wide = [], []
         for i in range(12):
             offset = spread if i % 2 else -spread
-            narrow.record(float(i), mean + offset)
-            wide.record(float(i), mean + offset * scale)
+            narrow.append(mean + offset)
+            wide.append(mean + offset * scale)
         load_lo = rng.random()
         load_hi = load_lo + rng.random() * (1.0 - load_lo)
-        if cpi_threshold(wide, 12, params, load_lo) < cpi_threshold(narrow, 12, params, load_lo) - 1e-12:
+        if cpi_threshold(wide, params, load_lo) < cpi_threshold(narrow, params, load_lo) - 1e-12:
             problems.append("threshold not monotone in volatility")
             break
-        if cpi_threshold(narrow, 12, params, load_hi) < cpi_threshold(narrow, 12, params, load_lo) - 1e-12:
+        if cpi_threshold(narrow, params, load_hi) < cpi_threshold(narrow, params, load_lo) - 1e-12:
             problems.append("threshold not monotone in load")
             break
 

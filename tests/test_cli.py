@@ -604,6 +604,23 @@ def test_report_with_a_bad_latency_cell_is_exit_2_with_its_key_path(
     assert capsys.readouterr().err == f"error: {tmp_path / 'report.json'}: {fault}\n"
 
 
+@pytest.mark.parametrize(
+    "report, fault",
+    [
+        ({"detections": 5}, "detections (line 2): expected list, got int"),
+        ({"detections": "abc"}, "detections (line 2): expected list, got str"),
+        ({"actions": {"n": 1}}, "actions (line 2): expected list, got dict"),
+        ({"latency_ms": {}, "evictions": "x"}, "evictions (line 3): expected int/float, got str"),
+    ],
+    ids=["int_detections", "string_detections", "object_actions", "string_evictions"],
+)
+def test_report_with_a_bad_counter_is_exit_2_with_its_key_path(tmp_path, capsys, report, fault):
+    # the counters are printed by length or as they are, so their shape is checked first
+    (tmp_path / "report.json").write_text(json.dumps(report, indent=1))
+    assert run_cli("report", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'report.json'}: {fault}\n"
+
+
 def test_each_config_source_is_validated_once(tmp_path, monkeypatch):
     # the file is read once to locate its faults, the --set result once to run
     cfg = write_small_cfg(tmp_path)

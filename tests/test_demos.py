@@ -1,9 +1,11 @@
 """Each demo the README lists runs to completion.
 
 The demos import ckoord from the same source tree as the suite, and run in
-a scratch directory so that nothing they might write lands in the repo.
+a scratch directory so that nothing they might write lands in the repo.  A
+demo with a pinned digest must print exactly the output it pins.
 """
 
+import hashlib
 import os
 import re
 import subprocess
@@ -16,6 +18,11 @@ import ckoord
 
 ROOT = Path(__file__).resolve().parents[1]
 README_DEMOS = re.findall(r"^python3 (demos/\w+\.py)", (ROOT / "README.md").read_text(), re.M)
+# sha256 of the stdout; the rolling-stats demo draws from a seeded
+# random.Random, so what it prints is fixed
+PINNED_STDOUT = {
+    "demos/rolling_stats.py": "b0df73b739329779531451fcd4169b4f9ed07bac7c8d6042bc8ca9329a7cc9fa",
+}
 
 
 def test_readme_lists_every_demo():
@@ -38,3 +45,5 @@ def test_demo_exits_zero(tmp_path, script):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip()
+    if script in PINNED_STDOUT:
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == PINNED_STDOUT[script]

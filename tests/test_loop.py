@@ -3,11 +3,13 @@
 The construction keeps every number exact: constant features, constant CPI
 history c, a one-round full-step unregularized model, so the trained model
 predicts exactly c and a later CPI spike of +1 produces a delta of exactly 1.
-The loop stamps samples with the interval it is given, so the hand-built rows
-all carry interval 0.
+The loop orders intervals by the number it is given, not by the rows' own,
+so the hand-built rows all carry interval 0.
 """
 
+import math
 import random
+import re
 from collections import Counter, deque
 from unittest import mock
 
@@ -26,7 +28,7 @@ from ckoord.mitigator import Evict, MitigationConfig, Severity, Suppress
 from ckoord.predictor import PredictorConfig, ThresholdParams, delta_cpi
 from ckoord.scenario import default_config
 from ckoord.simulator import Simulator
-from ckoord.telemetry import TimeSeries, rolling_mean, rolling_std
+from ckoord.telemetry import rolling_mean, rolling_std
 from ckoord.trace import NodeRow, TraceRow
 from delta_reference import reference_delta_cpi
 from helpers import loop_scenario
@@ -219,6 +221,20 @@ def test_observe_needs_a_row_for_every_scenario_node():
             loop.observe(interval, [batch_pod(), web_pod(2.0)], node_rows)
     assert {pod_id: list(r.rows) for pod_id, r in loop.pods.items()} == pods
     assert "batch-0" not in loop.pods and loop.n_max == n_max
+    # nor is a negative interval, or a pod row whose CPI is not in (0, inf),
+    # even where an earlier row of the interval is valid; so a corrected
+    # retry of the interval is accepted
+    loop = exact_loop()
+    refusals = [(-1, 1.0, "interval -1: is negative")] + [
+        (0, cpi, f"interval 0: pod web-0 has CPI {cpi!r}, not in (0, inf)")
+        for cpi in (math.nan, math.inf, -math.inf, 0.0, -1.0)
+    ]
+    for interval, cpi, refused in refusals:
+        with pytest.raises(ValueError, match=re.escape(refused)):
+            loop.observe(interval, [batch_pod(), web_pod(cpi)], node_rows)
+        assert loop.pods == {} and loop.n_max == 0.0 and loop.last_interval is None
+    loop.observe(0, [batch_pod(), web_pod(1.0)], node_rows)
+    assert sorted(loop.pods) == ["batch-0", "web-0"] and loop.last_interval == 0
 
 
 def test_evicted_pod_returns_with_fresh_record():
@@ -230,13 +246,14 @@ def test_evicted_pod_returns_with_fresh_record():
     assert out2.actions[0].action.pod_ids == ("batch-0",)
     # the pass that planned the eviction drops the pod's record; the others stay
     assert "batch-0" not in loop.pods
-    assert len(loop.pods["web-0"].cpi) == 3
+    assert len(loop.pods["web-0"].rows) == 3
+    assert list(loop.pods["web-0"].cpi) == [2.0]  # window 1
     assert len(loop.pods["web-0"].predictions) == 1  # window 1
 
     out3 = loop.observe(3, [web_pod(2.0), batch_pod()], nodes())
     assert out3.actions == []  # node-01 is cooling down
     record = loop.pods["batch-0"]
-    assert record.cpi.values == [1.0]
+    assert list(record.cpi) == [1.0]
     assert len(record.rows) == 1
     assert len(record.predictions) == 1  # this interval's, from the app's model
 
@@ -308,13 +325,13 @@ def test_stored_means_match_recomputed_delta(window, steps):
     kept the way the loop kept them before it stored the means.  The
     examples cover a series shorter than the window and a ring that wraps.
     """
-    record = PodRecord("web-0", window)
-    series = TimeSeries("cpi", capacity=HISTORY_RETENTION_WINDOWS * window)
+    record = PodRecord(window)
+    series: deque[float] = deque(maxlen=HISTORY_RETENTION_WINDOWS * window)
     predictions: deque[float] = deque(maxlen=window)
     was_flagged = False
     for interval, (flagged, cpi, prediction) in enumerate(steps):
-        record.record(interval, web_pod(cpi))
-        series.record(interval * 5, cpi)
+        record.record(web_pod(cpi))
+        series.append(cpi)
         if was_flagged and not flagged:
             record.predictions.clear()
             predictions.clear()
@@ -322,7 +339,7 @@ def test_stored_means_match_recomputed_delta(window, steps):
             record.predict(prediction)
             predictions.append(prediction)
             for mode in ("signed", "absolute"):
-                expected = reference_delta_cpi(list(predictions), series, window, mode)
+                expected = reference_delta_cpi(list(predictions), list(series), window, mode)
                 assert delta_cpi(record.predictions, mode) == expected
         was_flagged = flagged
 
@@ -497,12 +514,16 @@ def drive_against_reference(window, steps):
             assert loop.pods.keys() == rings.keys()
             for pod_id, record in loop.pods.items():
                 ring = rings[pod_id]
-                assert record.cpi.timestamps == [s.timestamp for s in ring.samples]
-                assert record.cpi.values == [s.value for s in ring.samples]
+                values = [row.cpi for row in record.rows]
+                assert [row.interval for row in record.rows] == [s.timestamp for s in ring.samples]
+                assert values == [s.value for s in ring.samples]
+                assert list(record.cpi) == ring.window_values(window)
                 assert len(record.rows) == len(ring)
                 for n in (1, window, len(ring) + 1):
-                    assert rolling_mean(record.cpi, n).hex() == loop_reference.rolling_mean(ring, n).hex()
-                    assert rolling_std(record.cpi, n).hex() == loop_reference.rolling_std(ring, n).hex()
+                    assert rolling_mean(values[-n:]).hex() == loop_reference.rolling_mean(ring, n).hex()
+                    assert rolling_std(values[-n:]).hex() == loop_reference.rolling_std(ring, n).hex()
+                assert rolling_mean(record.cpi).hex() == loop_reference.rolling_mean(ring, window).hex()
+                assert rolling_std(record.cpi).hex() == loop_reference.rolling_std(ring, window).hex()
     assert seen["scans"] == len(steps)
     return seen
 

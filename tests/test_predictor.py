@@ -16,7 +16,6 @@ from ckoord.predictor import (
     load_factor,
     worst_verdict,
 )
-from ckoord.telemetry import TimeSeries
 from ckoord.trace import TraceRow, feature_matrix
 
 
@@ -88,45 +87,39 @@ def test_feature_vector_layout():
     assert vec == pytest.approx(expected)
 
 
-def series_of(values):
-    ts = TimeSeries("cpi", capacity=max(len(values), 4))
-    for i, v in enumerate(values):
-        ts.record(float(i), float(v))
-    return ts
-
-
 def test_threshold_flat_history_idle_load():
-    ts = series_of([1.0] * 8)
-    assert cpi_threshold(ts, 8, ThresholdParams(3.0, 0.1), load=0.0) == pytest.approx(0.0)
+    ts = [1.0] * 8
+    assert cpi_threshold(ts, ThresholdParams(3.0, 0.1), load=0.0) == pytest.approx(0.0)
 
 
 def test_threshold_hand_value():
     # rolling std 0.05, load 0.5: 3 * 0.05 + 0.1 * 0.5 = 0.2
-    ts = series_of([0.95, 1.05] * 4)
-    got = cpi_threshold(ts, 8, ThresholdParams(3.0, 0.1), load=0.5)
+    ts = [0.95, 1.05] * 4
+    got = cpi_threshold(ts, ThresholdParams(3.0, 0.1), load=0.5)
     assert got == pytest.approx(0.2, abs=1e-12)
 
 
 def test_threshold_pure_load_term():
-    ts = series_of([2.0] * 6)
-    got = cpi_threshold(ts, 6, ThresholdParams(k1=0.0, k2=1.0), load=0.7)
+    ts = [2.0] * 6
+    got = cpi_threshold(ts, ThresholdParams(k1=0.0, k2=1.0), load=0.7)
     assert got == pytest.approx(0.7, abs=1e-12)
 
 
 def test_threshold_given_the_mean_keeps_its_bits():
-    ts = series_of([0.93, 1.07, 1.01, 0.99, 1.13, 0.88])
+    values = [0.93, 1.07, 1.01, 0.99, 1.13, 0.88]
     for window in (1, 4, 6, 9):
-        mean = sum(ts.window_values(window)) / len(ts.window_values(window))
-        want = cpi_threshold(ts, window, ThresholdParams(3.0, 0.1), load=0.4)
-        assert cpi_threshold(ts, window, ThresholdParams(3.0, 0.1), 0.4, mean).hex() == want.hex()
+        ts = values[-window:]
+        mean = sum(ts) / len(ts)
+        want = cpi_threshold(ts, ThresholdParams(3.0, 0.1), load=0.4)
+        assert cpi_threshold(ts, ThresholdParams(3.0, 0.1), 0.4, mean).hex() == want.hex()
 
 
 def test_threshold_rejects_out_of_range_load():
-    ts = series_of([1.0] * 4)
+    ts = [1.0] * 4
     with pytest.raises(ValueError):
-        cpi_threshold(ts, 4, ThresholdParams(), load=1.5)
+        cpi_threshold(ts, ThresholdParams(), load=1.5)
     with pytest.raises(ValueError):
-        cpi_threshold(ts, 4, ThresholdParams(), load=-0.1)
+        cpi_threshold(ts, ThresholdParams(), load=-0.1)
 
 
 def test_delta_zero_when_predictions_match_rolling_means():
