@@ -240,10 +240,11 @@ LATENCY_PHASES, LATENCY_KEYS = ("normal", "interference"), ("p50", "p90", "p99")
 def _check_report(report: dict, raw: str) -> None:
     """Refuse a ``latency_ms`` that is not {app: {phase: {key: number or
     null} or null}}, ``detections`` or ``actions`` that are not lists, and
-    ``evictions`` that is not a number; a fault names its key path and line."""
+    ``evictions`` that is not a count (an int >= 0, never a bool); a fault
+    names its key path and line."""
     for key in ("detections", "actions"):
         _typed(report.get(key, []), raw, key, (list,))
-    _number(report.get("evictions", 0), raw, "evictions")
+    _number(_typed(report.get("evictions", 0), raw, "evictions", (int,)), raw, "evictions", 0)
     apps = _typed(report.get("latency_ms", {}), raw, "latency_ms", (dict,))
     for app, phases in apps.items():
         _typed(phases, raw, f"latency_ms.{app}", (dict,))

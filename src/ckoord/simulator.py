@@ -7,11 +7,23 @@ derives the ground-truth CPI and latency samples from calibration constants
 rows, one per pod and one per node, to the control loop and enforces
 whatever it planned.  The rows it hands over are the rows it records.
 
-Each interval is a handful of array operations over a per-pod layout: pods
-in node order, then pod-id order, with (node, slot) index matrices for that
-order and for each node's placement order.  The layout is rebuilt only when
-a pod is evicted or rescheduled.  The arrays reproduce, bit for bit, what a
-per-pod Python loop computes, by three rules:
+The work is array operations over a per-pod layout: pods in node order,
+then pod-id order, with (node, slot) index matrices for that order and for
+each node's placement order.  The layout is rebuilt only when a pod is
+evicted or rescheduled.  A step computes a block of intervals in one pass
+of (intervals, pods) arrays, up to the end of the RNG read-ahead
+(BLOCK_INTERVALS) or of the horizon; the next steps hand its intervals out
+in turn, each building its rows as it is handed out.  The rest of a block
+is dropped, and the next step computes a new one from the interval it asks
+for, after a new layout, after a node's BE cap changes (compared by
+identity, since 0.0 == -0.0), or when a step asks for an interval other
+than the block's next.  A block has the bits of one interval at a time: the
+allocator's rows are independent, and a row with no hungry slot keeps its
+bits through the rounds other rows need; an interval with no injection adds
+zeros, as it always did; and a layout counts an interval's draws as used
+only once the interval is handed out, so a dropped block gives back the
+draws of the intervals it did not hand out.  The arrays reproduce, bit for
+bit, what a per-pod Python loop computes, by three rules:
   * a sum Python adds left to right is the last running sum of
     ``np.add.accumulate`` (what ``np.cumsum`` does), never ``np.sum``, which
     adds pairwise from 8 terms on; each node's pod sums run in its
@@ -129,7 +141,8 @@ def latency_model(
     jitter: np.ndarray | None,
     batches: int,
 ) -> np.ndarray:
-    """One latency sample per pod and request batch, shape (pods, batches).
+    """One latency sample per pod and request batch: shape (..., pods,
+    batches) for (..., pods) inputs.
 
     Central value: base * (CPI/CPI_base)^exponent / (1 - rho), with ``**``
     taken per pod in Python; ``jitter`` holds the multiplicative lognormal
@@ -137,11 +150,12 @@ def latency_model(
     """
     if rho.size and not (rho.min() >= 0.0 and rho.max() < 1.0):
         raise ValueError(f"rho {rho.min()}..{rho.max()} outside [0, 1)")
-    scaled = np.array([r**exponent for r in (cpi_act / cpi_base).tolist()])
+    ratio = cpi_act / cpi_base
+    scaled = np.array([r**exponent for r in ratio.ravel().tolist()]).reshape(ratio.shape)
     central = base_ms * scaled / (1.0 - rho)
     if jitter is None:
-        return np.repeat(central[:, None], batches, axis=1)
-    return central[:, None] * jitter
+        return np.repeat(central[..., None], batches, axis=-1)
+    return central[..., None] * jitter
 
 
 def allocate_cpu(
@@ -153,7 +167,8 @@ def allocate_cpu(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weighted fair shares with water-filling, every node at once.
 
-    Rows are nodes and columns pod slots in pod-id order: ``want`` cores,
+    Rows are nodes, each independent of the others (a block stacks its
+    intervals' nodes), and columns pod slots in pod-id order: ``want`` cores,
     ``weight`` (QoS weight times request) and ``best_effort`` per slot, an
     empty slot having want and weight 0; ``avail`` cores and ``be_cap`` per
     node, NaN where the node has no BE cap.  Returns (usage, potential) in
@@ -263,9 +278,6 @@ class _Draws:
         block = np.stack([s.peek(BLOCK_INTERVALS * self.width) for s in self.streams])
         self.block = block if self.transform is None else self.transform(block)
 
-    def at(self, used: int) -> np.ndarray:
-        return self.block[:, used * self.width : (used + 1) * self.width]
-
     def give_back(self, used: int) -> None:
         """Use the draws of the first ``used`` intervals; the rest stay in the streams."""
         for stream in self.streams:
@@ -278,7 +290,8 @@ class _Layout:
     ``valid`` marks the (node, slot) cells in that order, so ``m[valid]`` is
     a row-order vector and ``m[valid] = v`` its matrix; ``place`` indexes
     each node's pods in placement order, empty slots pointing one past the
-    last pod.  ``used`` counts the intervals taken from the current draws.
+    last pod.  ``used`` counts the intervals handed out from the current
+    draws.
     """
 
     def __init__(self, sim: Simulator) -> None:
@@ -295,11 +308,10 @@ class _Layout:
         self.node_index = self.node_of.tolist()
         self.node_pos = {node.node_id: k for k, node in enumerate(nodes)}
         # one term per node, added left to right
-        self.total_capacity = sum(state.cpu_capacity for _ in nodes)
-        self.total_mem_capacity = sum(state.mem_capacity for _ in nodes)
-        self.no_effect = np.zeros(len(nodes))
+        self.total_capacity = float(_lsum(np.full(len(nodes), state.cpu_capacity)))
+        self.total_mem_capacity = float(_lsum(np.full(len(nodes), state.mem_capacity)))
         # what each node metric is a fraction of: cpu_total .. cpu_shared, mem_util
-        self.capacity = np.array([state.cpu_capacity] * 4 + [state.mem_capacity])[:, None]
+        self.capacity = np.array([state.cpu_capacity] * 4 + [state.mem_capacity])[:, None, None]
 
         row_of = {pid: row for row, pid in enumerate(pods)}
         self.place = np.full(self.valid.shape, count)
@@ -355,10 +367,15 @@ class _Layout:
         }
         self.used = 0
 
-    def take(self, kind: str) -> np.ndarray | None:
-        """This interval's draws of ``kind``, a row per pod; None if none are drawn."""
+    def take(self, kind: str, count: int) -> np.ndarray | None:
+        """The draws of ``kind`` for the next ``count`` intervals, shape
+        (intervals, pods, width); None if none are drawn."""
         draws = self.draws.get(kind)
-        return None if draws is None else draws.at(self.used)
+        if draws is None:
+            return None
+        width = draws.width
+        block = draws.block[:, self.used * width : (self.used + count) * width]
+        return block.reshape(-1, count, width).swapaxes(0, 1)
 
     def tick(self) -> None:
         """End an interval; past the block, use it up and read the next."""
@@ -373,6 +390,98 @@ class _Layout:
         """Give back the draws no interval took, for the next layout to read."""
         for draws in self.draws.values():
             draws.give_back(self.used)
+
+
+class _Block:
+    """The intervals ``first`` .. ``stop - 1`` on one layout, computed in one
+    pass while the node BE caps are ``caps``: arrays (intervals, ...) and,
+    for the rows, per-interval lists of Python floats.  ``next`` is the
+    interval the next step hands out."""
+
+    def __init__(self, sim: Simulator, first: int) -> None:
+        lay, state, scenario = sim._layout, sim.state, sim.scenario
+        truth, wl = scenario.truth, scenario.workload
+        count = max(1, min(BLOCK_INTERVALS - lay.used, scenario.horizon - first))
+        self.first = self.next = first
+        self.stop = first + count
+        nodes, valid = lay.nodes, lay.valid
+        self.caps = [node.be_cpu_cap for node in nodes]
+
+        effects, self.active = sim._interference_effects(first, count, lay.node_pos)
+        hog_cpu, hog_mem, miss_gain, cpi_boost = effects.swapaxes(0, 1)
+        hog = _min(hog_cpu, state.cpu_capacity)
+        hog_mem = hog_mem * state.mem_capacity
+
+        period = wl.period_intervals
+        demand = np.array([diurnal_demand(lay.apps, t, period) for t in range(first, self.stop)])
+        demand = demand[:, lay.app_of]
+        noise = lay.take("demand", count)
+        if noise is not None:
+            noisy = lay.noisy
+            demand[:, noisy] = demand[:, noisy] * (1.0 + lay.demand_noise_std[noisy] * noise[..., 0])
+        demand = _max(0.0, demand)
+        want = demand * lay.cpu_per_request
+
+        # the allocator's rows are (interval, node) pairs, interval-major
+        wants = np.zeros((count, *valid.shape))
+        wants[:, valid] = want
+        caps = np.array([np.nan if cap is None else cap for cap in self.caps])
+        usage, potential = allocate_cpu(
+            wants.reshape(-1, valid.shape[1]), np.tile(lay.weight, (count, 1)),
+            np.tile(lay.best_effort, (count, 1)), (state.cpu_capacity - hog).ravel(),
+            np.tile(caps, count),
+        )
+        cores = usage.reshape(wants.shape)[:, valid]
+        potential = potential.reshape(wants.shape)[:, valid]
+
+        rel = np.where(lay.has_rps, demand / lay.rps_divisor - 1.0, 0.0)
+        mem = _max(lay.mem_floor, lay.mem_footprint * (1.0 + wl.mem_demand_coupling * rel))
+        ratios = _min(RATIO_MAX, np.array((cores, mem)) / lay.requests[:, None])
+
+        # per pod its cores in its class's row and its memory, then a 0 that
+        # empty slots point to; node sums run in placement order
+        per_pod = np.zeros((4, count, cores.shape[1] + 1))
+        per_pod[:3, :, :-1] = lay.classes[:, None] * cores
+        per_pod[3, :, :-1] = mem
+        be_used, sys_used, ls_used, mem_used = _lsum(per_pod[:, :, lay.place])
+        mem_used = mem_used + hog_mem
+        cpu_used = be_used + ls_used + sys_used + hog
+        used = np.array((cpu_used, be_used, ls_used + sys_used, be_used + hog, mem_used))
+        node_metrics = _min(1.0, used / lay.capacity)
+        self.system = [
+            (min(1.0, cpu / lay.total_capacity), min(1.0, mem / lay.total_mem_capacity))
+            for cpu, mem in zip(_lsum(cpu_used).tolist(), _lsum(mem_used).tolist())
+        ]
+
+        cpu_total = node_metrics[0]
+        factor = 1.0 + truth.miss_load_gain * cpu_total + miss_gain
+        miss = lay.base_miss_rate * factor[:, lay.node_of]
+        noise = lay.take("miss", count)
+        if noise is not None:
+            miss = miss * (1.0 + truth.miss_noise_std * noise[..., 0])
+        miss = _max(0.0, miss)
+        contention = np.array([t**2 for t in cpu_total.ravel().tolist()]).reshape(cpu_total.shape)
+        noise = lay.take("cpi", count)
+        self.cpi = ground_truth_cpi(
+            lay.cpi_base, contention[:, lay.node_of], miss, cpi_boost[:, lay.node_of], truth,
+            None if noise is None else noise[..., 0],
+        )
+        self.latency = latency_model(
+            lay.latency_base_ms, self.cpi, lay.cpi_base,
+            utilization_rho(want, potential, wl.rho_max), wl.latency_cpi_exponent,
+            lay.take("latency", count), wl.batches_per_interval,
+        )
+        self.node_cpu = cpu_total
+        # what the rows hold, per interval; the rows are built as it is handed out
+        self.shared = node_metrics.transpose(1, 2, 0).tolist()
+        self.cpu_util, self.mem_util = ratios.tolist()
+        self.miss, self.cpi_values, self.cores = miss.tolist(), self.cpi.tolist(), cores.tolist()
+
+    def serves(self, interval: int, nodes: list[NodeState]) -> bool:
+        """Whether ``interval`` is this block's next, with every cap unchanged."""
+        return interval == self.next < self.stop and all(
+            node.be_cpu_cap is cap for node, cap in zip(nodes, self.caps)
+        )
 
 
 @dataclass
@@ -394,6 +503,7 @@ class Simulator:
         self._streams: dict[tuple[str, str], _Stream] = {}
         self._pending: deque = deque()  # (due_interval, pod_id, AppProfile)
         self._layout: _Layout | None = None  # built by the first step
+        self._block: _Block | None = None  # computed by a step, on the layout
 
     # -- construction ----------------------------------------------------
 
@@ -426,26 +536,32 @@ class Simulator:
         if self._layout is not None:
             self._layout.release()
             self._layout = None
+            self._block = None
 
     # -- per-interval machinery -------------------------------------------
 
-    def _interference_effects(self, interval: int, node_pos: dict[str, int]) -> np.ndarray | None:
-        """Per node, the active injections' summed cpu cores, memory
-        fraction, miss gain and CPI boost (rows); None when none is active."""
-        effects = None
+    def _interference_effects(
+        self, first: int, count: int, node_pos: dict[str, int]
+    ) -> tuple[np.ndarray, list[bool]]:
+        """Per interval from ``first`` and per node, the active injections'
+        summed cpu cores, memory fraction, miss gain and CPI boost, shape
+        (intervals, 4, nodes) with zeros where none is active; and per
+        interval whether any is."""
+        effects = np.zeros((count, 4, len(node_pos)))
+        active = [False] * count
         for inj in self.scenario.injections:
-            if not inj.active(interval):
-                continue
-            if effects is None:
-                effects = np.zeros((4, len(node_pos)))
             kind = self.scenario.truth.kinds[inj.kind]
-            effects[:, node_pos[inj.target_node]] += (
+            added = (
                 inj.intensity * kind.cpu_fraction * self.state.cpu_capacity,
                 inj.intensity * kind.mem_fraction,
                 inj.intensity * kind.miss_gain,
                 inj.intensity * kind.cpi_boost,
             )
-        return effects
+            for k in range(count):
+                if inj.active(first + k):
+                    effects[k, :, node_pos[inj.target_node]] += added
+                    active[k] = True
+        return effects, active
 
     def _reschedule_due(self, interval: int) -> int:
         count = 0
@@ -469,106 +585,45 @@ class Simulator:
         The stats hold, per pod in row order, its app's index in the
         scenario, its CPI and its latency samples (pods x batches), and the
         cluster's two system fractions.  The state keeps the two row lists
-        as the last interval's rows.
+        as the last interval's rows.  The interval comes from the current
+        block, or from a new one computed from ``interval`` on.
         """
         state = self.state
         rescheduled = self._reschedule_due(interval)
         if self._layout is None:
             self._layout = _Layout(self)
         lay = self._layout
-        scenario = self.scenario
-        truth, wl = scenario.truth, scenario.workload
-        nodes, valid = lay.nodes, lay.valid
-
-        effects = self._interference_effects(interval, lay.node_pos)
-        if effects is None:
-            hog = hog_mem = miss_gain = cpi_boost = lay.no_effect
-        else:
-            hog_cpu, hog_mem, miss_gain, cpi_boost = effects
-            hog = _min(hog_cpu, state.cpu_capacity)
-            hog_mem = hog_mem * state.mem_capacity
-
-        demand = diurnal_demand(lay.apps, interval, wl.period_intervals)[lay.app_of]
-        noise = lay.take("demand")
-        if noise is not None:
-            noisy = lay.noisy
-            demand[noisy] = demand[noisy] * (1.0 + lay.demand_noise_std[noisy] * noise[:, 0])
-        demand = _max(0.0, demand)
-        want = demand * lay.cpu_per_request
-
-        wants = np.zeros(valid.shape)
-        wants[valid] = want
-        caps = np.array([np.nan if n.be_cpu_cap is None else n.be_cpu_cap for n in nodes])
-        usage, potential = allocate_cpu(
-            wants, lay.weight, lay.best_effort, state.cpu_capacity - hog, caps
-        )
-        cores, potential = usage[valid], potential[valid]
-
-        rel = np.where(lay.has_rps, demand / lay.rps_divisor - 1.0, 0.0)
-        mem = _max(lay.mem_floor, lay.mem_footprint * (1.0 + wl.mem_demand_coupling * rel))
-        ratios = _min(RATIO_MAX, np.array((cores, mem)) / lay.requests)
-
-        # per pod its cores in its class's row and its memory, then a 0 that
-        # empty slots point to; node sums run in placement order
-        per_pod = np.zeros((4, len(cores) + 1))
-        per_pod[:3, :-1] = lay.classes * cores
-        per_pod[3, :-1] = mem
-        be_used, sys_used, ls_used, mem_used = _lsum(per_pod[:, lay.place])
-        mem_used = mem_used + hog_mem
-        cpu_used = be_used + ls_used + sys_used + hog
-        used = np.empty((5, len(nodes)))
-        used[0], used[1], used[2], used[3], used[4] = (
-            cpu_used, be_used, ls_used + sys_used, be_used + hog, mem_used
-        )
-        node_metrics = _min(1.0, used / lay.capacity)
-        system = (
-            min(1.0, float(_lsum(cpu_used)) / lay.total_capacity),
-            min(1.0, float(_lsum(mem_used)) / lay.total_mem_capacity),
-        )
+        block = self._block
+        if block is None or not block.serves(interval, lay.nodes):
+            block = self._block = _Block(self, interval)
+        k = interval - block.first
+        block.next += 1
+        lay.tick()
 
         # each node's five values and the system's two: one list, whose
         # float objects every row on the node holds
-        shared = node_metrics.T.tolist()
+        shared, system = block.shared[k], block.system[k]
         new = tuple.__new__  # a row type's own __new__ is a Python call
         node_rows = []
-        for node, values in zip(nodes, shared):
+        for node, values in zip(lay.nodes, shared):
             node_rows.append(new(NodeRow, (interval, node.node_id, *values)))
             values += system
 
-        cpu_total = node_metrics[0]
-        factor = 1.0 + truth.miss_load_gain * cpu_total + miss_gain
-        miss = lay.base_miss_rate * factor[lay.node_of]
-        noise = lay.take("miss")
-        if noise is not None:
-            miss = miss * (1.0 + truth.miss_noise_std * noise[:, 0])
-        miss = _max(0.0, miss)
-        contention = np.array([t**2 for t in cpu_total.tolist()])
-        noise = lay.take("cpi")
-        cpi = ground_truth_cpi(
-            lay.cpi_base, contention[lay.node_of], miss, cpi_boost[lay.node_of], truth,
-            None if noise is None else noise[:, 0],
-        )
-        latency = latency_model(
-            lay.latency_base_ms, cpi, lay.cpi_base, utilization_rho(want, potential, wl.rho_max),
-            wl.latency_cpi_exponent, lay.take("latency"), wl.batches_per_interval,
-        )
-        lay.tick()
-
         node_ids, pod_ids, app_ids, qos = lay.columns
         rows = [  # in column order
-            new(TraceRow, (interval, node_id, pid, app, q, cu, mu, *shared[k], l3, value, c))
-            for node_id, pid, app, q, cu, mu, k, l3, value, c in zip(
-                node_ids, pod_ids, app_ids, qos, *ratios.tolist(), lay.node_index,
-                miss.tolist(), cpi.tolist(), cores.tolist(),
+            new(TraceRow, (interval, node_id, pid, app, q, cu, mu, *shared[n], l3, value, c))
+            for node_id, pid, app, q, cu, mu, n, l3, value, c in zip(
+                node_ids, pod_ids, app_ids, qos, block.cpu_util[k], block.mem_util[k],
+                lay.node_index, block.miss[k], block.cpi_values[k], block.cores[k],
             )
         ]
         stats = {
             "rescheduled": rescheduled,
-            "interference_active": effects is not None,
+            "interference_active": block.active[k],
             "app": lay.app_of,
-            "cpi": cpi,
-            "latency": latency,
-            "node_cpu": cpu_total,
+            "cpi": block.cpi[k],
+            "latency": block.latency[k],
+            "node_cpu": block.node_cpu[k],
             "system": system,
         }
         state.pod_rows, state.node_rows = rows, node_rows

@@ -610,9 +610,15 @@ def test_report_with_a_bad_latency_cell_is_exit_2_with_its_key_path(
         ({"detections": 5}, "detections (line 2): expected list, got int"),
         ({"detections": "abc"}, "detections (line 2): expected list, got str"),
         ({"actions": {"n": 1}}, "actions (line 2): expected list, got dict"),
-        ({"latency_ms": {}, "evictions": "x"}, "evictions (line 3): expected int/float, got str"),
+        ({"latency_ms": {}, "evictions": "x"}, "evictions (line 3): expected int, got str"),
+        ({"latency_ms": {}, "evictions": -3.5}, "evictions (line 3): expected int, got float"),
+        ({"latency_ms": {}, "evictions": 2.5}, "evictions (line 3): expected int, got float"),
+        ({"latency_ms": {}, "evictions": -1}, "evictions (line 3): must be >= 0, got -1"),
+        ({"latency_ms": {}, "evictions": True}, "evictions (line 3): expected int, got bool"),
     ],
-    ids=["int_detections", "string_detections", "object_actions", "string_evictions"],
+    ids=["int_detections", "string_detections", "object_actions", "string_evictions",
+         "negative_float_evictions", "fractional_evictions", "negative_evictions",
+         "bool_evictions"],
 )
 def test_report_with_a_bad_counter_is_exit_2_with_its_key_path(tmp_path, capsys, report, fault):
     # the counters are printed by length or as they are, so their shape is checked first

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import alloc_reference
+from ckoord import simulator
 from ckoord.cluster import QosClass, validate
 from ckoord.loop import PlannedAction
 from ckoord.mitigator import Evict, Severity
@@ -491,6 +492,87 @@ def test_be_cap_is_enforced_on_allocation():
     assert by_node, "expected best-effort pods"
     for node_id, total in by_node.items():
         assert total <= 0.3 + 1e-6, f"{node_id} BE usage {total}"
+
+
+def be_cores(rows):
+    """Per node, the summed cores of its BE pods."""
+    by_node: dict[str, float] = {}
+    for row in rows:
+        if row.qos == "BE":
+            by_node[row.node_id] = by_node.get(row.node_id, 0.0) + row.pod_cpu_cores
+    return by_node
+
+
+def row_bits(rows):
+    """Rows with each float as its exact hex, so that -0.0 differs from 0.0."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in row) for row in rows]
+
+
+def test_a_cap_set_or_cleared_between_steps_applies_to_the_next_interval():
+    cfg = small_cfg("controllers.enabled=false")
+    sim, uncapped = Simulator(cfg, seed=7), Simulator(cfg, seed=7)
+    sim.step(0)
+    uncapped.step(0)
+    for node in sim.state.nodes.values():
+        node.be_cpu_cap = 0.3
+    rows, _, _ = sim.step(1)
+    free, _, _ = uncapped.step(1)
+    assert max(be_cores(free).values()) > 0.3, "the cap must bind"
+    for node_id, total in be_cores(rows).items():
+        assert total <= 0.3 + 1e-6, f"{node_id} BE usage {total}"
+    for node in sim.state.nodes.values():
+        node.be_cpu_cap = None
+    rows, node_rows, _ = sim.step(2)
+    free, free_nodes, _ = uncapped.step(2)
+    assert row_bits(rows) == row_bits(free)
+    assert row_bits(node_rows) == row_bits(free_nodes)
+
+
+def test_a_step_past_the_next_interval_computes_the_interval_asked_for(monkeypatch):
+    # the skipped intervals take no draws, with blocks or one interval at a time
+    intervals = (0, 5, 6, 9)
+
+    def steps():
+        sim = Simulator(small_cfg(), seed=3)
+        return [sim.step(interval)[:2] for interval in intervals]
+
+    blocked = steps()
+    monkeypatch.setattr(simulator, "BLOCK_INTERVALS", 1)
+    for interval, (rows, node_rows), (ref, ref_nodes) in zip(intervals, blocked, steps()):
+        assert {row.interval for row in rows} == {row.interval for row in node_rows} == {interval}
+        assert row_bits(rows) == row_bits(ref)
+        assert row_bits(node_rows) == row_bits(ref_nodes)
+
+
+@pytest.mark.parametrize(
+    "overrides, seed, acts",
+    [
+        ((), 1, ("evictions", "reschedules")),
+        (("controllers.enabled=false",), 2, ()),
+        (("horizon=200", "topology.node_count=12"), 3, ()),
+        (("horizon=240", "mitigator.severity_boundary=1000"), 1, ("suppressions",)),
+        (("horizon=185", "controllers.reschedule_delay_intervals=0"), 1,
+         ("evictions", "reschedules", "suppressions")),
+        (("horizon=70", "apps.0.demand_noise_std=0.1", "apps.2.demand_noise_std=0.2"), 4, ()),
+        (("horizon=70", "apps.0.qos=LSR", "apps.1.qos=SYSTEM"), 5, ()),
+    ],
+    ids=["packaged", "controllers_off", "12_nodes", "suppressions", "reschedule_at_once",
+         "noisy_demand", "lsr_system"],
+)
+def test_a_block_of_intervals_keeps_the_bits_of_one_interval_at_a_time(
+    monkeypatch, overrides, seed, acts
+):
+    # one interval per block is the interval-at-a-time pass; the draws do
+    # not depend on the read size (test_stream_reads_the_scalar_sequence_in_any_blocks)
+    cfg = cfg_with(*overrides)
+    blocked = run_scenario(cfg, seed)
+    monkeypatch.setattr(simulator, "BLOCK_INTERVALS", 1)
+    single = run_scenario(cfg, seed)
+    for key in acts:
+        assert blocked.report[key] > 0, key
+    assert row_bits(blocked.trace_rows) == row_bits(single.trace_rows)
+    assert row_bits(blocked.node_rows) == row_bits(single.node_rows)
+    assert report_to_json(blocked.report) == report_to_json(single.report)
 
 
 def test_step_clamps_request_ratios_in_row_and_features():
