@@ -416,15 +416,13 @@ def fit_tree(
     g: np.ndarray,
     cfg: TrainConfig,
     *,
-    order: np.ndarray | None = None,
     root: _Layout | None = None,
 ) -> TreeNode:
     """Fit one least-squares regression tree to the gradients g.
 
-    ``order`` is ``np.argsort(X.T, axis=1, kind="stable")``; without it,
-    fit_tree sorts.  ``root`` is train_ensemble's layout of all of X's rows,
-    which carries the layouts the previous tree split into; without it,
-    fit_tree lays out X afresh.
+    ``root`` is train_ensemble's layout of all of X's rows, which carries
+    the layouts the previous tree split into; without it, fit_tree lays out
+    X afresh.
     """
     X = np.asarray(X, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
@@ -439,14 +437,13 @@ def fit_tree(
     if not _may_split(n, 0, cfg):
         return TreeNode(weight=leaf_weight(g_sum, n, cfg.lam))
     if root is None:
-        root = _root_layout(X, cfg, order)
+        root = _root_layout(X, cfg)
     return _grow(g, root, g_sum, 0, cfg)
 
 
-def _root_layout(X: np.ndarray, cfg: TrainConfig, order: np.ndarray | None = None) -> _Layout:
+def _root_layout(X: np.ndarray, cfg: TrainConfig) -> _Layout:
     XT = np.ascontiguousarray(X.T)  # one row per feature, read by every node
-    if order is None:
-        order = np.argsort(XT, axis=1, kind="stable")
+    order = np.argsort(XT, axis=1, kind="stable")
     # 32-bit row indices halve the memory of a large fit's layouts; a fit of
     # one block is small, and native indices spare each gather a conversion
     order = order.astype(np.int32 if _BLOCK_CELLS < X.size < 2**31 else np.intp, copy=False)
@@ -636,9 +633,7 @@ def _leaf_values(tree: TreeNode, root: _Layout, out: np.ndarray) -> None:
         stack += ((child, kid) for child, kid in zip((node.left, node.right), kids) if kid)
 
 
-def regression_metrics(
-    y_true: np.ndarray, y_pred: np.ndarray, include_acc: bool = True
-) -> dict[str, float]:
+def regression_metrics(y_true: np.ndarray, y_pred: np.ndarray) -> dict[str, float]:
     """MSE, MAE, R2, and ACC = max(0, 1 - mean absolute percentage error)."""
     y_true = np.asarray(y_true, dtype=np.float64)
     y_pred = np.asarray(y_pred, dtype=np.float64)
@@ -653,13 +648,10 @@ def regression_metrics(
         r2 = 1.0 if ss_res == 0.0 else 0.0
     else:
         r2 = 1.0 - ss_res / ss_tot
-    metrics = {"mse": mse, "mae": mae, "r2": r2}
-    if include_acc:
-        if np.any(y_true <= 0):
-            raise ValueError("ACC requires strictly positive targets")
-        mape = float(np.mean(np.abs(err) / y_true))
-        metrics["acc"] = max(0.0, 1.0 - mape)
-    return metrics
+    if np.any(y_true <= 0):
+        raise ValueError("ACC requires strictly positive targets")
+    mape = float(np.mean(np.abs(err) / y_true))
+    return {"mse": mse, "mae": mae, "r2": r2, "acc": max(0.0, 1.0 - mape)}
 
 
 def _node_to_dict(node: TreeNode) -> dict:

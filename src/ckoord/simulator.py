@@ -11,19 +11,19 @@ The work is array operations over a per-pod layout: pods in node order,
 then pod-id order, with (node, slot) index matrices for that order and for
 each node's placement order.  The layout is rebuilt only when a pod is
 evicted or rescheduled.  A step computes a block of intervals in one pass
-of (intervals, pods) arrays, up to the end of the RNG read-ahead
-(BLOCK_INTERVALS) or of the horizon; the next steps hand its intervals out
-in turn, each building its rows as it is handed out.  The rest of a block
-is dropped, and the next step computes a new one from the interval it asks
-for, after a new layout, after a node's BE cap changes (compared by
-identity, since 0.0 == -0.0), or when a step asks for an interval other
-than the block's next.  A block has the bits of one interval at a time: the
-allocator's rows are independent, and a row with no hungry slot keeps its
-bits through the rounds other rows need; an interval with no injection adds
-zeros, as it always did; and a layout counts an interval's draws as used
-only once the interval is handed out, so a dropped block gives back the
-draws of the intervals it did not hand out.  The arrays reproduce, bit for
-bit, what a per-pod Python loop computes, by three rules:
+of (intervals, pods) arrays, up to BLOCK_INTERVALS of them or to the
+horizon; the next steps hand its intervals out in turn, each building its
+rows as it is handed out.  The rest of a block is dropped, and the next
+step computes a new one from the interval it asks for, after a new layout,
+after a node's BE cap changes (compared by identity, since 0.0 == -0.0),
+or when a step asks for an interval other than the block's next.  A block
+has the bits of one interval at a time: the allocator's rows are
+independent, and a row with no hungry slot keeps its bits through the
+rounds other rows need; an interval with no injection adds zeros, as it
+always did; and a block reads the draws of all its intervals but uses only
+those of the intervals it hands out, so a dropped block leaves the rest in
+the streams for the next.  The arrays reproduce, bit for bit, what a
+per-pod Python loop computes, by three rules:
   * a sum Python adds left to right is the last running sum of
     ``np.add.accumulate`` (what ``np.cumsum`` does), never ``np.sum``, which
     adds pairwise from 8 terms on; each node's pod sums run in its
@@ -36,12 +36,12 @@ bit, what a per-pod Python loop computes, by three rules:
 
 Determinism: one root seed; each (stream kind, pod) pair derives its own
 generator, whose draws are consumed in order once per interval the pod is
-present.  Streams are read BLOCK_INTERVALS intervals ahead; when the layout
-changes, a stream keeps the draws it read but did not use, so an evicted pod
-resumes its sequence where it stopped.  Latency-critical pods never change
-cadence under mitigation (only BE pods are evicted), so mitigated and
-baseline runs of the same seed stay sample-aligned where it matters.  Same
-config + seed reproduces reports and traces byte for byte.
+present.  A block reads its intervals' draws ahead; a stream keeps the
+draws a dropped block read but did not use, so an evicted pod resumes its
+sequence where it stopped.  Latency-critical pods never change cadence
+under mitigation (only BE pods are evicted), so mitigated and baseline runs
+of the same seed stay sample-aligned where it matters.  Same config + seed
+reproduces reports and traces byte for byte.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from .scenario import TruthParams, validate_config
 from .trace import RATIO_MAX, NodeRow, TraceRow
 
 REPORT_SCHEMA_VERSION = 1
-BLOCK_INTERVALS = 32  # intervals of draws read from each RNG stream at a time
+BLOCK_INTERVALS = 32  # most intervals a block computes, and reads draws for
 PHASES = ("normal", "interference")
 
 
@@ -266,32 +266,14 @@ class _Stream:
         self.pos += n
 
 
-class _Draws:
-    """The next BLOCK_INTERVALS intervals of one kind of draw, a row per pod:
-    ``width`` standard normals per interval, through ``transform``."""
-
-    def __init__(self, streams: list[_Stream], width: int, transform=None) -> None:
-        self.streams, self.width, self.transform = streams, width, transform
-        self.fill()
-
-    def fill(self) -> None:
-        block = np.stack([s.peek(BLOCK_INTERVALS * self.width) for s in self.streams])
-        self.block = block if self.transform is None else self.transform(block)
-
-    def give_back(self, used: int) -> None:
-        """Use the draws of the first ``used`` intervals; the rest stay in the streams."""
-        for stream in self.streams:
-            stream.advance(used * self.width)
-
-
 class _Layout:
     """The present pods as arrays, in row order: node order, then pod-id order.
 
     ``valid`` marks the (node, slot) cells in that order, so ``m[valid]`` is
     a row-order vector and ``m[valid] = v`` its matrix; ``place`` indexes
     each node's pods in placement order, empty slots pointing one past the
-    last pod.  ``used`` counts the intervals handed out from the current
-    draws.
+    last pod.  ``draws`` holds, per kind of draw, its streams (one per pod
+    that draws it), its standard normals per interval and its transform.
     """
 
     def __init__(self, sim: Simulator) -> None:
@@ -361,51 +343,33 @@ class _Layout:
                         lambda block: np.exp(sigma * block)),
         }
         self.draws = {
-            kind: _Draws([sim._stream(kind, pid) for pid in ids], width, transform)
+            kind: ([sim._stream(kind, pid) for pid in ids], width, transform)
             for kind, (ids, width, transform) in wanted.items()
             if ids
         }
-        self.used = 0
-
-    def take(self, kind: str, count: int) -> np.ndarray | None:
-        """The draws of ``kind`` for the next ``count`` intervals, shape
-        (intervals, pods, width); None if none are drawn."""
-        draws = self.draws.get(kind)
-        if draws is None:
-            return None
-        width = draws.width
-        block = draws.block[:, self.used * width : (self.used + count) * width]
-        return block.reshape(-1, count, width).swapaxes(0, 1)
-
-    def tick(self) -> None:
-        """End an interval; past the block, use it up and read the next."""
-        self.used += 1
-        if self.used == BLOCK_INTERVALS:
-            for draws in self.draws.values():
-                draws.give_back(self.used)
-                draws.fill()
-            self.used = 0
-
-    def release(self) -> None:
-        """Give back the draws no interval took, for the next layout to read."""
-        for draws in self.draws.values():
-            draws.give_back(self.used)
 
 
 class _Block:
     """The intervals ``first`` .. ``stop - 1`` on one layout, computed in one
     pass while the node BE caps are ``caps``: arrays (intervals, ...) and,
     for the rows, per-interval lists of Python floats.  ``next`` is the
-    interval the next step hands out."""
+    interval the next step hands out.  It reads its intervals' draws from
+    the layout's streams; ``release`` uses those of the intervals handed out."""
 
     def __init__(self, sim: Simulator, first: int) -> None:
         lay, state, scenario = sim._layout, sim.state, sim.scenario
         truth, wl = scenario.truth, scenario.workload
-        count = max(1, min(BLOCK_INTERVALS - lay.used, scenario.horizon - first))
+        count = max(1, min(BLOCK_INTERVALS, scenario.horizon - first))
         self.first = self.next = first
         self.stop = first + count
         nodes, valid = lay.nodes, lay.valid
         self.caps = [node.be_cpu_cap for node in nodes]
+        self.draws = lay.draws
+        drawn = {}  # per kind, shape (intervals, pods, width)
+        for kind, (streams, width, transform) in lay.draws.items():
+            block = np.stack([stream.peek(count * width) for stream in streams])
+            block = block if transform is None else transform(block)
+            drawn[kind] = block.reshape(-1, count, width).swapaxes(0, 1)
 
         effects, self.active = sim._interference_effects(first, count, lay.node_pos)
         hog_cpu, hog_mem, miss_gain, cpi_boost = effects.swapaxes(0, 1)
@@ -415,7 +379,7 @@ class _Block:
         period = wl.period_intervals
         demand = np.array([diurnal_demand(lay.apps, t, period) for t in range(first, self.stop)])
         demand = demand[:, lay.app_of]
-        noise = lay.take("demand", count)
+        noise = drawn.get("demand")
         if noise is not None:
             noisy = lay.noisy
             demand[:, noisy] = demand[:, noisy] * (1.0 + lay.demand_noise_std[noisy] * noise[..., 0])
@@ -456,12 +420,12 @@ class _Block:
         cpu_total = node_metrics[0]
         factor = 1.0 + truth.miss_load_gain * cpu_total + miss_gain
         miss = lay.base_miss_rate * factor[:, lay.node_of]
-        noise = lay.take("miss", count)
+        noise = drawn.get("miss")
         if noise is not None:
             miss = miss * (1.0 + truth.miss_noise_std * noise[..., 0])
         miss = _max(0.0, miss)
         contention = np.array([t**2 for t in cpu_total.ravel().tolist()]).reshape(cpu_total.shape)
-        noise = lay.take("cpi", count)
+        noise = drawn.get("cpi")
         self.cpi = ground_truth_cpi(
             lay.cpi_base, contention[:, lay.node_of], miss, cpi_boost[:, lay.node_of], truth,
             None if noise is None else noise[..., 0],
@@ -469,7 +433,7 @@ class _Block:
         self.latency = latency_model(
             lay.latency_base_ms, self.cpi, lay.cpi_base,
             utilization_rho(want, potential, wl.rho_max), wl.latency_cpi_exponent,
-            lay.take("latency", count), wl.batches_per_interval,
+            drawn.get("latency"), wl.batches_per_interval,
         )
         self.node_cpu = cpu_total
         # what the rows hold, per interval; the rows are built as it is handed out
@@ -482,6 +446,12 @@ class _Block:
         return interval == self.next < self.stop and all(
             node.be_cpu_cap is cap for node, cap in zip(nodes, self.caps)
         )
+
+    def release(self) -> None:
+        """Use the draws of the intervals handed out; the rest stay in the streams."""
+        for streams, width, _ in self.draws.values():
+            for stream in streams:
+                stream.advance((self.next - self.first) * width)
 
 
 @dataclass
@@ -533,10 +503,9 @@ class Simulator:
 
     def _relayout(self) -> None:
         """Pods left or arrived: the next step lays them out again."""
-        if self._layout is not None:
-            self._layout.release()
-            self._layout = None
-            self._block = None
+        if self._block is not None:
+            self._block.release()
+        self._layout = self._block = None
 
     # -- per-interval machinery -------------------------------------------
 
@@ -595,10 +564,11 @@ class Simulator:
         lay = self._layout
         block = self._block
         if block is None or not block.serves(interval, lay.nodes):
+            if block is not None:
+                block.release()
             block = self._block = _Block(self, interval)
         k = interval - block.first
         block.next += 1
-        lay.tick()
 
         # each node's five values and the system's two: one list, whose
         # float objects every row on the node holds

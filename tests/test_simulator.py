@@ -3,6 +3,7 @@ import json
 import math
 import random
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import alloc_reference
 from ckoord import simulator
 from ckoord.cluster import QosClass, validate
 from ckoord.loop import PlannedAction
-from ckoord.mitigator import Evict, Severity
+from ckoord.mitigator import Evict, Severity, Suppress
 from ckoord.scenario import AppProfile, TruthParams
 from ckoord.simulator import (
     BLOCK_INTERVALS,
@@ -542,6 +543,68 @@ def test_a_step_past_the_next_interval_computes_the_interval_asked_for(monkeypat
         assert {row.interval for row in rows} == {row.interval for row in node_rows} == {interval}
         assert row_bits(rows) == row_bits(ref)
         assert row_bits(node_rows) == row_bits(ref_nodes)
+
+
+_cut = st.one_of(  # what may follow a step
+    st.tuples(st.just("cap"), st.integers(0, 3), st.floats(0.0, 2.0)),
+    st.tuples(st.just("clear"), st.integers(0, 3)),
+    st.tuples(st.just("evict"), st.integers(0, 11)),
+)
+
+
+def _stepped(runs):
+    """The intervals below 80 of consecutive runs, each after a gap: (gap, length) pairs."""
+    steps, t = [], 0
+    for gap, length in runs:
+        steps += range(t + gap, min(80, t + gap + length))
+        t += gap + length
+    return steps
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**16),
+    st.integers(0, 6),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(1, 12)), min_size=1, max_size=8),
+    st.dictionaries(st.integers(0, 79), st.lists(_cut, min_size=1, max_size=2), max_size=12),
+)
+def test_blocks_cut_anywhere_keep_the_bits_of_one_interval_at_a_time(seed, delay, runs, cuts):
+    # runs of steps with gaps; after an interval, caps set through a
+    # suppression or cleared, and BE pods evicted to return later: every cut
+    # uses the draws of the intervals its block handed out, and only those
+    cfg = small_cfg("horizon=80", f"controllers.reschedule_delay_intervals={delay}",
+                    "apps.0.demand_noise_std=0.1", "apps.2.demand_noise_std=0.2")
+
+    def run():
+        sim = Simulator(cfg, seed=seed)
+        batches = sim.scenario.workload.batches_per_interval
+        seen = []
+        for interval in _stepped(runs):
+            rows, node_rows, _ = sim.step(interval)
+            seen.append((row_bits(rows), row_bits(node_rows)))
+            for (kind, _), stream in sim._streams.items():
+                width = batches if kind == "latency" else 1
+                assert stream.held.size < 2 * simulator.BLOCK_INTERVALS * width
+            nodes = sorted(sim.state.nodes)
+            for cut in cuts.get(interval, ()):
+                if cut[0] == "clear":
+                    sim.state.nodes[nodes[cut[1]]].be_cpu_cap = None
+                    continue
+                if cut[0] == "cap":
+                    action = Suppress(nodes[cut[1]], cut[2])
+                else:
+                    be = sorted(p for p, app in sim.state.pods.items() if app.qos is QosClass.BE)
+                    if not be:
+                        continue
+                    pod_id = be[cut[1] % len(be)]
+                    action = Evict(node_of(sim.state, pod_id), (pod_id,))
+                sim._enforce(interval, [PlannedAction(interval, "batch", action.node_id,
+                                                      Severity.SEVERE, action)])
+        return seen
+
+    blocked = run()
+    with patch.object(simulator, "BLOCK_INTERVALS", 1):
+        assert run() == blocked
 
 
 @pytest.mark.parametrize(

@@ -71,6 +71,63 @@ def test_every_src_definition_is_used_outside_the_tests():
     assert unused == {}
 
 
+def _defaulted(tree: ast.AST):
+    """Each function under ``tree`` with a default: the name a call uses
+    (its class's, for ``__init__``), the parameter, and its position among
+    a call's positional arguments (None for a keyword-only one).  A method's
+    first parameter is the ``self`` that a call does not pass."""
+    owner = {
+        id(item): node.name
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        for item in node.body
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        name = owner[id(node)] if node.name == "__init__" else node.name
+        positional = args.posonlyargs + args.args
+        for k in range(len(positional) - len(args.defaults), len(positional)):
+            yield name, positional[k].arg, k - (id(node) in owner)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+def _passes(call: ast.Call, param: str, position: int | None) -> bool:
+    """Whether ``call`` passes ``param``: by keyword, by position or through * or **."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    """No default that only tests override: each defaulted parameter of a
+    src/ckoord function is passed by some call in src, perfbench or demos to
+    a function of that name."""
+    calls: dict[str, list[ast.Call]] = {}
+    defaulted = []
+    for top in USERS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    calls.setdefault(name, []).append(node)
+            if top == "src":
+                defaulted += _defaulted(tree)
+    assert defaulted
+    unpassed = sorted(
+        f"{name}.{param}"
+        for name, param, position in defaulted
+        if not any(_passes(call, param, position) for call in calls.get(name, ()))
+    )
+    assert unpassed == []
+
+
 def test_no_src_class_checks_its_own_fields():
     """Rules on config values live in scenario's reader, so no class under
     src/ckoord defines __post_init__ to check its fields a second time."""
