@@ -347,6 +347,20 @@ def test_predict_appends_prediction_column(tmp_path, capsys):
     assert stdout_lines[: len(lines)] == lines
 
 
+def test_train_and_predict_bytes_are_pinned(tmp_path, capsys):
+    """sha256 of the model `ckoord train` writes and of the table `ckoord
+    predict` writes with it, recorded while the fit still built tree
+    objects and prediction packed them into arrays."""
+    trace = simulate_small(tmp_path)
+    model, table = tmp_path / "model.json", tmp_path / "pred.csv"
+    assert run_cli("train", "--trace", str(trace), "--model-out", str(model), "--window", "5") == 0
+    assert run_cli("predict", "--trace", str(trace), "--model", str(model), "--out", str(table)) == 0
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (model, table)} == {
+        "model.json": "be919dc3efcc6e00ad021ea1d6c5dcdf215ec1eaf5e27e51cf1b3253f22cdc77",
+        "pred.csv": "5ae35460181b685e60b4728bffc3f6b30c30785b5476dc8027d52507799a6c81",
+    }
+
+
 # The criterion-7 shape: 8 nodes, window 20, a mem_pressure injection.
 CRITERION_7_SHAPE = (
     "topology.node_count=8",
