@@ -40,7 +40,7 @@ def main() -> None:
         print(
             f"  {app:<6} train={split:5d} holdout={len(rows) - split:4d}"
             f"  mse={m['mse']:.5f}  r2={m['r2']:.3f}  acc={m['acc']:.3f}"
-            f"  ({took:.1f}s, {len(model.trees)} trees)"
+            f"  ({took:.1f}s, {model.roots.size} trees)"
         )
         if app == "web":
             doc = ensemble_to_json(model)

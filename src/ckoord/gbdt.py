@@ -57,25 +57,26 @@ adds learning_rate * w of every leaf to the running predictions of the rows
 the round's partition sent there, read from the layouts it built or reused,
 so no row is walked through the new tree.
 
-Prediction walks a packed forest, after QuickScorer (Lucchese et al., SIGIR
-2015): every node of every tree is one slot of flat arrays (feature,
-threshold, value, and two children per node), and tree t's root is slot t.
-A leaf's children are the leaf itself, so after ``depth`` steps, the depth
-of the deepest tree, every (row, tree) pair sits on its leaf whatever the
-depths of the other trees.  All pairs of a block of rows step together.  A
-row's sum is added left to right, base_score then learning_rate * leaf of
-each tree in order, by ``np.cumsum`` along the tree axis: an accumulate adds
-one term at a time, as the one-row loop ``total += lr * leaf`` does, so the
-two give the same bits.  ``np.sum`` would not, as it adds pairwise.
+The fit writes each node into one flat node table as it makes it, the layout
+of QuickScorer (Lucchese et al., SIGIR 2015): a feature, a threshold, a value
+and two children per slot.  Slots run in the fit's own pre-order, a node,
+then its left subtree, then its right, tree after tree, and the table records
+each tree's root slot; the model reader numbers a document's nodes the same
+way.  Prediction walks that table.  A leaf's children are the leaf itself,
+so after ``depth`` steps, the depth of the deepest tree, every (row, tree)
+pair sits on its leaf whatever the depths of the other trees.  All pairs of
+a block of rows step together.  A row's sum is added left to right,
+base_score then learning_rate * leaf of each tree in order, by ``np.cumsum``
+along the tree axis: an accumulate adds one term at a time, as the one-row
+loop ``total += lr * leaf`` does, so the two give the same bits.  ``np.sum``
+would not, as it adds pairwise.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,21 +112,6 @@ class TrainConfig:
     num_rounds: int = 100
     min_samples_leaf: int = 2
     base_score: float = 0.0
-
-
-@dataclass
-class TreeNode:
-    """Internal node when feature is not None, leaf otherwise."""
-
-    feature: int | None = None
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    weight: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
 
 
 def leaf_weight(g_sum: float, count: float, lam: float) -> float:
@@ -376,16 +362,73 @@ def _may_split(count: int, depth: int, cfg: TrainConfig) -> bool:
     return depth < cfg.max_depth and count >= 2 * cfg.min_samples_leaf
 
 
-def _grow(g: np.ndarray, node: _Layout, g_sum: float, depth: int, cfg: TrainConfig) -> TreeNode:
-    """Subtree over ``node``, a node that _may_split; ``g_sum`` is its G.
+class _Table:
+    """The node table while the fit or the model reader appends to it.
+
+    Slot i is a split on ``feature[i]`` at ``threshold[i]``, or a leaf of
+    weight ``value[i]`` (a split's value is 0.0, a leaf's feature 0 and
+    threshold 0.0).  Its right child is ``children[2i]`` and its left
+    ``children[2i + 1]``; a leaf's children are the leaf itself.  Slots run
+    in pre-order, a node, then its left subtree, then its right, so a
+    split's left child is the next slot.  ``roots`` holds each tree's root
+    slot and ``depth`` the edges on the longest root-to-leaf path.  The
+    columns are lists until Ensemble turns them into arrays.
+    """
+
+    __slots__ = ("feature", "threshold", "children", "value", "roots", "depth")
+
+    def __init__(self) -> None:
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.children: list[int] = []
+        self.value: list[float] = []
+        self.roots: list[int] = []
+        self.depth = 0
+
+    def leaf(self, weight: float, depth: int) -> None:
+        slot = len(self.value)
+        self.feature.append(0)
+        self.threshold.append(0.0)
+        self.children += (slot, slot)
+        self.value.append(weight)
+        self.depth = max(self.depth, depth)
+
+    def split(self, feature: int, threshold: float) -> int:
+        """Append a split and return its slot; its right child is set by
+        ``right`` once its left subtree is written."""
+        slot = len(self.value)
+        self.feature.append(feature)
+        self.threshold.append(threshold)
+        self.children += (slot, slot + 1)
+        self.value.append(0.0)
+        return slot
+
+    def right(self, slot: int) -> None:
+        """The next node appended is split ``slot``'s right child."""
+        self.children[2 * slot] = len(self.value)
+
+
+def _grow(
+    g: np.ndarray,
+    node: _Layout | None,
+    g_sum: float,
+    count: int,
+    depth: int,
+    cfg: TrainConfig,
+    table: _Table,
+) -> None:
+    """Append the subtree over a node of ``count`` rows whose G is ``g_sum``
+    to ``table``; ``node`` is its layout, None for a node that must be a leaf.
 
     The node keeps only this round's split and its children's layouts, so
     between rounds the layouts held are those of the tree just grown.
     """
-    best = _best_split(g, node, cfg)
+    best = None if node is None else _best_split(g, node, cfg)
     if best is None or best[0] <= 0.0:
-        node.split = None
-        return TreeNode(weight=leaf_weight(g_sum, node.rows.size, cfg.lam))
+        if node is not None:
+            node.split = None
+        table.leaf(leaf_weight(g_sum, count, cfg.lam), depth)
+        return
 
     _, feature, threshold, sides = best
     key = (feature, threshold)
@@ -402,13 +445,11 @@ def _grow(g: np.ndarray, node: _Layout, g_sum: float, depth: int, cfg: TrainConf
             else None  # a leaf needs only its sums, not its rows
             for in_row, in_rank, (_, count) in zip((by_row, ~by_row), (by_rank, ~by_rank), sides)
         ]
-    left, right = (
-        TreeNode(weight=leaf_weight(child_sum, count, cfg.lam))
-        if child is None
-        else _grow(g, child, child_sum, depth + 1, cfg)
-        for child, (child_sum, count) in zip(node.split[1], sides)
-    )
-    return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
+    slot = table.split(feature, threshold)
+    (left, right), (left_sums, right_sums) = node.split[1], sides
+    _grow(g, left, *left_sums, depth + 1, cfg, table)
+    table.right(slot)
+    _grow(g, right, *right_sums, depth + 1, cfg, table)
 
 
 def fit_tree(
@@ -417,12 +458,16 @@ def fit_tree(
     cfg: TrainConfig,
     *,
     root: _Layout | None = None,
-) -> TreeNode:
+    table: _Table | None = None,
+) -> Ensemble | None:
     """Fit one least-squares regression tree to the gradients g.
 
-    ``root`` is train_ensemble's layout of all of X's rows, which carries
-    the layouts the previous tree split into; without it, fit_tree lays out
-    X afresh.
+    The tree is appended to ``table``, train_ensemble's table of the trees
+    so far, and None is returned.  Without a table, the tree is returned as
+    a one-tree Ensemble with base_score 0.0 and learning_rate 1.0, whose
+    predictions are the tree's leaf weights.  ``root`` is train_ensemble's
+    layout of all of X's rows, which carries the layouts the previous tree
+    split into; without it, fit_tree lays out X afresh.
     """
     X = np.asarray(X, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
@@ -433,12 +478,16 @@ def fit_tree(
     if not (np.isfinite(X).all() and np.isfinite(g).all()):
         raise ValueError("non-finite training input")
     n = X.shape[0]
-    g_sum = float(np.add.reduce(g))
     if not _may_split(n, 0, cfg):
-        return TreeNode(weight=leaf_weight(g_sum, n, cfg.lam))
-    if root is None:
+        root = None
+    elif root is None:
         root = _root_layout(X, cfg)
-    return _grow(g, root, g_sum, 0, cfg)
+    own = table is None
+    if own:
+        table = _Table()
+    table.roots.append(len(table.value))
+    _grow(g, root, float(np.add.reduce(g)), n, 0, cfg, table)
+    return Ensemble(0.0, 1.0, X.shape[1], table) if own else None
 
 
 def _root_layout(X: np.ndarray, cfg: TrainConfig) -> _Layout:
@@ -450,102 +499,40 @@ def _root_layout(X: np.ndarray, cfg: TrainConfig) -> _Layout:
     return _Layout(XT, np.arange(X.shape[0]), order, cfg)
 
 
-def tree_predict(node: TreeNode, X: np.ndarray) -> np.ndarray:
-    """Vectorized tree evaluation over the rows of X."""
-    out = np.empty(X.shape[0], dtype=np.float64)
-    stack: list[tuple[TreeNode, np.ndarray]] = [(node, np.arange(X.shape[0]))]
-    while stack:
-        current, rows = stack.pop()
-        if rows.size == 0:
-            continue
-        if current.is_leaf:
-            out[rows] = current.weight
-            continue
-        mask = X[rows, current.feature] < current.threshold
-        stack.append((current.left, rows[mask]))
-        stack.append((current.right, rows[~mask]))
-    return out
-
-
-class _Forest(NamedTuple):
-    """An ensemble's trees packed into flat arrays, one slot per node."""
-
-    trees: tuple[TreeNode, ...]  # what was packed, compared by identity
-    feature_count: int
-    feature: np.ndarray    # split feature of each slot; 0 at a leaf
-    threshold: np.ndarray  # x[feature] < threshold goes left
-    children: np.ndarray   # slot i's right child at 2i, its left at 2i + 1
-    value: np.ndarray      # leaf weight of each slot
-    depth: int             # edges on the longest root-to-leaf path
-    block_rows: int        # rows walked together, _BLOCK_CELLS // trees or 1
-    # cell r * trees + t of a block is (row r, tree t):
-    roots: np.ndarray      # the slot each cell starts at, tree t's root
-    row_start: np.ndarray  # where row r starts in the block's flat features
-
-
-def _pack(trees: list[TreeNode], feature_count: int) -> _Forest:
-    """Number the nodes breadth first, so tree t's root is slot t.
-
-    The walk is iterative, so a tree of any depth packs.
-    """
-    nodes = list(trees)
-    levels = [0] * len(nodes)
-    children: list[int] = []
-    i = 0
-    while i < len(nodes):
-        node = nodes[i]
-        if node.is_leaf:
-            children += (i, i)
-        elif 0 <= node.feature < feature_count:  # take() would read another row
-            children += (len(nodes) + 1, len(nodes))
-            nodes += (node.left, node.right)
-            levels += (levels[i] + 1,) * 2
-        else:
-            raise ValueError(f"a tree splits on feature {node.feature}, outside [0, {feature_count})")
-        i += 1
-    n_trees = len(trees)
-    block_rows = max(1, _BLOCK_CELLS // max(1, n_trees))
-    return _Forest(
-        trees=tuple(trees),
-        feature_count=feature_count,
-        feature=np.array([0 if n.is_leaf else n.feature for n in nodes], dtype=np.intp),
-        threshold=np.array([0.0 if n.is_leaf else n.threshold for n in nodes], dtype=np.float64),
-        children=np.array(children, dtype=np.intp),
-        value=np.array([n.weight for n in nodes], dtype=np.float64),
-        depth=max(levels, default=0),
-        block_rows=block_rows,
-        roots=np.tile(np.arange(n_trees), block_rows),
-        row_start=np.repeat(np.arange(0, block_rows * feature_count, feature_count), n_trees),
-    )
-
-
-@dataclass
 class Ensemble:
-    """Boosted trees.  ``trees`` may be replaced or appended to between
-    predictions, and the packed forest is rebuilt when it has changed; the
-    nodes themselves are never modified once built."""
+    """Boosted trees, held in one node table (see _Table) as arrays, and
+    never modified once built.
 
-    base_score: float = 0.0
-    learning_rate: float = 0.1
-    feature_count: int = FEATURE_COUNT
-    trees: list[TreeNode] = field(default_factory=list)
-    # predictions for the training rows, as train_ensemble left them; None
-    # for an ensemble it did not build
-    train_predictions: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _forest: _Forest | None = field(default=None, init=False, repr=False, compare=False)
+    ``train_predictions`` are the predictions for the training rows, as
+    train_ensemble left them; None for an ensemble it did not build.
+    """
 
-    def _packed(self) -> _Forest:
-        forest = self._forest
-        if (
-            forest is None
-            or forest.feature_count != self.feature_count
-            or len(forest.trees) != len(self.trees)
-            or not all(map(operator.is_, forest.trees, self.trees))
-        ):
-            forest = self._forest = _pack(self.trees, self.feature_count)
-        return forest
+    def __init__(
+        self,
+        base_score: float,
+        learning_rate: float,
+        feature_count: int,
+        table: _Table,
+        train_predictions: np.ndarray | None = None,
+    ) -> None:
+        self.base_score = base_score
+        self.learning_rate = learning_rate
+        self.feature_count = feature_count
+        self.feature = np.array(table.feature, dtype=np.intp)
+        self.threshold = np.array(table.threshold, dtype=np.float64)
+        self.children = np.array(table.children, dtype=np.intp)
+        self.value = np.array(table.value, dtype=np.float64)
+        self.roots = np.array(table.roots, dtype=np.intp)
+        self.depth = table.depth
+        self.train_predictions = train_predictions
+        # rows walked together; cell r * trees + t of a block is (row r, tree t)
+        n_trees = self.roots.size
+        self._block_rows = max(1, _BLOCK_CELLS // max(1, n_trees))
+        self._starts = np.tile(self.roots, self._block_rows)  # each cell's root slot
+        # where each cell's row starts in the block's flat features
+        self._row_start = np.repeat(
+            np.arange(0, self._block_rows * feature_count, feature_count), n_trees
+        )
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predictions for the rows of X, walked in blocks of at most
@@ -553,31 +540,40 @@ class Ensemble:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.feature_count:
             raise ValueError(f"expected (n, {self.feature_count}) features, got {X.shape}")
-        forest = self._packed()
         preds = np.empty(X.shape[0], dtype=np.float64)
-        step = forest.block_rows
+        step = self._block_rows
         for first in range(0, X.shape[0], step):
-            preds[first : first + step] = self._walk(forest, X[first : first + step])
+            preds[first : first + step] = self._walk(X[first : first + step])
         return preds
 
-    def _walk(self, forest: _Forest, X: np.ndarray) -> np.ndarray:
-        m, n_trees = X.shape[0], len(forest.trees)
+    def _walk(self, X: np.ndarray) -> np.ndarray:
+        m, n_trees = X.shape[0], self.roots.size
         flat = X.ravel()
-        slot = forest.roots[: m * n_trees]
-        row_start = forest.row_start[: m * n_trees]
-        for _ in range(forest.depth):
-            go_left = flat.take(row_start + forest.feature.take(slot)) < forest.threshold.take(slot)
-            slot = forest.children.take(2 * slot + go_left)
+        slot = self._starts[: m * n_trees]
+        row_start = self._row_start[: m * n_trees]
+        feature, threshold, children = self.feature, self.threshold, self.children
+        for _ in range(self.depth):
+            go_left = flat.take(row_start + feature.take(slot)) < threshold.take(slot)
+            slot = children.take(2 * slot + go_left)
         terms = np.empty((m, n_trees + 1), dtype=np.float64)
         terms[:, 0] = self.base_score
-        np.multiply(self.learning_rate, forest.value.take(slot).reshape(m, n_trees), out=terms[:, 1:])
+        np.multiply(self.learning_rate, self.value.take(slot).reshape(m, n_trees), out=terms[:, 1:])
         return terms.cumsum(axis=1)[:, -1]  # adds left to right, as the one-row loop did
 
+    # Kept only because perfbench/tracer.py patches this name; it goes when
+    # the benchmark drops its span.
     def predict_row(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.feature_count,):
             raise ValueError(f"expected {self.feature_count} features, got {x.shape}")
         return float(self.predict(x[None, :])[0])
+
+
+# Kept only because perfbench/tracer.py patches this name; it goes when the
+# benchmark drops its span.
+def tree_predict(tree: Ensemble, X: np.ndarray) -> np.ndarray:
+    """Leaf weights of the rows of X in a one-tree model from fit_tree."""
+    return tree.predict(X)
 
 
 def train_ensemble(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> Ensemble:
@@ -591,46 +587,43 @@ def train_ensemble(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> Ensemble:
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("non-finite training input")
 
-    ensemble = Ensemble(
-        base_score=cfg.base_score,
-        learning_rate=cfg.learning_rate,
-        feature_count=X.shape[1],
-    )
+    table = _Table()
     preds = np.full(X.shape[0], cfg.base_score, dtype=np.float64)
     step = np.empty_like(preds)
     root = _root_layout(X, cfg)  # X is fixed, so sort and lay out its rows once per fit
     for _ in range(cfg.num_rounds):
         g = preds - y
-        tree = fit_tree(X, g, cfg, root=root)
-        ensemble.trees.append(tree)
-        _leaf_values(tree, root, step)
+        fit_tree(X, g, cfg, root=root, table=table)
+        _leaf_values(table, root, step)
         step *= cfg.learning_rate
         preds += step
-    ensemble.train_predictions = preds
-    return ensemble
+    return Ensemble(cfg.base_score, cfg.learning_rate, X.shape[1], table, train_predictions=preds)
 
 
-def _leaf_values(tree: TreeNode, root: _Layout, out: np.ndarray) -> None:
-    """Set ``out[i]`` to the weight of the leaf that row i of the fit reaches.
+def _leaf_values(table: _Table, root: _Layout, out: np.ndarray) -> None:
+    """Set ``out[i]`` to the weight of the leaf that row i of the fit
+    reaches in the table's last tree.
 
     Each leaf's rows come from the layouts the round just built or reused:
     a layout that split no further is a leaf over its own rows, and a child
     with no layout gets its parent's rows on its side of the split.  The
-    rows are the ones tree_predict would route there, so the running
+    rows are the ones prediction would route there, so the running
     predictions take the same one addition per row and round.
     """
-    stack = [(tree, root)]
+    children, value = table.children, table.value
+    stack = [(table.roots[-1], root)]
     while stack:
-        node, layout = stack.pop()
-        if node.is_leaf:
-            out[layout.rows] = node.weight
+        slot, layout = stack.pop()
+        right, left = children[2 * slot], children[2 * slot + 1]
+        if right == slot:  # a leaf
+            out[layout.rows] = value[slot]
             continue
         (feature, threshold), kids = layout.split
         if kids[0] is None or kids[1] is None:
             # both sides at once; a side with a layout is overwritten below
             go_left = layout.XT[feature].take(layout.rows) < threshold
-            out[layout.rows] = np.where(go_left, node.left.weight, node.right.weight)
-        stack += ((child, kid) for child, kid in zip((node.left, node.right), kids) if kid)
+            out[layout.rows] = np.where(go_left, value[left], value[right])
+        stack += ((child, kid) for child, kid in zip((left, right), kids) if kid)
 
 
 def regression_metrics(y_true: np.ndarray, y_pred: np.ndarray) -> dict[str, float]:
@@ -652,17 +645,6 @@ def regression_metrics(y_true: np.ndarray, y_pred: np.ndarray) -> dict[str, floa
         raise ValueError("ACC requires strictly positive targets")
     mape = float(np.mean(np.abs(err) / y_true))
     return {"mse": mse, "mae": mae, "r2": r2, "acc": max(0.0, 1.0 - mape)}
-
-
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"weight": node.weight}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
 
 
 def _model_number(obj: dict, key: str, path: str) -> float:
@@ -688,20 +670,23 @@ def _model_integer(obj: dict, key: str, path: str) -> int:
     raise ModelSchemaError(f"{path}: must be an integer")
 
 
-def _tree_from_dict(obj: dict, feature_count: int, path: str) -> TreeNode:
-    """One tree, read without recursion, so a tree of any depth loads.
+def _read_tree(obj: dict, feature_count: int, path: str, table: _Table) -> None:
+    """Append one tree to ``table``, read without recursion, so a tree of
+    any depth loads.
 
-    Nodes are checked in pre-order, left subtree first, and each fault
-    names its node's path.
+    Nodes are read and checked in pre-order, left subtree first, which is
+    the fit's own numbering; each fault names its node's path.
     """
-    root = TreeNode()
-    stack = [(obj, path, root)]
+    table.roots.append(len(table.value))
+    stack = [(obj, path, 0, None)]
     while stack:
-        obj, path, node = stack.pop()
+        obj, path, depth, parent = stack.pop()
+        if parent is not None:
+            table.right(parent)
         if not isinstance(obj, dict):
             raise ModelSchemaError(f"{path}: must be an object, got {type(obj).__name__}")
         if "weight" in obj:
-            node.weight = _model_number(obj, "weight", f"{path}.weight")
+            table.leaf(_model_number(obj, "weight", f"{path}.weight"), depth)
             continue
         for key in ("feature", "threshold", "left", "right"):
             if key not in obj:
@@ -711,21 +696,35 @@ def _tree_from_dict(obj: dict, feature_count: int, path: str) -> TreeNode:
             raise ModelSchemaError(
                 f"{path}.feature: index {feature} outside [0, {feature_count})"
             )
-        node.feature = feature
-        node.threshold = _model_number(obj, "threshold", f"{path}.threshold")
-        node.left, node.right = TreeNode(), TreeNode()
-        stack.append((obj["right"], f"{path}.right", node.right))
-        stack.append((obj["left"], f"{path}.left", node.left))
-    return root
+        slot = table.split(feature, _model_number(obj, "threshold", f"{path}.threshold"))
+        stack.append((obj["right"], f"{path}.right", depth + 1, slot))
+        stack.append((obj["left"], f"{path}.left", depth + 1, None))
 
 
 def ensemble_to_dict(ensemble: Ensemble) -> dict:
+    """The schema-v1 document: each tree a nested object, built from the
+    table's last slot back, so every child exists before its parent."""
+    feature, threshold = ensemble.feature.tolist(), ensemble.threshold.tolist()
+    children, value = ensemble.children.tolist(), ensemble.value.tolist()
+    nodes: list = [None] * len(value)
+    for slot in reversed(range(len(value))):
+        right, left = children[2 * slot], children[2 * slot + 1]
+        nodes[slot] = (
+            {"weight": value[slot]}
+            if right == slot
+            else {
+                "feature": feature[slot],
+                "threshold": threshold[slot],
+                "left": nodes[left],
+                "right": nodes[right],
+            }
+        )
     return {
         "version": MODEL_SCHEMA_VERSION,
         "base_score": ensemble.base_score,
         "learning_rate": ensemble.learning_rate,
         "feature_count": ensemble.feature_count,
-        "trees": [_node_to_dict(t) for t in ensemble.trees],
+        "trees": [nodes[root] for root in ensemble.roots.tolist()],
     }
 
 
@@ -743,15 +742,12 @@ def ensemble_from_dict(obj: dict) -> Ensemble:
         raise ModelSchemaError("feature_count: must be >= 1")
     if not isinstance(obj["trees"], list):
         raise ModelSchemaError("trees: must be a list")
-    return Ensemble(
-        base_score=_model_number(obj, "base_score", "base_score"),
-        learning_rate=_model_number(obj, "learning_rate", "learning_rate"),
-        feature_count=feature_count,
-        trees=[
-            _tree_from_dict(tree, feature_count, f"trees[{i}]")
-            for i, tree in enumerate(obj["trees"])
-        ],
-    )
+    base_score = _model_number(obj, "base_score", "base_score")
+    learning_rate = _model_number(obj, "learning_rate", "learning_rate")
+    table = _Table()
+    for i, tree in enumerate(obj["trees"]):
+        _read_tree(tree, feature_count, f"trees[{i}]", table)
+    return Ensemble(base_score, learning_rate, feature_count, table)
 
 
 def ensemble_to_json(ensemble: Ensemble) -> str:

@@ -5,14 +5,77 @@ specialised to squared loss: fit_tree takes a hessian array h and sums it
 like the gradients, and train_ensemble passes h = 1.  For unit hessians every
 hessian sum is an exact row count, so the squared-loss trainer must produce
 the same model bytes; tests compare ``ensemble_to_json`` of both.  Kept only
-as an oracle.
+as an oracle.  Its trees are linked ``TreeNode`` objects, walked by
+``tree_predict``, and reach an Ensemble only through the model reader.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from ckoord.gbdt import Ensemble, TrainConfig, TreeNode, tree_predict
+from ckoord.gbdt import MODEL_SCHEMA_VERSION, Ensemble, TrainConfig, ensemble_from_dict
+
+
+@dataclass
+class TreeNode:
+    """Internal node when feature is not None, leaf otherwise."""
+
+    feature: int | None = None
+    threshold: float = 0.0
+    left: "TreeNode | None" = None
+    right: "TreeNode | None" = None
+    weight: float = 0.0
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.feature is None
+
+
+def tree_predict(node: TreeNode, X: np.ndarray) -> np.ndarray:
+    """Vectorized tree evaluation over the rows of X."""
+    out = np.empty(X.shape[0], dtype=np.float64)
+    stack: list[tuple[TreeNode, np.ndarray]] = [(node, np.arange(X.shape[0]))]
+    while stack:
+        current, rows = stack.pop()
+        if rows.size == 0:
+            continue
+        if current.is_leaf:
+            out[rows] = current.weight
+            continue
+        mask = X[rows, current.feature] < current.threshold
+        stack.append((current.left, rows[mask]))
+        stack.append((current.right, rows[~mask]))
+    return out
+
+
+def tree_to_dict(node: TreeNode) -> dict:
+    """The tree in the nested form of the schema-v1 model document."""
+    if node.is_leaf:
+        return {"weight": node.weight}
+    return {
+        "feature": node.feature,
+        "threshold": node.threshold,
+        "left": tree_to_dict(node.left),
+        "right": tree_to_dict(node.right),
+    }
+
+
+def ensemble_of(
+    trees: list[TreeNode], feature_count: int, base_score: float = 0.0, learning_rate: float = 1.0
+) -> Ensemble:
+    """An Ensemble of these trees, read from their model document; by
+    default in the form gbdt.fit_tree returns one tree."""
+    return ensemble_from_dict(
+        {
+            "version": MODEL_SCHEMA_VERSION,
+            "base_score": base_score,
+            "learning_rate": learning_rate,
+            "feature_count": feature_count,
+            "trees": [tree_to_dict(tree) for tree in trees],
+        }
+    )
 
 def leaf_weight(g_sum: float, h_sum: float, lam: float) -> float:
     denom = h_sum + lam
@@ -227,17 +290,13 @@ def train_ensemble(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> Ensemble:
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("non-finite training input")
 
-    ensemble = Ensemble(
-        base_score=cfg.base_score,
-        learning_rate=cfg.learning_rate,
-        feature_count=X.shape[1],
-    )
+    trees = []
     preds = np.full(X.shape[0], cfg.base_score, dtype=np.float64)
     h = np.ones(X.shape[0], dtype=np.float64)
     order = np.argsort(X.T, axis=1, kind="stable")  # X is fixed, so sort once per fit
     for _ in range(cfg.num_rounds):
         g = preds - y
         tree = fit_tree(X, g, h, cfg, order=order)
-        ensemble.trees.append(tree)
+        trees.append(tree)
         preds += cfg.learning_rate * tree_predict(tree, X)
-    return ensemble
+    return ensemble_of(trees, X.shape[1], cfg.base_score, cfg.learning_rate)

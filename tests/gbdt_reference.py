@@ -14,12 +14,15 @@ Matching rules (must mirror the documented contract, not the code):
     fall under min_samples_leaf
 
 ``squared_error_objective`` scores an implementation Ensemble against the
-regularized objective the trainer minimizes, for the objective tests.
+regularized objective the trainer minimizes, for the objective tests; it
+and ``same_structure`` read the model through its nested document.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from ckoord.gbdt import ensemble_to_dict
 
 
 @dataclass
@@ -134,27 +137,29 @@ def ref_ensemble_predict(
     return base_score + learning_rate * sum(ref_predict_row(t, x) for t in trees)
 
 
-def same_structure(ref: RefNode, node, weight_tol: float = 1e-9) -> bool:
-    """Structural equality against an implementation TreeNode."""
-    if ref.is_leaf != node.is_leaf:
+def same_structure(ref: RefNode, node: dict, weight_tol: float = 1e-9) -> bool:
+    """Structural equality against a tree of an implementation model's
+    nested document (``ensemble_to_dict(model)["trees"][i]``)."""
+    if ref.is_leaf != ("weight" in node):
         return False
     if ref.is_leaf:
-        return abs(ref.weight - node.weight) <= weight_tol
-    if ref.feature != node.feature or ref.threshold != node.threshold:
+        return abs(ref.weight - node["weight"]) <= weight_tol
+    if ref.feature != node["feature"] or ref.threshold != node["threshold"]:
         return False
-    return same_structure(ref.left, node.left, weight_tol) and same_structure(
-        ref.right, node.right, weight_tol
+    return same_structure(ref.left, node["left"], weight_tol) and same_structure(
+        ref.right, node["right"], weight_tol
     )
 
 
-def _tree_penalty(node, lam: float, tau: float) -> float:
-    if node.is_leaf:
-        return tau + 0.5 * lam * node.weight**2
-    return _tree_penalty(node.left, lam, tau) + _tree_penalty(node.right, lam, tau)
+def _tree_penalty(node: dict, lam: float, tau: float) -> float:
+    if "weight" in node:
+        return tau + 0.5 * lam * node["weight"] ** 2
+    return _tree_penalty(node["left"], lam, tau) + _tree_penalty(node["right"], lam, tau)
 
 
 def squared_error_objective(ensemble, X, y, cfg) -> float:
     """Training objective of an implementation Ensemble: half the sum of
     squared errors, plus tau + 0.5 * lam * weight**2 for every leaf."""
     loss = 0.5 * sum((float(p) - float(t)) ** 2 for p, t in zip(ensemble.predict(X), y))
-    return loss + sum(_tree_penalty(t, cfg.lam, cfg.tau) for t in ensemble.trees)
+    trees = ensemble_to_dict(ensemble)["trees"]
+    return loss + sum(_tree_penalty(t, cfg.lam, cfg.tau) for t in trees)

@@ -1,30 +1,31 @@
 """One-row reference for ensemble prediction.
 
-This is prediction as it was before the trees were packed: each tree is
-walked from its root in Python, and its leaf, scaled by the learning rate,
-is added to a running total that starts at the base score.  Packed
-prediction must give the same bits; tests compare the two.  Kept only as an
-oracle.
+This is prediction as it was before the trees were flat node tables: each
+tree of the model's nested document is walked from its root in Python, and
+its leaf, scaled by the learning rate, is added to a running total that
+starts at the base score.  The table walk must give the same bits; tests
+compare the two.  Kept only as an oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ckoord.gbdt import Ensemble, TreeNode
+from ckoord.gbdt import Ensemble, ensemble_to_dict
 
 
-def tree_predict_row(node: TreeNode, x: np.ndarray) -> float:
-    while not node.is_leaf:
-        node = node.left if x[node.feature] < node.threshold else node.right
-    return node.weight
+def tree_predict_row(node: dict, x: np.ndarray) -> float:
+    while "weight" not in node:
+        node = node["left"] if x[node["feature"]] < node["threshold"] else node["right"]
+    return node["weight"]
 
 
-def predict_row(self: Ensemble, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (self.feature_count,):
-        raise ValueError(f"expected {self.feature_count} features, got {x.shape}")
-    total = self.base_score
-    for tree in self.trees:
-        total += self.learning_rate * tree_predict_row(tree, x)
-    return float(total)
+def predict_rows(model: Ensemble, X: np.ndarray) -> list[float]:
+    doc = ensemble_to_dict(model)
+    out = []
+    for x in np.asarray(X, dtype=np.float64):
+        total = doc["base_score"]
+        for tree in doc["trees"]:
+            total += doc["learning_rate"] * tree_predict_row(tree, x)
+        out.append(float(total))
+    return out

@@ -17,7 +17,7 @@ import pytest
 
 from ckoord.cluster import QosClass
 from ckoord.detector import UtilizationWeights, comprehensive_utilization, selection_threshold
-from ckoord.gbdt import TrainConfig, fit_tree, train_ensemble, regression_metrics, tree_predict
+from ckoord.gbdt import TrainConfig, ensemble_to_dict, fit_tree, train_ensemble, regression_metrics
 from ckoord.mitigator import (
     Evict,
     MitigationConfig,
@@ -80,13 +80,14 @@ def test_criterion_1_tree_oracle_equivalence():
         depth = rng.randint(1, 2)
         msl = rng.choice([1, 2, 3])
         cfg = TrainConfig(lam=lam, tau=tau, max_depth=depth, min_samples_leaf=msl)
-        impl = fit_tree(np.array(X), np.array(g), cfg)
+        impl = fit_tree(np.array(X), np.array(g), cfg)  # a one-tree model of base 0, rate 1
         ref = ref_fit_tree(X, g, [1.0] * n, depth, lam, tau, msl)
-        if not same_structure(ref, impl, weight_tol=1e-9):
+        (tree,) = ensemble_to_dict(impl)["trees"]
+        if not same_structure(ref, tree, weight_tol=1e-9):
             continue
         probes = [[rng.uniform(-6, 6) for _ in range(d)] for _ in range(16)]
         if all(
-            abs(ref_predict_row(ref, p) - tree_predict(impl, np.array([p]))[0]) <= 1e-9
+            abs(ref_predict_row(ref, p) - impl.predict(np.array([p]))[0]) <= 1e-9
             for p in probes
         ):
             matched += 1

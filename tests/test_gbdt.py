@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import json
 import types
 
 import numpy as np
@@ -11,18 +12,18 @@ from ckoord import gbdt
 from ckoord.gbdt import (
     _BLOCK_CELLS,
     FEATURE_COUNT,
-    Ensemble,
+    MODEL_SCHEMA_VERSION,
     ModelSchemaError,
     TrainConfig,
-    TreeNode,
+    ensemble_from_dict,
     ensemble_from_json,
+    ensemble_to_dict,
     ensemble_to_json,
     fit_tree,
     leaf_weight,
     regression_metrics,
     split_gain,
     train_ensemble,
-    tree_predict,
 )
 from ckoord.simulator import run_scenario
 from ckoord.trace import feature_matrix
@@ -37,6 +38,31 @@ from gbdt_reference import (
     same_structure,
     squared_error_objective,
 )
+
+
+def read_model(trees, base_score=0.0, learning_rate=0.1, feature_count=FEATURE_COUNT):
+    """An Ensemble read from a document of hand-written nested trees."""
+    return ensemble_from_dict(
+        {
+            "version": MODEL_SCHEMA_VERSION,
+            "base_score": base_score,
+            "learning_rate": learning_rate,
+            "feature_count": feature_count,
+            "trees": trees,
+        }
+    )
+
+
+def first_trees(trained, k):
+    """The Ensemble of the first k trees of ``trained``'s document."""
+    doc = ensemble_to_dict(trained)
+    return ensemble_from_dict({**doc, "trees": doc["trees"][:k]})
+
+
+def only_tree(model):
+    """The nested document of a one-tree model, such as fit_tree returns."""
+    (tree,) = ensemble_to_dict(model)["trees"]
+    return tree
 
 
 def test_leaf_weight_hand_values():
@@ -54,9 +80,9 @@ def test_split_gain_hand_values():
 def test_fit_tree_constant_gradients_single_leaf():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     g = np.full(4, -2.0)
-    tree = fit_tree(X, g, TrainConfig(lam=1.0, min_samples_leaf=1))
-    assert tree.is_leaf
-    assert tree.weight == pytest.approx(8.0 / 5.0, abs=1e-12)
+    tree = only_tree(fit_tree(X, g, TrainConfig(lam=1.0, min_samples_leaf=1)))
+    assert set(tree) == {"weight"}
+    assert tree["weight"] == pytest.approx(8.0 / 5.0, abs=1e-12)
 
 
 def test_fit_tree_two_point_split():
@@ -64,19 +90,19 @@ def test_fit_tree_two_point_split():
     X = np.array([[0.0], [1.0]])
     g = np.array([0.0, -10.0])
     cfg = TrainConfig(lam=0.0, tau=0.0, max_depth=1, min_samples_leaf=1)
-    tree = fit_tree(X, g, cfg)
-    assert not tree.is_leaf
-    assert tree.feature == 0 and tree.threshold == 0.5
-    assert tree.left.weight == pytest.approx(0.0, abs=1e-15)
-    assert tree.right.weight == pytest.approx(10.0, abs=1e-15)
+    tree = only_tree(fit_tree(X, g, cfg))
+    assert "weight" not in tree
+    assert tree["feature"] == 0 and tree["threshold"] == 0.5
+    assert tree["left"]["weight"] == pytest.approx(0.0, abs=1e-15)
+    assert tree["right"]["weight"] == pytest.approx(10.0, abs=1e-15)
 
 
 def test_fit_tree_huge_tau_single_leaf():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(20, 2))
     g = rng.normal(size=20)
-    tree = fit_tree(X, g, TrainConfig(tau=1e9, min_samples_leaf=1))
-    assert tree.is_leaf
+    tree = only_tree(fit_tree(X, g, TrainConfig(tau=1e9, min_samples_leaf=1)))
+    assert set(tree) == {"weight"}
 
 
 def test_fit_tree_input_validation():
@@ -116,31 +142,30 @@ def test_train_rejects_non_finite():
 
 
 def test_empty_ensemble_predicts_base_score():
-    model = Ensemble(base_score=0.8, feature_count=2)
-    assert np.all(model.predict(np.zeros((3, 2))) == 0.8)
+    empty = read_model([], base_score=0.8, feature_count=2)
+    assert np.all(empty.predict(np.zeros((3, 2))) == 0.8)
 
 
 def test_single_leaf_tree_prediction():
-    model = Ensemble(base_score=1.0, learning_rate=0.2, feature_count=9)
-    model.trees.append(TreeNode(weight=0.5))
-    assert model.predict_row(np.zeros(9)) == pytest.approx(1.1, abs=1e-15)
+    leaf = read_model([{"weight": 0.5}], base_score=1.0, learning_rate=0.2, feature_count=9)
+    assert leaf.predict_row(np.zeros(9)) == pytest.approx(1.1, abs=1e-15)
 
 
 def test_predict_rejects_wrong_feature_count():
-    model = Ensemble(feature_count=9)
+    empty = read_model([], feature_count=9)
     with pytest.raises(ValueError):
-        model.predict(np.zeros((2, 4)))
+        empty.predict(np.zeros((2, 4)))
     with pytest.raises(ValueError):
-        model.predict_row(np.zeros(4))
+        empty.predict_row(np.zeros(4))
 
 
 def test_predict_pure_function():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(30, 4))
     y = rng.normal(size=30)
-    model = train_ensemble(X, y, TrainConfig(num_rounds=10))
-    a = model.predict(X)
-    b = model.predict(X)
+    trained = train_ensemble(X, y, TrainConfig(num_rounds=10))
+    a = trained.predict(X)
+    b = trained.predict(X)
     assert np.array_equal(a, b)
 
 
@@ -150,12 +175,10 @@ def test_training_loss_non_increasing_across_rounds():
     y = 2.0 + X[:, 0] - 0.5 * X[:, 1] + 0.1 * rng.normal(size=40)
     for lr in (0.1, 0.5, 1.0):
         cfg = TrainConfig(learning_rate=lr, num_rounds=25, lam=1.0)
-        model = train_ensemble(X, y, cfg)
-        partial = Ensemble(base_score=cfg.base_score, learning_rate=lr, feature_count=3)
-        last = float(np.sum((partial.predict(X) - y) ** 2))
-        for tree in model.trees:
-            partial.trees.append(tree)
-            current = float(np.sum((partial.predict(X) - y) ** 2))
+        trained = train_ensemble(X, y, cfg)
+        last = float(np.sum((first_trees(trained, 0).predict(X) - y) ** 2))
+        for k in range(1, cfg.num_rounds + 1):
+            current = float(np.sum((first_trees(trained, k).predict(X) - y) ** 2))
             assert current <= last + 1e-9
             last = current
 
@@ -166,20 +189,21 @@ PROBE_SPECIALS = (np.inf, -np.inf, np.nan)
 
 
 def hand_built_tree(rng, feature_count, depth, p_split):
-    """A tree whose leftmost path splits ``depth`` times; every other node
-    below the depth limit splits with probability p_split."""
-    root = TreeNode()
+    """The nested document of a tree whose leftmost path splits ``depth``
+    times; every other node below the depth limit splits with probability
+    p_split."""
+    root = {}
     stack = [(root, 0, True)]
     while stack:
         node, level, spine = stack.pop()
         if level < depth and (spine or rng.random() < p_split):
-            node.feature = int(rng.integers(feature_count))
-            node.threshold = float(rng.choice(PROBE_LEVELS))
-            node.left, node.right = TreeNode(), TreeNode()
-            stack.append((node.left, level + 1, spine))
-            stack.append((node.right, level + 1, False))
+            node["feature"] = int(rng.integers(feature_count))
+            node["threshold"] = float(rng.choice(PROBE_LEVELS))
+            node["left"], node["right"] = {}, {}
+            stack.append((node["left"], level + 1, spine))
+            stack.append((node["right"], level + 1, False))
         else:
-            node.weight = float(rng.normal(scale=0.3))
+            node["weight"] = float(rng.normal(scale=0.3))
     return root
 
 
@@ -204,66 +228,64 @@ def prediction_cases(draw):
             min_samples_leaf=draw(st.integers(1, 3)),
             base_score=draw(st.sampled_from([0.0, 0.7, -1.3])),
         )
-        model = train_ensemble(X, 1.0 + X[:, 0] + rng.normal(size=n), cfg)
+        built = train_ensemble(X, 1.0 + X[:, 0] + rng.normal(size=n), cfg)
     else:
         depths = draw(st.lists(st.integers(0, 12), max_size=40))
         p_split = draw(st.sampled_from([0.0, 0.3, 0.45]))
-        model = Ensemble(
+        built = read_model(
+            [hand_built_tree(rng, d, depth, p_split) for depth in depths],
             base_score=draw(st.sampled_from([0.0, -0.0, 0.7, 1e-3])),
             learning_rate=draw(st.sampled_from([0.0, 0.1, 0.37, 1.0])),
             feature_count=d,
-            trees=[hand_built_tree(rng, d, depth, p_split) for depth in depths],
         )
     values = np.concatenate([PROBE_LEVELS, PROBE_SPECIALS, rng.normal(size=8)])
     pool = rng.choice(values, size=(48, d))
-    block = max(1, _BLOCK_CELLS // max(1, len(model.trees)))
+    block = max(1, _BLOCK_CELLS // max(1, built.roots.size))
     count = draw(st.sampled_from([1, block - 1, block, block + 1]))
-    return model, pool, rng.integers(pool.shape[0], size=count)
+    return built, pool, rng.integers(pool.shape[0], size=count)
 
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(prediction_cases())
 def test_packed_prediction_is_bit_identical_to_the_one_row_loop(case):
-    model, pool, rows = case
-    want = np.array([predict_reference.predict_row(model, x) for x in pool])
-    assert model.predict(pool[rows]).tobytes() == want[rows].tobytes()
+    built, pool, rows = case
+    want = np.array(predict_reference.predict_rows(built, pool))
+    assert built.predict(pool[rows]).tobytes() == want[rows].tobytes()
     for x, expected in zip(pool[:8], want):
-        assert np.float64(model.predict_row(x)).tobytes() == expected.tobytes()
+        assert np.float64(built.predict_row(x)).tobytes() == expected.tobytes()
 
 
-def test_prediction_repacks_when_the_trees_change():
+def test_models_of_reordered_trees_predict_as_the_one_row_loop():
+    """Each tree's root slot is where the reader put it, whatever the trees
+    before it: models of the first k trees, of a tree repeated, of one tree
+    fewer and of the trees reversed each predict as the one-row loop."""
     rng = np.random.default_rng(8)
     X = rng.normal(size=(60, 3))
-    model = train_ensemble(X, X[:, 0] + 0.1 * rng.normal(size=60), TrainConfig(num_rounds=6))
-    grown = Ensemble(base_score=0.2, learning_rate=0.1, feature_count=3)
+    trained = train_ensemble(X, X[:, 0] + 0.1 * rng.normal(size=60), TrainConfig(num_rounds=6))
+    trees = ensemble_to_dict(trained)["trees"]
 
-    def check():
-        want = [predict_reference.predict_row(grown, x) for x in X]
-        assert grown.predict(X).tolist() == want
+    def check(chosen):
+        grown = read_model(chosen, base_score=0.2, learning_rate=0.1, feature_count=3)
+        assert grown.predict(X).tolist() == predict_reference.predict_rows(grown, X)
 
-    check()
-    for tree in model.trees:  # appended between predictions
-        grown.trees.append(tree)
-        check()
-    grown.trees[2] = model.trees[0]
-    check()
-    grown.trees.pop()
-    check()
-    grown.trees = list(reversed(model.trees))
-    check()
+    for k in range(len(trees) + 1):
+        check(trees[:k])
+    check(trees[:2] + trees[:1] + trees[3:])
+    check(trees[:-1])
+    check(trees[::-1])
 
 
 def test_nan_goes_right_and_infinities_follow_the_comparison():
-    tree = TreeNode(feature=0, threshold=0.5, left=TreeNode(weight=1.0), right=TreeNode(weight=2.0))
-    model = Ensemble(base_score=0.0, learning_rate=1.0, feature_count=1, trees=[tree])
+    tree = {"feature": 0, "threshold": 0.5, "left": {"weight": 1.0}, "right": {"weight": 2.0}}
+    stump = read_model([tree], base_score=0.0, learning_rate=1.0, feature_count=1)
     probe = np.array([[np.nan], [-np.inf], [np.inf], [0.5], [0.25]])
-    assert model.predict(probe).tolist() == [2.0, 1.0, 2.0, 2.0, 1.0]
+    assert stump.predict(probe).tolist() == [2.0, 1.0, 2.0, 2.0, 1.0]
 
 
-def test_predict_rejects_a_tree_that_splits_outside_the_features():
-    tree = TreeNode(feature=3, threshold=0.0, left=TreeNode(), right=TreeNode())
+def test_the_reader_rejects_a_tree_that_splits_outside_the_features():
+    tree = {"feature": 3, "threshold": 0.0, "left": {"weight": 0.0}, "right": {"weight": 0.0}}
     with pytest.raises(ValueError, match="outside"):
-        Ensemble(feature_count=3, trees=[tree]).predict(np.zeros((2, 3)))
+        read_model([tree], feature_count=3)
 
 
 def test_regularized_objective_non_increasing_at_full_step():
@@ -274,12 +296,10 @@ def test_regularized_objective_non_increasing_at_full_step():
     y = 2.0 + X[:, 0] - 0.5 * X[:, 1] + 0.1 * rng.normal(size=40)
     for lam in (0.0, 1.0):
         cfg = TrainConfig(learning_rate=1.0, num_rounds=25, lam=lam, tau=0.0)
-        model = train_ensemble(X, y, cfg)
-        partial = Ensemble(base_score=cfg.base_score, learning_rate=1.0, feature_count=3)
-        last = squared_error_objective(partial, X, y, cfg)
-        for tree in model.trees:
-            partial.trees.append(tree)
-            current = squared_error_objective(partial, X, y, cfg)
+        trained = train_ensemble(X, y, cfg)
+        last = squared_error_objective(first_trees(trained, 0), X, y, cfg)
+        for k in range(1, cfg.num_rounds + 1):
+            current = squared_error_objective(first_trees(trained, k), X, y, cfg)
             assert current <= last + 1e-9
             last = current
 
@@ -299,9 +319,9 @@ def test_two_sample_loss_drops_and_matches_reference():
 
     assert ref_mse(50) < ref_mse(1)
     cfg = TrainConfig(learning_rate=0.3, lam=1.0, num_rounds=50, min_samples_leaf=1)
-    model = train_ensemble(np.array(X), np.array(y), cfg)
+    trained = train_ensemble(np.array(X), np.array(y), cfg)
     for xi in X:
-        assert model.predict_row(np.array(xi)) == pytest.approx(
+        assert trained.predict_row(np.array(xi)) == pytest.approx(
             ref_ensemble_predict(trees, xi, 0.3, 0.0), abs=1e-9
         )
 
@@ -326,9 +346,9 @@ def test_fit_tree_matches_reference_oracle_sample():
             X.tolist(), g.tolist(), [1.0] * n,
             cfg.max_depth, cfg.lam, cfg.tau, cfg.min_samples_leaf,
         )
-        assert same_structure(ref, tree), f"trial {trial}: tree diverges from oracle"
+        assert same_structure(ref, only_tree(tree)), f"trial {trial}: tree diverges from oracle"
         probe = rng.normal(size=(16, d))
-        got = tree_predict(tree, probe)
+        got = tree.predict(probe)
         want = [ref_predict_row(ref, row.tolist()) for row in probe]
         assert np.allclose(got, want, atol=1e-9)
 
@@ -383,12 +403,12 @@ def test_fit_tree_matches_reference_oracle_property(case):
         X.tolist(), g.tolist(), [1.0] * len(g),
         cfg.max_depth, cfg.lam, cfg.tau, cfg.min_samples_leaf,
     )
-    assert same_structure(ref, tree)
+    assert same_structure(ref, only_tree(tree))
     # every level and every midpoint between levels, in each column
     probe_values = np.sort(np.concatenate([LEVELS, np.convolve(LEVELS, [0.5, 0.5], "valid")]))
     probe = np.tile(probe_values[:, None], (1, X.shape[1]))
     probe = np.vstack([X, probe, probe[::-1]])
-    got = tree_predict(tree, probe)
+    got = tree.predict(probe)
     want = [ref_predict_row(ref, row.tolist()) for row in probe]
     assert np.allclose(got, want, rtol=0.0, atol=1e-9)
 
@@ -430,7 +450,7 @@ def test_fit_tree_is_bit_identical_to_the_hessian_trainer(case):
     X, g, cfg = case
     tree = fit_tree(X, g, cfg)
     ref = fit_reference.fit_tree(X, g, np.ones(g.size), cfg)
-    assert ensemble_to_json(Ensemble(trees=[tree])) == ensemble_to_json(Ensemble(trees=[ref]))
+    assert ensemble_to_json(tree) == ensemble_to_json(fit_reference.ensemble_of([ref], X.shape[1]))
 
 
 def tied_dataset():
@@ -472,8 +492,8 @@ def test_trained_model_bytes_are_pinned(overrides, digest):
     overrides = dict(overrides)
     rows = overrides.pop("rows", None)
     cfg = TrainConfig(**{"num_rounds": 20, **overrides})
-    model = train_ensemble(X[:rows], y[:rows], cfg)
-    assert hashlib.sha256(ensemble_to_json(model).encode()).hexdigest() == digest
+    trained = train_ensemble(X[:rows], y[:rows], cfg)
+    assert hashlib.sha256(ensemble_to_json(trained).encode()).hexdigest() == digest
 
 
 @st.composite
@@ -523,11 +543,11 @@ def test_train_ensemble_is_bit_identical_to_the_hessian_trainer(case):
 @given(boosting_runs())
 def test_train_predictions_are_the_ensembles_own_predictions(case):
     """The leaf updates add each round's term to the rows the partition
-    routes to each leaf, as the packed walk adds it, so the trainer's
+    routes to each leaf, as the table walk adds it, so the trainer's
     predictions are predict(X) bit for bit."""
     X, y, cfg = case
-    model = train_ensemble(X, y, cfg)
-    assert model.train_predictions.tobytes() == model.predict(X).tobytes()
+    trained = train_ensemble(X, y, cfg)
+    assert trained.train_predictions.tobytes() == trained.predict(X).tobytes()
 
 
 # strictly monotone maps: each keeps a column's partitions, so its gains
@@ -580,8 +600,8 @@ def test_contender_rule_keeps_the_bytes_at_near_ties(case):
     ref = fit_reference.fit_tree(X, g, np.ones(g.size), cfg)
     root = gbdt._root_layout(X, cfg)
     tree = fit_tree(X, g, cfg, root=root)
-    assert ensemble_to_json(Ensemble(trees=[tree])) == ensemble_to_json(Ensemble(trees=[ref]))
-    for layout in held_layouts(root, tree):
+    assert ensemble_to_json(tree) == ensemble_to_json(fit_reference.ensemble_of([ref], X.shape[1]))
+    for layout in held_layouts(root, tree, 0):
         m = layout.rows.size
         if not layout.has.size:
             continue
@@ -611,22 +631,24 @@ def test_rescore_bound_is_infinite_where_it_is_not_shown():
     with np.errstate(over="ignore"):
         want = fit_reference.fit_tree(X, gs, np.ones(4), cfg)
         got = fit_tree(X, gs, cfg)
-    assert ensemble_to_json(Ensemble(trees=[got])) == ensemble_to_json(Ensemble(trees=[want]))
+    assert ensemble_to_json(got) == ensemble_to_json(fit_reference.ensemble_of([want], 2))
 
 
-def held_layouts(layout, tree):
+def held_layouts(layout, table, slot):
     """The layouts ``layout`` still holds below it, checked against the
-    tree whose round just built or reused them."""
-    assert (layout.split is None) == tree.is_leaf
+    node at ``slot`` of the node table (a model, or the table the fit is
+    writing) whose round just built or reused them."""
+    right, left = table.children[2 * slot], table.children[2 * slot + 1]
+    assert (layout.split is None) == (right == slot)  # a leaf's children are itself
     held = [layout]
     if layout.split is not None:
         (feature, threshold), kids = layout.split
-        assert (feature, threshold) == (tree.feature, tree.threshold)
+        assert (feature, threshold) == (table.feature[slot], table.threshold[slot])
         go_left = layout.XT[feature].take(layout.rows) < threshold
-        for kid, child, side in zip(kids, (tree.left, tree.right), (go_left, ~go_left)):
+        for kid, child, side in zip(kids, (left, right), (go_left, ~go_left)):
             if kid is not None:
                 assert np.array_equal(kid.rows, layout.rows[side])
-                held += held_layouts(kid, child)
+                held += held_layouts(kid, table, child)
     return held
 
 
@@ -641,7 +663,8 @@ def test_a_fit_holds_at_most_the_previous_trees_layouts():
     def holding(fit):
         def wrapper(X, g, cfg, **kwargs):
             tree = fit(X, g, cfg, **kwargs)
-            layouts = held_layouts(kwargs["root"], tree)
+            table = kwargs["table"]
+            layouts = held_layouts(kwargs["root"], table, table.roots[-1])
             alive = [obj for obj in gc.get_objects() if isinstance(obj, gbdt._Layout)]
             assert {id(layout) for layout in layouts} == {id(obj) for obj in alive}
             held_cells.append(sum(layout.order.size for layout in layouts))
@@ -652,14 +675,14 @@ def test_a_fit_holds_at_most_the_previous_trees_layouts():
     real = gbdt.fit_tree
     gbdt.fit_tree = holding(real)
     try:
-        model = train_ensemble(X, y, cfg)
+        trained = train_ensemble(X, y, cfg)
     finally:
         gbdt.fit_tree = real
     assert len(held_cells) == cfg.num_rounds
     assert held_cells[0] > n * d  # the first tree splits below its root
     assert max(held_cells) <= cfg.max_depth * n * d
     # the returned ensemble's data reaches no layout: nothing outlives the fit
-    seen, stack = set(), [model]
+    seen, stack = set(), [trained]
     while stack:
         obj = stack.pop()
         if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
@@ -667,7 +690,7 @@ def test_a_fit_holds_at_most_the_previous_trees_layouts():
         seen.add(id(obj))
         assert not isinstance(obj, gbdt._Layout)
         stack.extend(gc.get_referents(obj))
-    assert len(seen) > len(model.trees)  # the walk reached the trees
+    assert id(trained.children) in seen  # the walk reached the node table
 
 
 def test_train_shaped_model_bytes_are_pinned():
@@ -679,8 +702,8 @@ def test_train_shaped_model_bytes_are_pinned():
         cfg_with("controllers.enabled=false", "horizon=334", "interference=[]"), seed=1
     ).trace_rows
     X, y = feature_matrix(rows)
-    model = train_ensemble(X[:8016], y[:8016], TrainConfig())
-    digest = hashlib.sha256(ensemble_to_json(model).encode()).hexdigest()
+    trained = train_ensemble(X[:8016], y[:8016], TrainConfig())
+    digest = hashlib.sha256(ensemble_to_json(trained).encode()).hexdigest()
     assert digest == "bc4a8fd3da7e3d1d46000b7c52df42ba07bef090e2d2e2a51fe125183f073653"
 
 
@@ -704,22 +727,85 @@ def test_metrics_acc_requires_positive_targets():
         regression_metrics(np.array([0.0, 1.0]), np.array([0.1, 1.0]))
 
 
+def nested_tree(levels):
+    """The tree of test_cli's nested_model: ``levels`` splits down its left
+    side."""
+    tree = {"weight": 0.25}
+    for _ in range(levels):
+        tree = {"feature": 0, "threshold": 0.5, "left": tree, "right": {"weight": -0.25}}
+    return tree
+
+
+@st.composite
+def round_trip_models(draw):
+    """A fitted model, a model of hand-written trees whose thresholds and
+    weights are any finite floats, or the one-tree shape of nested_model."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["fitted", "hand", "nested"]))
+    if kind == "fitted":
+        n, d = draw(st.integers(1, 120)), draw(st.integers(1, FEATURE_COUNT))
+        X = rng.choice(LEVELS, size=(n, d)) if draw(st.booleans()) else rng.normal(size=(n, d))
+        cfg = TrainConfig(
+            num_rounds=draw(st.integers(1, 12)),
+            max_depth=draw(st.integers(1, 5)),
+            min_samples_leaf=draw(st.integers(1, 3)),
+            base_score=draw(st.sampled_from([0.0, -0.0, 0.7])),
+        )
+        return train_ensemble(X, X[:, 0] + rng.normal(size=n), cfg)
+    if kind == "nested":
+        return read_model([nested_tree(draw(st.integers(0, 900)))], 0.5, 0.1)
+    d = draw(st.integers(1, FEATURE_COUNT))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    floats = draw(st.lists(finite, min_size=1, max_size=8))
+    trees = [
+        hand_built_tree(rng, d, depth, p_split=0.45)
+        for depth in draw(st.lists(st.integers(0, 8), max_size=12))
+    ]
+    stack = list(trees)
+    while stack:  # every threshold and weight from the drawn floats
+        node = stack.pop()
+        if "weight" in node:
+            node["weight"] = floats[int(rng.integers(len(floats)))]
+        else:
+            node["threshold"] = floats[int(rng.integers(len(floats)))]
+            stack += (node["left"], node["right"])
+    return read_model(trees, draw(st.sampled_from(floats)), draw(st.sampled_from(floats)), d)
+
+
+def node_table(model):
+    """The model's node table, each float by its exact hex form."""
+    return {
+        "feature": model.feature.tolist(),
+        "children": model.children.tolist(),
+        "roots": model.roots.tolist(),
+        "depth": model.depth,
+        "threshold": [float.hex(v) for v in model.threshold.tolist()],
+        "value": [float.hex(v) for v in model.value.tolist()],
+    }
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(round_trip_models())
+@example(read_model([nested_tree(900)], 0.5, 0.1))
+def test_a_model_read_back_from_its_json_has_the_same_node_table(case):
+    """The reader numbers a document's nodes as the fit and the writer do:
+    a fitted model's table comes back slot for slot and bit for bit."""
+    assert node_table(ensemble_from_json(ensemble_to_json(case))) == node_table(case)
+
+
 def test_serialization_round_trip_identical_predictions():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(50, 9))
     y = 1.0 + np.abs(rng.normal(size=50))
-    model = train_ensemble(X, y, TrainConfig(num_rounds=20))
-    restored = ensemble_from_json(ensemble_to_json(model))
+    trained = train_ensemble(X, y, TrainConfig(num_rounds=20))
+    restored = ensemble_from_json(ensemble_to_json(trained))
     probe = rng.normal(size=(20, 9))
-    assert np.array_equal(model.predict(probe), restored.predict(probe))
+    assert np.array_equal(trained.predict(probe), restored.predict(probe))
 
 
 def test_serialized_document_shape():
-    import json
-
-    model = Ensemble(base_score=0.5, learning_rate=0.1, feature_count=9)
-    model.trees.append(TreeNode(weight=1.0))
-    doc = json.loads(ensemble_to_json(model))
+    leaf = read_model([{"weight": 1.0}], base_score=0.5, learning_rate=0.1, feature_count=9)
+    doc = json.loads(ensemble_to_json(leaf))
     assert doc["version"] == 1
     assert doc["feature_count"] == 9
     assert doc["trees"] == [{"weight": 1.0}]

@@ -216,6 +216,15 @@ def test_apply_suppress_sets_node_cap():
     assert state.nodes["node-00"].be_cpu_cap == 3.5
 
 
+@pytest.mark.parametrize("cap", [-1.0, math.nan, math.inf, -math.inf])
+def test_apply_refuses_a_cap_that_is_not_a_finite_number_at_least_zero(cap):
+    # the allocator reads a NaN cap as no cap, so it must not be stored
+    state = build_state(pods=[("batch-0", "batch", QosClass.BE, 4.0)])
+    with pytest.raises(ValueError, match="finite number >= 0"):
+        apply(Suppress("node-00", cap), state)
+    assert state.nodes["node-00"].be_cpu_cap is None
+
+
 def test_apply_noop_changes_nothing():
     state = build_state(pods=[("batch-0", "batch", QosClass.BE, 4.0)])
     before = copy.deepcopy(state)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import warnings
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -527,6 +528,30 @@ def test_a_cap_set_or_cleared_between_steps_applies_to_the_next_interval():
     free, free_nodes, _ = uncapped.step(2)
     assert row_bits(rows) == row_bits(free)
     assert row_bits(node_rows) == row_bits(free_nodes)
+
+
+@pytest.mark.parametrize("cap", [math.nan, math.inf])
+def test_enforce_refuses_a_suppression_whose_cap_is_not_finite(cap):
+    sim = Simulator(small_cfg("controllers.enabled=false"), seed=7)
+    sim.step(0)
+    node_id = next(iter(sim.state.nodes))
+    action = PlannedAction(0, "batch", node_id, Severity.MILD, Suppress(node_id, cap))
+    with pytest.raises(ValueError, match="finite number >= 0"):
+        sim._enforce(0, [action])
+    assert sim.state.nodes[node_id].be_cpu_cap is None
+
+
+def test_a_subnormal_cap_steps_without_a_floating_point_warning():
+    # its BE pods get subnormal allocations, and want / allocated overflows
+    sim = Simulator(small_cfg("controllers.enabled=false"), seed=7)
+    sim.step(0)
+    node_id = next(iter(sim.state.nodes))
+    suppress = Suppress(node_id, 5e-324)
+    sim._enforce(0, [PlannedAction(0, "batch", node_id, Severity.MILD, suppress)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows, _, _ = sim.step(1)
+    assert 0.0 < be_cores(rows)[node_id] <= 2 * 5e-324
 
 
 def test_a_step_past_the_next_interval_computes_the_interval_asked_for(monkeypatch):
