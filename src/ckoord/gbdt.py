@@ -57,19 +57,17 @@ adds learning_rate * w of every leaf to the running predictions of the rows
 the round's partition sent there, read from the layouts it built or reused,
 so no row is walked through the new tree.
 
-The fit writes each node into one flat node table as it makes it, the layout
-of QuickScorer (Lucchese et al., SIGIR 2015): a feature, a threshold, a value
-and two children per slot.  Slots run in the fit's own pre-order, a node,
-then its left subtree, then its right, tree after tree, and the table records
-each tree's root slot; the model reader numbers a document's nodes the same
-way.  Prediction walks that table.  A leaf's children are the leaf itself,
-so after ``depth`` steps, the depth of the deepest tree, every (row, tree)
-pair sits on its leaf whatever the depths of the other trees.  All pairs of
-a block of rows step together.  A row's sum is added left to right,
-base_score then learning_rate * leaf of each tree in order, by ``np.cumsum``
-along the tree axis: an accumulate adds one term at a time, as the one-row
-loop ``total += lr * leaf`` does, so the two give the same bits.  ``np.sum``
-would not, as it adds pairwise.
+The fit writes each node into one flat node table as it makes it (see
+_Table), the layout of QuickScorer (Lucchese et al., SIGIR 2015), numbered in
+the fit's pre-order with each tree's root slot recorded; the model reader
+numbers a document the same way.  Prediction walks that table.  A leaf's
+children are the leaf itself, so after ``depth`` steps, the depth of the
+deepest tree, every (row, tree) pair sits on its leaf whatever the depths of
+the other trees.  All pairs of a block of rows step together.  A row's sum is
+added left to right, base_score then learning_rate * leaf of each tree in
+order, by ``np.cumsum`` along the tree axis: an accumulate adds one term at a
+time, as the one-row loop ``total += lr * leaf`` does, so the two give the
+same bits.  ``np.sum`` would not, as it adds pairwise.
 """
 
 from __future__ import annotations
@@ -441,9 +439,9 @@ def _grow(
         d = order.shape[0]
         node.split = key, [
             _Layout(XT, rows.compress(in_row), order.compress(in_rank).reshape(d, -1), cfg)
-            if _may_split(count, depth + 1, cfg)
+            if _may_split(n, depth + 1, cfg)
             else None  # a leaf needs only its sums, not its rows
-            for in_row, in_rank, (_, count) in zip((by_row, ~by_row), (by_rank, ~by_rank), sides)
+            for in_row, in_rank, (_, n) in zip((by_row, ~by_row), (by_rank, ~by_rank), sides)
         ]
     slot = table.split(feature, threshold)
     (left, right), (left_sums, right_sums) = node.split[1], sides
@@ -551,10 +549,9 @@ class Ensemble:
         flat = X.ravel()
         slot = self._starts[: m * n_trees]
         row_start = self._row_start[: m * n_trees]
-        feature, threshold, children = self.feature, self.threshold, self.children
         for _ in range(self.depth):
-            go_left = flat.take(row_start + feature.take(slot)) < threshold.take(slot)
-            slot = children.take(2 * slot + go_left)
+            go_left = flat.take(row_start + self.feature.take(slot)) < self.threshold.take(slot)
+            slot = self.children.take(2 * slot + go_left)
         terms = np.empty((m, n_trees + 1), dtype=np.float64)
         terms[:, 0] = self.base_score
         np.multiply(self.learning_rate, self.value.take(slot).reshape(m, n_trees), out=terms[:, 1:])
@@ -571,9 +568,7 @@ class Ensemble:
 
 # Kept only because perfbench/tracer.py patches this name; it goes when the
 # benchmark drops its span.
-def tree_predict(tree: Ensemble, X: np.ndarray) -> np.ndarray:
-    """Leaf weights of the rows of X in a one-tree model from fit_tree."""
-    return tree.predict(X)
+tree_predict = Ensemble.predict
 
 
 def train_ensemble(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> Ensemble:

@@ -146,10 +146,9 @@ def apply(action: MitigationAction, state: ClusterState) -> ClusterState:
         raise KeyError(f"unknown node {action.node_id}")
     node = state.nodes[action.node_id]
     if isinstance(action, Suppress):
-        cap = action.cpu_restriction
-        if not (math.isfinite(cap) and cap >= 0):  # the allocator would read NaN as no cap
-            raise ValueError(f"cpu_restriction must be a finite number >= 0, got {cap}")
-        node.be_cpu_cap = cap
+        if not 0 <= action.cpu_restriction < math.inf:  # the allocator reads NaN as no cap
+            raise ValueError("cpu_restriction must be a finite number >= 0")
+        node.be_cpu_cap = action.cpu_restriction
         return state
     for pod_id in action.pod_ids:
         if pod_id not in state.pods:

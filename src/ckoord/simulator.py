@@ -128,8 +128,7 @@ def ground_truth_cpi(
 def utilization_rho(want: np.ndarray, allocated: np.ndarray, rho_max: float) -> np.ndarray:
     """Per pod: want / allocated cores, capped at rho_max; rho_max when
     nothing is allocated and 0 when nothing is wanted."""
-    # a subnormal allocation, under a subnormal BE cap, may overflow the
-    # quotient to inf, which the _min below clips to rho_max
+    # under a subnormal BE cap the quotient may overflow; _min clips the inf
     with np.errstate(over="ignore"):
         ratio = np.divide(want, allocated, out=np.full(want.shape, rho_max), where=allocated > 0)
     return np.where(want > 0, _min(rho_max, ratio), 0.0)
